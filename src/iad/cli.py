@@ -14,12 +14,13 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import data, evaluation, network, training, verify
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, parse_assignment
 
 log = logging.getLogger("iad.cli")
 
@@ -31,19 +32,9 @@ def _setup_logging():
 
 
 def _load_config(args) -> ExperimentConfig:
-    overrides = {}
-    for item in args.set or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, _, raw = item.partition("=")
-        try:
-            overrides[key.strip()] = json.loads(raw.strip())
-        except json.JSONDecodeError:
-            overrides[key.strip()] = raw.strip()
+    overrides = dict(parse_assignment(item, "--set") for item in args.set or [])
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.threads is not None:
-        overrides["threads"] = args.threads
     if args.config:
         return ExperimentConfig.from_file(args.config, overrides)
     return ExperimentConfig(overrides)
@@ -130,9 +121,9 @@ def cmd_eval(cfg: ExperimentConfig, out: Path, args) -> int:
     reports = evaluation.evaluate(net, test_ds)
     evaluation.reports_to_csv(reports, out / "reports.csv")
     threshold = cfg["eval.threshold_fraction"] * np.log(test_ds.k)
-    for name, keep in (("successes", True), ("errors", False)):
-        vals = [r.entropy for r in reports if r.correct is keep]
-        if vals:
+    for name, keep in (("successes", reports.correct), ("errors", ~reports.correct)):
+        vals = reports.entropy[keep]
+        if vals.size:
             evaluation.summary_to_json(evaluation.summarize(vals, threshold),
                                        out / f"summary_{name}.json")
     return 0
@@ -153,22 +144,18 @@ def cmd_ood(cfg: ExperimentConfig, out: Path, args) -> int:
 def cmd_attack(cfg: ExperimentConfig, out: Path, args) -> int:
     net = _load_net(args)
     _, test_ds = build_datasets(cfg)
-    loss_cfg = cfg.loss_config()
-    rows = evaluation.epsilon_sweep(net, test_ds, cfg["attack.epsilons"], loss_cfg)
-    evaluation.sweep_to_csv(rows, out / "attack_sweep.csv")
+    swept = evaluation.attack_reports(net, test_ds, cfg["attack.epsilons"],
+                                      cfg.loss_config())
+    evaluation.sweep_to_csv([evaluation.sweep_row(eps, r) for eps, r in swept],
+                            out / "attack_sweep.csv")
     threshold = cfg["eval.threshold_fraction"] * np.log(test_ds.k)
-    summaries = {}
-    labels = test_ds.label_indices
-    for eps in cfg["attack.epsilons"]:
-        x = test_ds.features if eps == 0.0 else evaluation.fgsm_attack(
-            net, test_ds.features, labels, eps, loss_cfg, test_ds.feature_range)
-        reports = evaluation.evaluate(
-            net, data.Dataset(x, test_ds.labels, feature_range=test_ds.feature_range))
-        from dataclasses import asdict
-        summaries[repr(float(eps))] = {
-            "entropy": asdict(evaluation.summarize([r.entropy for r in reports], threshold)),
-            "mutual_info": asdict(evaluation.summarize([r.mutual_info for r in reports], threshold)),
+    summaries = {
+        repr(eps): {
+            "entropy": asdict(evaluation.summarize(r.entropy, threshold)),
+            "mutual_info": asdict(evaluation.summarize(r.mutual_info, threshold)),
         }
+        for eps, r in swept
+    }
     (out / "attack_summaries.json").write_text(
         json.dumps(summaries, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0
@@ -201,22 +188,15 @@ def cmd_compare(cfg: ExperimentConfig, out: Path, args) -> int:
         net, _ = training.train(train_ds, cfg["arch"], cfg.train_config(), loss=sel)
         network.save_checkpoint(net, out / f"checkpoint_{sel}.json")
         reports = evaluation.evaluate(net, test_ds)
-        succ = [r.entropy for r in reports if r.correct]
-        errs = [r.entropy for r in reports if r.correct is False]
-        rows.append({
-            "loss": sel,
-            "accuracy": float(np.mean([r.correct for r in reports])),
-            "median_entropy_successes": float(np.median(succ)) if succ else float("nan"),
-            "median_entropy_errors": float(np.median(errs)) if errs else float("nan"),
-        })
+        stats = [np.mean(reports.correct)] + [
+            np.median(reports.entropy[keep]) if keep.any() else np.nan
+            for keep in (reports.correct, ~reports.correct)]
+        rows.append([sel] + [repr(float(v)) for v in stats])
     with open(out / "compare.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["loss", "accuracy", "median_entropy_successes",
                          "median_entropy_errors"])
-        for r in rows:
-            writer.writerow([r["loss"], repr(r["accuracy"]),
-                             repr(r["median_entropy_successes"]),
-                             repr(r["median_entropy_errors"])])
+        writer.writerows(rows)
     return 0
 
 
@@ -239,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="experiment config file (key = value lines)")
         p.add_argument("--seed", type=int, help="root seed override")
         p.add_argument("--out", default=f"runs/{name}", help="run output directory")
-        p.add_argument("--threads", type=int, help="worker cap")
         p.add_argument("--force", action="store_true",
                        help="allow writing into a non-empty output directory")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",

@@ -11,7 +11,7 @@ from pathlib import Path
 from .losses import LossConfig
 from .training import LOSSES, TrainConfig
 
-__all__ = ["ConfigError", "ExperimentConfig", "DEFAULTS"]
+__all__ = ["ConfigError", "ExperimentConfig", "DEFAULTS", "parse_assignment"]
 
 
 class ConfigError(ValueError):
@@ -20,7 +20,6 @@ class ConfigError(ValueError):
 
 DEFAULTS: dict = {
     "seed": 0,
-    "threads": 1,
     "loss": "iad",
     "arch": [32, 32],
     "data.kind": "blobs",          # blobs | csv | idx
@@ -57,12 +56,29 @@ DEFAULTS: dict = {
 }
 
 
-def _parse_value(raw: str):
-    raw = raw.strip()
+def _fits(val, default) -> bool:
+    """val has the type of default: an int passes for a float, a bool never
+    passes for a number, and a list's items must fit its first default item."""
+    if isinstance(default, bool) or isinstance(val, bool):
+        return isinstance(val, bool) and isinstance(default, bool)
+    if isinstance(default, float):
+        return isinstance(val, (int, float))
+    if isinstance(default, list):
+        return isinstance(val, list) and all(_fits(v, default[0]) for v in val)
+    return isinstance(val, type(default))
+
+
+def parse_assignment(text: str, where: str) -> tuple[str, object]:
+    """'key = value' -> (key, value); the value is a JSON literal, or the
+    bare word as a string."""
+    if "=" not in text:
+        raise ConfigError(f"{where}: expected 'key = value', got {text!r}")
+    key, _, raw = text.partition("=")
+    key, raw = key.strip(), raw.strip()
     try:
-        return json.loads(raw)
+        return key, json.loads(raw)
     except json.JSONDecodeError:
-        return raw
+        return key, raw
 
 
 @dataclass
@@ -74,6 +90,9 @@ class ExperimentConfig:
         for key, val in self.values.items():
             if key not in DEFAULTS:
                 raise ConfigError(f"unknown config key {key!r}")
+            if not _fits(val, DEFAULTS[key]):
+                raise ConfigError(f"{key}: {val!r} does not have the type of its "
+                                  f"default {DEFAULTS[key]!r}")
             merged[key] = val
         self.values = merged
         self._validate()
@@ -87,14 +106,12 @@ class ExperimentConfig:
         if self.values["data.kind"] not in ("blobs", "csv", "idx"):
             raise ConfigError("data.kind: must be blobs, csv or idx")
         arch = self.values["arch"]
-        if not isinstance(arch, list) or not arch or any(
-                not isinstance(h, int) or h < 1 for h in arch):
+        if not arch or any(h < 1 for h in arch):
             raise ConfigError("arch: must be a non-empty list of positive ints")
         try:
             self.train_config()
             self.loss_config()
-        except (TypeError, ValueError) as exc:
-            # a non-numeric value fails the dataclass range checks with TypeError
+        except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
     @classmethod
@@ -105,10 +122,8 @@ class ExperimentConfig:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, raw = line.partition("=")
-            values[key.strip()] = _parse_value(raw)
+            key, val = parse_assignment(line, f"{path}:{lineno}")
+            values[key] = val
         if overrides:
             values.update(overrides)
         return cls(values)
@@ -117,24 +132,10 @@ class ExperimentConfig:
         return self.values[key]
 
     def train_config(self) -> TrainConfig:
-        v = self.values
-        return TrainConfig(
-            p_norm=v["train.p_norm"],
-            lambda_max=v["train.lambda_max"],
-            t0=v["train.t0"],
-            t_rate=v["train.t_rate"],
-            learning_rate=v["train.learning_rate"],
-            adam_beta1=v["train.adam_beta1"],
-            adam_beta2=v["train.adam_beta2"],
-            adam_eps=v["train.adam_eps"],
-            batch_size=v["train.batch_size"],
-            max_epochs=v["train.max_epochs"],
-            patience=v["train.patience"],
-            seed=v["seed"],
-            val_fraction=v["train.val_fraction"],
-            kl_beta=v["train.kl_beta"],
-            ood_weight=v["train.ood_weight"],
-        )
+        """Every train.* key is the TrainConfig field of the same name."""
+        return TrainConfig(seed=self.values["seed"], **{
+            key.removeprefix("train."): val for key, val in self.values.items()
+            if key.startswith("train.")})
 
     def loss_config(self) -> LossConfig:
         v = self.values

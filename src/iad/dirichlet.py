@@ -86,22 +86,42 @@ def predictive_mean(d: DirichletParams) -> np.ndarray:
     return d.alpha / d.alpha0
 
 
-def predictive_entropy(d: DirichletParams) -> float:
-    """Entropy (nats) of the predictive posterior; total uncertainty."""
-    r = predictive_mean(d)
-    mask = r > _RATIO_FLOOR
-    return float(-np.sum(r[mask] * np.log(r[mask])))
+def _rows(d) -> tuple[np.ndarray, bool]:
+    """(N, K) concentration rows and whether d was one DirichletParams.
+    A matrix is checked for positive, finite entries once, here."""
+    if isinstance(d, DirichletParams):
+        return d.alpha[None, :], True
+    alpha = np.asarray(d, dtype=np.float64)
+    if alpha.ndim != 2 or alpha.shape[1] < 2:
+        raise ValueError("alpha must be an (N, K) matrix with K >= 2")
+    if not np.all(np.isfinite(alpha)) or np.any(alpha <= 0.0):
+        raise DomainError("all concentration parameters must be positive and finite")
+    return alpha, False
 
 
-def mutual_information(d: DirichletParams) -> float:
+def predictive_entropy(d):
+    """Entropy (nats) of the predictive posterior; total uncertainty.
+    Takes a DirichletParams (returns a float) or an (N, K) matrix of
+    concentration rows (returns an (N,) array)."""
+    alpha, one = _rows(d)
+    r = alpha / alpha.sum(axis=1, keepdims=True)
+    r = np.where(r > _RATIO_FLOOR, r, 1.0)  # 1 * ln 1 = 0 drops the term
+    h = -np.sum(r * np.log(r), axis=1)
+    return float(h[0]) if one else h
+
+
+def mutual_information(d):
     """Mutual information between label and probability vector (nats);
-    epistemic share of the predictive entropy."""
-    r = predictive_mean(d)
-    mask = r > _RATIO_FLOOR
-    r = r[mask]
-    a = d.alpha[mask]
-    terms = r * (np.log(r) - digamma(a + 1.0) + digamma(d.alpha0 + 1.0))
-    return float(-np.sum(terms))
+    epistemic share of the predictive entropy. Same call forms as
+    predictive_entropy."""
+    alpha, one = _rows(d)
+    alpha0 = alpha.sum(axis=1)
+    r = alpha / alpha0[:, None]
+    keep = r > _RATIO_FLOOR
+    r = np.where(keep, r, 1.0)
+    terms = r * (np.log(r) - digamma(alpha + 1.0) + digamma(alpha0 + 1.0)[:, None])
+    mi = -np.sum(np.where(keep, terms, 0.0), axis=1)
+    return float(mi[0]) if one else mi
 
 
 def fisher_information(d: DirichletParams) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Per-example uncertainty reports, boxplot-style summaries, OOD evaluation
-and FGSM attack sweeps."""
+"""Uncertainty reports as column arrays, boxplot-style summaries, OOD
+evaluation and FGSM attack sweeps."""
 
 from __future__ import annotations
 
@@ -11,32 +11,36 @@ import numpy as np
 
 from . import network
 from .data import Dataset
-from .dirichlet import DirichletParams, mutual_information, predictive_entropy
+from .dirichlet import mutual_information, predictive_entropy
 from .losses import LossConfig
 
 __all__ = [
-    "UncertaintyReport",
+    "UncertaintyReports",
     "DistributionSummary",
     "SweepRow",
     "evaluate",
     "summarize",
     "fgsm_attack",
     "ood_evaluate",
+    "attack_reports",
     "epsilon_sweep",
     "reports_to_csv",
     "summary_to_json",
+    "sweep_row",
     "sweep_to_csv",
 ]
 
 
 @dataclass(frozen=True)
-class UncertaintyReport:
-    pred_class: int
-    correct: bool | None     # None for unlabeled (OOD) data
-    entropy: float
-    mutual_info: float
-    max_prob: float
-    alpha0: float
+class UncertaintyReports:
+    """One (N,) column per quantity, row i describing example i."""
+
+    pred_class: np.ndarray
+    correct: np.ndarray | None   # bool; None for unlabeled (OOD) data
+    entropy: np.ndarray
+    mutual_info: np.ndarray
+    max_prob: np.ndarray
+    alpha0: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -64,35 +68,31 @@ class SweepRow:
     mean_mutual_info: float
 
 
-def _report_rows(alpha: np.ndarray, label_idx: np.ndarray | None) -> list[UncertaintyReport]:
-    reports = []
-    for i in range(alpha.shape[0]):
-        d = DirichletParams(alpha[i])
-        mean = d.alpha / d.alpha0
-        pred = int(np.argmax(mean))  # argmax takes the lowest index on ties
-        correct = None if label_idx is None else bool(pred == label_idx[i])
-        reports.append(UncertaintyReport(
-            pred_class=pred,
-            correct=correct,
-            entropy=predictive_entropy(d),
-            mutual_info=mutual_information(d),
-            max_prob=float(mean[pred]),
-            alpha0=d.alpha0,
-        ))
-    return reports
+def _reports(alpha: np.ndarray, label_idx: np.ndarray | None) -> UncertaintyReports:
+    alpha0 = alpha.sum(axis=1)
+    mean = alpha / alpha0[:, None]
+    pred = np.argmax(mean, axis=1)  # argmax takes the lowest index on ties
+    return UncertaintyReports(
+        pred_class=pred,
+        correct=None if label_idx is None else pred == label_idx,
+        entropy=predictive_entropy(alpha),
+        mutual_info=mutual_information(alpha),
+        max_prob=mean.max(axis=1),
+        alpha0=alpha0,
+    )
 
 
-def evaluate(net: network.NetworkParams, data: Dataset) -> list[UncertaintyReport]:
-    """One report per example; prediction is the argmax of the predictive mean."""
+def evaluate(net: network.NetworkParams, data: Dataset) -> UncertaintyReports:
+    """One report row per example; prediction is the argmax of the predictive mean."""
     trace = network.forward(net, data.features)
     labels = None if data.labels is None else data.label_indices
-    return _report_rows(trace.alpha, labels)
+    return _reports(trace.alpha, labels)
 
 
 def summarize(values, threshold: float) -> DistributionSummary:
     """Quartiles by linear interpolation; whiskers are the extreme data points
     within 1.5*IQR of the quartile box."""
-    v = np.asarray(list(values), dtype=np.float64)
+    v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise ValueError("cannot summarize an empty list")
     q1, med, q3 = np.percentile(v, [25.0, 50.0, 75.0])
@@ -139,15 +139,14 @@ def ood_evaluate(net: network.NetworkParams, ood_data: Dataset,
         raise ValueError("empty dataset")
     reports = evaluate(net, ood_data)
     threshold = threshold_fraction * np.log(net.output_dim)
-    entropy = summarize([r.entropy for r in reports], threshold)
-    mi = summarize([r.mutual_info for r in reports], threshold)
-    return entropy, mi
+    return summarize(reports.entropy, threshold), summarize(reports.mutual_info, threshold)
 
 
-def epsilon_sweep(net: network.NetworkParams, data: Dataset, epsilons,
-                  cfg: LossConfig, bounds: tuple[float, float] | None = None) -> list[SweepRow]:
-    """Accuracy / mean entropy / mean MI per noise level; the eps=0 row equals
-    clean evaluation."""
+def attack_reports(net: network.NetworkParams, data: Dataset, epsilons,
+                   cfg: LossConfig, bounds: tuple[float, float] | None = None
+                   ) -> list[tuple[float, UncertaintyReports]]:
+    """(epsilon, reports on the FGSM inputs) per noise level, one attack each;
+    eps=0 evaluates the clean inputs."""
     epsilons = [float(e) for e in epsilons]
     if any(b > a for a, b in zip(epsilons[1:], epsilons)):
         raise ValueError("epsilons must be sorted ascending")
@@ -156,35 +155,47 @@ def epsilon_sweep(net: network.NetworkParams, data: Dataset, epsilons,
     if bounds is None:
         bounds = data.feature_range
     labels = data.label_indices
-    rows = []
+    out = []
     for eps in epsilons:
         x = data.features if eps == 0.0 else fgsm_attack(
             net, data.features, labels, eps, cfg, bounds)
-        reports = _report_rows(network.forward(net, x).alpha, labels)
-        rows.append(SweepRow(
-            epsilon=eps,
-            accuracy=float(np.mean([r.correct for r in reports])),
-            mean_entropy=float(np.mean([r.entropy for r in reports])),
-            mean_mutual_info=float(np.mean([r.mutual_info for r in reports])),
-        ))
-    return rows
+        out.append((eps, _reports(network.forward(net, x).alpha, labels)))
+    return out
+
+
+def sweep_row(eps: float, reports: UncertaintyReports) -> SweepRow:
+    """Accuracy, mean entropy and mean MI of the reports at one noise level."""
+    return SweepRow(
+        epsilon=eps,
+        accuracy=float(np.mean(reports.correct)),
+        mean_entropy=float(np.mean(reports.entropy)),
+        mean_mutual_info=float(np.mean(reports.mutual_info)),
+    )
+
+
+def epsilon_sweep(net: network.NetworkParams, data: Dataset, epsilons,
+                  cfg: LossConfig, bounds: tuple[float, float] | None = None) -> list[SweepRow]:
+    """Accuracy / mean entropy / mean MI per noise level; the eps=0 row equals
+    clean evaluation."""
+    return [sweep_row(eps, reports)
+            for eps, reports in attack_reports(net, data, epsilons, cfg, bounds)]
 
 
 # ---------------------------------------------------------------------------
 # artifact emission
 
 
-def reports_to_csv(reports: list[UncertaintyReport], path) -> None:
+def reports_to_csv(reports: UncertaintyReports, path) -> None:
+    correct = ([""] * reports.pred_class.size if reports.correct is None
+               else reports.correct.astype(int).tolist())
+    # tolist() gives Python floats, whose repr is the shortest round-trip form
+    floats = [map(repr, col.tolist()) for col in (
+        reports.entropy, reports.mutual_info, reports.max_prob, reports.alpha0)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["pred_class", "correct", "entropy", "mutual_info",
                          "max_prob", "alpha0"])
-        for r in reports:
-            writer.writerow([
-                r.pred_class,
-                "" if r.correct is None else int(r.correct),
-                repr(r.entropy), repr(r.mutual_info), repr(r.max_prob), repr(r.alpha0),
-            ])
+        writer.writerows(zip(reports.pred_class.tolist(), correct, *floats))
 
 
 def summary_to_json(summary: DistributionSummary, path) -> None:

@@ -42,13 +42,10 @@ class NetworkParams:
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    activation: str = "relu"
 
     def __post_init__(self):
         if len(self.weights) != len(self.biases):
             raise ValueError("weights and biases must pair up")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation {self.activation!r}")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.shape[1] != b.shape[0]:
                 raise ValueError(f"layer {i}: weight/bias shapes do not chain")
@@ -66,11 +63,8 @@ class NetworkParams:
         return self.weights[-1].shape[1]
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.activation,
-        )
+        return NetworkParams([w.copy() for w in self.weights],
+                             [b.copy() for b in self.biases])
 
 
 @dataclass
@@ -177,7 +171,7 @@ def save_checkpoint(net: NetworkParams, path) -> None:
         "format": _CHECKPOINT_FORMAT,
         "version": _CHECKPOINT_VERSION,
         "layer_sizes": net.layer_sizes,
-        "activation": net.activation,
+        "activation": "relu",
         "weights": [w.tolist() for w in net.weights],
         "biases": [b.tolist() for b in net.biases],
     }
@@ -193,9 +187,11 @@ def load_checkpoint(path) -> NetworkParams:
         raise ValueError(f"{path}: not an iad checkpoint")
     if doc.get("version") != _CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')!r}")
+    if doc.get("activation") != "relu":
+        raise ValueError(f"{path}: unsupported activation {doc.get('activation')!r}")
     weights = [np.array(w, dtype=np.float64) for w in doc["weights"]]
     biases = [np.array(b, dtype=np.float64) for b in doc["biases"]]
-    net = NetworkParams(weights, biases, doc["activation"])
+    net = NetworkParams(weights, biases)
     if net.layer_sizes != doc["layer_sizes"]:
         raise ValueError(f"{path}: layer_sizes inconsistent with stored arrays")
     return net

@@ -153,5 +153,4 @@ def beta_moment(a, b, q):
     out = np.exp(
         log_gamma(aa + qq) + log_gamma(aa + bb) - log_gamma(aa) - log_gamma(aa + bb + qq)
     )
-    out = np.atleast_1d(out)
     return _ret(out, sa and sb and sq)

@@ -144,59 +144,48 @@ def _random_bases(rng: np.random.Generator, trials: int, k: int = 10):
         yield alpha, c, j
 
 
+def _base_sweeps(trials: int, grid, seed: int, loss_fn, vary_correct: bool,
+                 check: str) -> tuple[list[SweepResult], list[int]]:
+    """One sweep per random base, loss_fn(alpha, c) along the correct-class
+    concentration parameter or along a random off-class one; also returns
+    the indices of the failed sweeps."""
+    grid = _check_grid(default_grid() if grid is None else grid)
+    rng = np.random.default_rng(seed)
+    sweeps = []
+    for alpha, c, j in _random_bases(rng, trials):
+        def curve(g, alpha=alpha, c=c, col=c if vary_correct else j):
+            a = np.tile(alpha, (g.size, 1))
+            a[:, col] = g
+            return loss_fn(a, np.full(g.size, c))
+        sweeps.append(_sweep(curve, grid, check))
+    return sweeps, [i for i, s in enumerate(sweeps) if not s.passed]
+
+
 def verify_theorem1(trials: int = 100, grid=None, seed: int = 0,
                     p_norm: float = 4.0) -> Verdict:
     """F is strictly convex and strictly decreasing in the correct-class
     concentration parameter."""
-    grid = _check_grid(default_grid() if grid is None else grid)
-    rng = np.random.default_rng(seed)
-    sweeps = []
-    for alpha, c, _ in _random_bases(rng, trials):
-        def curve(g, alpha=alpha, c=c):
-            a = np.tile(alpha, (g.size, 1))
-            a[:, c] = g
-            return iad_loss_batch(a, np.full(g.size, c), p_norm)
-        sweeps.append(_sweep(curve, grid, "decreasing_convex"))
-    passed = all(s.passed for s in sweeps)
-    return Verdict("theorem1", passed, seed, trials,
-                   {"p_norm": p_norm, "failures": [i for i, s in enumerate(sweeps) if not s.passed]})
+    _, bad = _base_sweeps(trials, grid, seed, lambda a, c: iad_loss_batch(a, c, p_norm),
+                          True, "decreasing_convex")
+    return Verdict("theorem1", not bad, seed, trials, {"p_norm": p_norm, "failures": bad})
 
 
 def verify_theorem2(trials: int = 100, grid=None, seed: int = 0,
                     p_norm: float = 4.0) -> Verdict:
     """F is eventually strictly increasing in an off-class concentration
     parameter, with the final value above the initial one."""
-    grid = _check_grid(default_grid() if grid is None else grid)
-    rng = np.random.default_rng(seed)
-    sweeps = []
-    for alpha, c, j in _random_bases(rng, trials):
-        def curve(g, alpha=alpha, c=c, j=j):
-            a = np.tile(alpha, (g.size, 1))
-            a[:, j] = g
-            return iad_loss_batch(a, np.full(g.size, c), p_norm)
-        sweeps.append(_sweep(curve, grid, "eventually_increasing"))
-    passed = all(s.passed for s in sweeps)
-    return Verdict("theorem2", passed, seed, trials,
-                   {"p_norm": p_norm,
-                    "knees": [s.knee_index for s in sweeps],
-                    "failures": [i for i, s in enumerate(sweeps) if not s.passed]})
+    sweeps, bad = _base_sweeps(trials, grid, seed, lambda a, c: iad_loss_batch(a, c, p_norm),
+                               False, "eventually_increasing")
+    return Verdict("theorem2", not bad, seed, trials,
+                   {"p_norm": p_norm, "knees": [s.knee_index for s in sweeps],
+                    "failures": bad})
 
 
 def verify_theorem3(trials: int = 100, grid=None, seed: int = 0) -> Verdict:
     """The information regularizer is strictly increasing in every off-class
     concentration parameter over the whole grid."""
-    grid = _check_grid(default_grid() if grid is None else grid)
-    rng = np.random.default_rng(seed)
-    sweeps = []
-    for alpha, c, j in _random_bases(rng, trials):
-        def curve(g, alpha=alpha, c=c, j=j):
-            a = np.tile(alpha, (g.size, 1))
-            a[:, j] = g
-            return info_regularizer_batch(a, np.full(g.size, c))
-        sweeps.append(_sweep(curve, grid, "increasing"))
-    passed = all(s.passed for s in sweeps)
-    return Verdict("theorem3", passed, seed, trials,
-                   {"failures": [i for i, s in enumerate(sweeps) if not s.passed]})
+    _, bad = _base_sweeps(trials, grid, seed, info_regularizer_batch, False, "increasing")
+    return Verdict("theorem3", not bad, seed, trials, {"failures": bad})
 
 
 def theorem2_figure_sweep(alpha: np.ndarray, c: int, p_norm: float, grid) -> dict:
@@ -216,11 +205,7 @@ def theorem2_figure_sweep(alpha: np.ndarray, c: int, p_norm: float, grid) -> dic
     mask[c] = False
     approx = ((s ** p_norm + np.sum(a[:, mask] ** p_norm, axis=1)) / a0 ** p_norm) ** (1.0 / p_norm)
 
-    diffs = np.diff(exact)
-    pos = diffs > STRICT_TOL
-    suffix_ok = np.flatnonzero(np.cumprod(pos[::-1])[::-1])
-    knee = int(suffix_ok[0]) if suffix_ok.size else None
-    dip = bool(np.any(diffs < -STRICT_TOL))
+    sweep = _sweep(lambda _: exact, grid, "eventually_increasing")
     return {
         "grid": grid.tolist(),
         "swept_index": j,
@@ -228,8 +213,8 @@ def theorem2_figure_sweep(alpha: np.ndarray, c: int, p_norm: float, grid) -> dic
         "p_norm": p_norm,
         "exact": exact.tolist(),
         "approx": approx.tolist(),
-        "knee_index": knee,
-        "has_dip": dip,
+        "knee_index": sweep.knee_index,
+        "has_dip": bool(np.any(np.diff(exact) < -STRICT_TOL)),
         "rises": bool(exact[-1] > exact[0]),
     }
 

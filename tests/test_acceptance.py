@@ -253,23 +253,22 @@ def desk_pipeline():
 
 def test_criterion_6a_accuracy(desk_pipeline):
     reports, _, _, elapsed = desk_pipeline
-    acc = float(np.mean([r.correct for r in reports]))
+    acc = float(np.mean(reports.correct))
     report("6a", acc >= 0.95 and elapsed < 180.0,
            f"test accuracy {acc:.3f} (pipeline {elapsed:.0f}s)")
 
 
 def test_criterion_6b_success_entropy(desk_pipeline):
     reports, _, _, _ = desk_pipeline
-    med = float(np.median([r.entropy for r in reports if r.correct]))
+    med = float(np.median(reports.entropy[reports.correct]))
     report("6b", med <= 0.3 * LN3,
            f"median success entropy {med:.3f} <= {0.3 * LN3:.3f}")
 
 
 def test_criterion_6c_error_entropy_gap(desk_pipeline):
     reports, _, _, _ = desk_pipeline
-    med_s = float(np.median([r.entropy for r in reports if r.correct]))
-    med_e = float(np.median([r.entropy for r in reports
-                             if r.correct is False]))
+    med_s = float(np.median(reports.entropy[reports.correct]))
+    med_e = float(np.median(reports.entropy[~reports.correct]))
     report("6c", med_e >= 2.0 * med_s,
            f"median error entropy {med_e:.3f} vs 2x success {2 * med_s:.3f}")
 
@@ -295,8 +294,7 @@ def test_criterion_7_baseline_contrast(contrast_models):
     meds = []
     for net in (iad_net, edl_net):
         reports = evaluation.evaluate(net, test_ds)
-        meds.append(float(np.median([r.entropy for r in reports
-                                     if r.correct is False])))
+        meds.append(float(np.median(reports.entropy[~reports.correct])))
     report(7, meds[0] > meds[1],
            f"median misclassification entropy IAD {meds[0]:.3f} "
            f"> EDL {meds[1]:.3f}")

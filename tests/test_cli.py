@@ -141,6 +141,45 @@ def test_cli_bad_config_key_exits_with_error(tmp_path, capsys):
     assert "bogus.key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", [
+    'train.learning_rate="fast"', "train.batch_size=3.5", 'seed="abc"',
+    'data.per_class="x"', "train.patience=2.5", "train.max_epochs=true"])
+def test_cli_wrong_value_type_names_key(tmp_path, capsys, override):
+    assert run(["train", "--out", str(tmp_path / "x"), "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert override.partition("=")[0] in err
+    assert "Traceback" not in err
+
+
+def test_config_int_accepted_for_float_key():
+    assert ExperimentConfig({"train.learning_rate": 1}).train_config().learning_rate == 1
+    assert ExperimentConfig({"attack.epsilons": [0, 0.5]})["attack.epsilons"] == [0, 0.5]
+    with pytest.raises(ConfigError, match="attack.epsilons"):
+        ExperimentConfig({"attack.epsilons": [0.0, "big"]})
+
+
+def test_cli_attack_runs_one_fgsm_pass_per_nonzero_epsilon(tmp_path, monkeypatch):
+    from iad import evaluation
+
+    train_out = tmp_path / "t"
+    assert run(["train", "--out", str(train_out), "--seed", "1"] + TINY) == 0
+    calls = []
+    real = evaluation.fgsm_attack
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "fgsm_attack", counting)
+    out = tmp_path / "a"
+    assert run(["attack", "--out", str(out), "--seed", "1",
+                "--checkpoint", str(train_out / "checkpoint.json"),
+                "--set", "attack.epsilons=[0.0,0.2,0.3]"] + TINY) == 0
+    assert calls == [0.2, 0.3]
+    summaries = json.loads((out / "attack_summaries.json").read_text())
+    assert sorted(summaries) == ["0.0", "0.2", "0.3"]
+
+
 def test_cli_checkpoint_dataset_mismatch(tmp_path):
     train_out = tmp_path / "t"
     assert run(["train", "--out", str(train_out), "--seed", "3"] + TINY) == 0

@@ -164,6 +164,55 @@ def test_mi_decomposition_against_monte_carlo():
     assert got == pytest.approx(want, rel=0.01)
 
 
+def _row_loop_entropy_mi(row):
+    """Reference: the one-row formulas, summing only ratios above 1e-300."""
+    a0 = float(row.sum())
+    r = row / a0
+    keep = r > 1e-300
+    r, a = r[keep], row[keep]
+    h = float(-np.sum(r * np.log(r)))
+    mi = float(-np.sum(r * (np.log(r) - digamma(a + 1.0) + digamma(a0 + 1.0))))
+    return h, mi
+
+
+@pytest.mark.parametrize("k", [2, 3, 10])
+def test_batch_uncertainty_equals_one_row_calls_bit_for_bit(k):
+    rng = np.random.default_rng(k)
+    alpha = np.vstack([rng.uniform(0.05, 100.0, size=(40, k)),
+                       1.0 + rng.exponential(3.0, size=(40, k))])
+    h = predictive_entropy(alpha)
+    mi = mutual_information(alpha)
+    assert h.shape == mi.shape == (80,)
+    for i, row in enumerate(alpha):
+        d = DirichletParams(row)
+        assert (h[i], mi[i]) == (predictive_entropy(d), mutual_information(d))
+        assert (h[i], mi[i]) == _row_loop_entropy_mi(row)
+
+
+def test_batch_uncertainty_drops_vanishing_ratios():
+    # a ratio alpha_j / alpha_0 below 1e-300 contributes 0 (0 log 0 = 0)
+    alpha = np.array([[1e-310, 1.0, 1.0], [1.0, 1.0, 1.0]])
+    assert predictive_entropy(alpha) == pytest.approx([LN2, LN3], abs=1e-12)
+    assert mutual_information(alpha)[0] == pytest.approx(LN2 - 0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_batch_uncertainty_rejects_bad_matrix(bad):
+    alpha = np.full((4, 3), 2.0)
+    alpha[2, 1] = bad
+    for fn in (predictive_entropy, mutual_information):
+        with pytest.raises(DomainError):
+            fn(alpha)
+
+
+def test_batch_uncertainty_rejects_non_matrix():
+    for fn in (predictive_entropy, mutual_information):
+        with pytest.raises(ValueError):
+            fn(np.array([2.0, 3.0]))
+        with pytest.raises(ValueError):
+            fn(np.ones((3, 1)))
+
+
 def test_conjugate_update_of_predictive_mean():
     d = params(2.5, 1.0, 3.0)
     c = 1

@@ -34,29 +34,28 @@ def test_evaluate_uniform_alpha_ties_break_low():
     net = constant_alpha_net([1.0 + math.log(2.0)] * 4)
     ds = data.Dataset(np.zeros((5, 2)), np.eye(4)[[0, 1, 2, 3, 0]])
     reports = evaluate(net, ds)
-    for r in reports:
-        assert r.pred_class == 0
-        assert r.entropy == pytest.approx(math.log(4.0), abs=1e-9)
+    assert np.all(reports.pred_class == 0)
+    assert reports.entropy == pytest.approx(np.full(5, math.log(4.0)), abs=1e-9)
 
 
 def test_evaluate_confident_class_zero():
     net = constant_alpha_net([10.0] + [1.0] * 9, d=3)
     ds = data.Dataset(np.zeros((2, 3)), None)
     reports = evaluate(net, ds)
-    for r in reports:
-        assert r.pred_class == 0
-        assert r.correct is None
-        assert r.max_prob == pytest.approx(10.0 / 19.0, abs=1e-6)
+    assert np.all(reports.pred_class == 0)
+    assert reports.correct is None
+    assert reports.max_prob == pytest.approx(np.full(2, 10.0 / 19.0), abs=1e-6)
 
 
 def test_evaluate_partitions_consistent(desk_model):
     net, _, _, test_ds = desk_model
     reports = evaluate(net, test_ds)
-    assert len(reports) == test_ds.n
-    n_succ = sum(1 for r in reports if r.correct)
-    n_err = sum(1 for r in reports if r.correct is False)
+    assert reports.pred_class.shape == (test_ds.n,)
+    assert reports.correct.dtype == bool
+    n_succ = int(np.count_nonzero(reports.correct))
+    n_err = int(np.count_nonzero(~reports.correct))
     assert n_succ + n_err == test_ds.n
-    acc = float(np.mean([r.correct for r in reports]))
+    acc = float(np.mean(reports.correct))
     assert acc == pytest.approx(n_succ / test_ds.n)
 
 
@@ -67,11 +66,11 @@ def test_report_invariants_fuzz():
             int(rng.integers(1 << 30))))
         x = rng.normal(scale=3.0, size=(16, 3))
         ds = data.Dataset(x, np.eye(4)[rng.integers(0, 4, size=16)])
-        for r in evaluate(net, ds):
-            assert 0.0 <= r.entropy <= math.log(4.0) + 1e-9
-            assert -1e-9 <= r.mutual_info <= r.entropy + 1e-9
-            assert 0.25 - 1e-9 <= r.max_prob <= 1.0 + 1e-9
-            assert r.alpha0 >= 4.0
+        r = evaluate(net, ds)
+        assert np.all((0.0 <= r.entropy) & (r.entropy <= math.log(4.0) + 1e-9))
+        assert np.all((-1e-9 <= r.mutual_info) & (r.mutual_info <= r.entropy + 1e-9))
+        assert np.all((0.25 - 1e-9 <= r.max_prob) & (r.max_prob <= 1.0 + 1e-9))
+        assert np.all(r.alpha0 >= 4.0)
 
 
 def test_evaluate_dimension_mismatch(desk_model):
@@ -166,8 +165,7 @@ def test_fgsm_raises_mean_entropy_on_trained_model(desk_model):
     adv_x = fgsm_attack(net, test_ds.features, test_ds.label_indices, 0.5,
                         LossConfig(), test_ds.feature_range)
     adv = evaluate(net, data.Dataset(adv_x, test_ds.labels))
-    assert (np.mean([r.entropy for r in adv])
-            > np.mean([r.entropy for r in clean]))
+    assert np.mean(adv.entropy) > np.mean(clean.entropy)
 
 
 # -------------------------------------------------------------- ood_evaluate
@@ -185,7 +183,7 @@ def test_ood_threshold_fraction_one(desk_model):
     ring = data.make_ood_ring(train_ds, 1.5, 100, np.random.default_rng(5))
     ent, _ = ood_evaluate(net, ring, 1.0)
     reports = evaluate(net, ring)
-    exact_max = sum(1 for r in reports if r.entropy >= math.log(3.0))
+    exact_max = int(np.count_nonzero(reports.entropy >= math.log(3.0)))
     assert ent.fraction_above_threshold == pytest.approx(exact_max / 100.0)
 
 
@@ -206,10 +204,9 @@ def test_epsilon_sweep_clean_row_and_monotone_accuracy(desk_model):
     rows = epsilon_sweep(net, test_ds, eps, LossConfig())
     assert len(rows) == len(eps)
     reports = evaluate(net, test_ds)
-    clean_acc = float(np.mean([r.correct for r in reports]))
+    clean_acc = float(np.mean(reports.correct))
     assert rows[0].accuracy == pytest.approx(clean_acc)
-    assert rows[0].mean_entropy == pytest.approx(
-        float(np.mean([r.entropy for r in reports])))
+    assert rows[0].mean_entropy == pytest.approx(float(np.mean(reports.entropy)))
     assert rows[-1].accuracy <= rows[0].accuracy
 
 
@@ -221,6 +218,10 @@ def test_report_and_summary_serialization(tmp_path, desk_model):
     reports_to_csv(reports, tmp_path / "reports.csv")
     lines = (tmp_path / "reports.csv").read_text().splitlines()
     assert len(lines) == test_ds.n + 1
+    pred, ok, *floats = lines[1].split(",")
+    assert (int(pred), int(ok)) == (reports.pred_class[0], reports.correct[0])
+    assert [float(v) for v in floats] == [reports.entropy[0], reports.mutual_info[0],
+                                          reports.max_prob[0], reports.alpha0[0]]
 
     summary_to_json(summarize([1.0, 2.0], 1.5), tmp_path / "s.json")
     import json

@@ -1,6 +1,7 @@
 """Forward/backward correctness: softplus head, finite-difference gradient
 certification for parameters and inputs, init determinism, checkpoint I/O."""
 
+import json
 import math
 
 import numpy as np
@@ -231,6 +232,17 @@ def test_checkpoint_roundtrip_lossless(tmp_path):
         assert np.array_equal(a, b)
     x = np.array([[0.1, -0.2, 0.3, 0.9]])
     assert np.array_equal(forward(net, x).alpha, forward(back, x).alpha)
+
+
+def test_checkpoint_rejects_other_activation(tmp_path):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(tiny_net([2, 3, 3], seed=1), path)
+    doc = json.loads(path.read_text())
+    assert doc["activation"] == "relu"
+    doc["activation"] = "tanh"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="ckpt.json.*tanh"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
