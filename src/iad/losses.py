@@ -78,63 +78,63 @@ def _logsumexp(terms: np.ndarray, axis: int) -> np.ndarray:
     return (m + np.log(np.sum(np.exp(terms - m), axis=axis, keepdims=True))).squeeze(axis)
 
 
-def _off_class_pieces(alpha, c, p):
-    """Shared pieces of F: alpha_0, off-class sum s, and log mu terms."""
+def _iad_pieces(alpha, c, p: float):
+    """log F_i and what its gradient reuses, from one log_gamma call over the
+    stacked arguments (alpha_0, s, alpha) || (alpha_0 + p, s + p, alpha + p),
+    where s = alpha_0 - alpha_c is the off-class sum.
+
+    Returns (log F, terms, lse, args): terms[:, 0] = log mu(s) and
+    terms[:, 1:] = log mu(alpha_j), -inf at c, with log mu(a) = ln Gamma(a+p)
+    - ln Gamma(a); lse is their row log-sum-exp. alpha and c come checked."""
     n, k = alpha.shape
+    rows = np.arange(n)
     a0 = alpha.sum(axis=1)
-    ac = np.take_along_axis(alpha, c[:, None], axis=1)[:, 0]
-    s = a0 - ac
-    log_mu_s = log_gamma(s + p) - log_gamma(s)
-    log_mu_k = log_gamma(alpha + p) - log_gamma(alpha)  # (N, K)
-    mask = np.ones((n, k), dtype=bool)
-    mask[np.arange(n), c] = False
-    return a0, s, log_mu_s, log_mu_k, mask
-
-
-def iad_log_loss_batch(alpha, c, p_norm: float) -> np.ndarray:
-    """log F_i for each row, computed entirely in log space."""
-    alpha, c = _check_batch(alpha, c)
-    p = float(p_norm)
-    a0, s, log_mu_s, log_mu_k, mask = _off_class_pieces(alpha, c, p)
-    terms = np.where(mask, log_mu_k, -np.inf)
-    terms = np.concatenate([log_mu_s[:, None], terms], axis=1)
+    x = np.concatenate([a0, a0 - alpha[rows, c], alpha.ravel()])
+    args = np.concatenate([x, x + p])
+    lg = log_gamma(args)
+    log_mu = lg[x.size:] - lg[:x.size]
+    terms = np.empty((n, k + 1))
+    terms[:, 0] = log_mu[n:2 * n]
+    terms[:, 1:] = log_mu[2 * n:].reshape(n, k)
+    terms[rows, c + 1] = -np.inf
     lse = _logsumexp(terms, axis=1)
-    log_f = (log_gamma(a0) - log_gamma(a0 + p) + lse) / p
+    log_f = (lse - log_mu[:n]) / p
     if np.any(np.abs(log_f) > _LOG_CLIP):
         raise LossOverflowError("log F exceeded the exp() clip threshold")
-    return log_f
+    return log_f, terms, lse, args
 
 
 def iad_loss_batch(alpha, c, p_norm: float) -> np.ndarray:
-    return np.exp(iad_log_loss_batch(alpha, c, p_norm))
+    """F_i for each row, computed in log space."""
+    return np.exp(_iad_pieces(*_check_batch(alpha, c), float(p_norm))[0])
 
 
-def iad_loss_grad_alpha_batch(alpha, c, p_norm: float) -> np.ndarray:
-    """Analytic gradient of F with respect to alpha, rowwise.
+def iad_value_grad_batch(alpha, c, p_norm: float) -> tuple[np.ndarray, np.ndarray]:
+    """(F_i, dF_i/dalpha) for each row: one log_gamma and one digamma call.
 
     d log F / d alpha_c = (1/p)(psi(a0) - psi(a0+p)); off-class components add
     the derivative of the log-sum through mu(s) and mu(alpha_j), with
     mu'(a) = mu(a) (psi(a+p) - psi(a)).
     """
     alpha, c = _check_batch(alpha, c)
+    n, k = alpha.shape
     p = float(p_norm)
-    a0, s, log_mu_s, log_mu_k, mask = _off_class_pieces(alpha, c, p)
-    terms = np.where(mask, log_mu_k, -np.inf)
-    terms = np.concatenate([log_mu_s[:, None], terms], axis=1)
-    lse = _logsumexp(terms, axis=1)
-    log_f = (log_gamma(a0) - log_gamma(a0 + p) + lse) / p
+    log_f, terms, lse, args = _iad_pieces(alpha, c, p)
     f = np.exp(log_f)
-
-    nu_s = digamma(s + p) - digamma(s)
-    nu_k = digamma(alpha + p) - digamma(alpha)
-    w_s = np.exp(log_mu_s - lse)
-    w_k = np.exp(np.where(mask, log_mu_k, -np.inf) - lse[:, None])
-
-    common = digamma(a0) - digamma(a0 + p)
-    grad_log = (common[:, None] + w_s[:, None] * nu_s[:, None] + w_k * nu_k) / p
-    n = alpha.shape[0]
+    dg = digamma(args)
+    m = args.size // 2
+    nu = dg[m:] - dg[:m]  # psi(a+p) - psi(a)
+    w = np.exp(terms - lse[:, None])
+    common = -nu[:n]
+    grad_log = (common[:, None] + w[:, :1] * nu[n:2 * n, None]
+                + w[:, 1:] * nu[2 * n:].reshape(n, k)) / p
     grad_log[np.arange(n), c] = common / p
-    return f[:, None] * grad_log
+    return f, f[:, None] * grad_log
+
+
+def iad_loss_grad_alpha_batch(alpha, c, p_norm: float) -> np.ndarray:
+    """Analytic gradient of F with respect to alpha, rowwise."""
+    return iad_value_grad_batch(alpha, c, p_norm)[1]
 
 
 def _info_args(alpha, c):
@@ -154,28 +154,39 @@ def _info_args(alpha, c):
     return off, c
 
 
+def _split(vals: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Values over the stacked (alpha~, alpha~_0) -> ((N, K), (N, 1))."""
+    return vals[:n * k].reshape(n, k), vals[n * k:, None]
+
+
+def _info_pieces(alpha, c):
+    """R_i and what its gradient reuses, from one trigamma call over the
+    stacked arguments (alpha~, alpha~_0). Returns (R, d, tri, tri0, args, c)
+    with d = alpha~ - 1."""
+    off, c = _info_args(alpha, c)
+    n, k = off.shape
+    # off has a one substituted at c, so sum(off) = 1 + sum_{j != c} alpha_j
+    # (alpha_0 when c is None).
+    args = np.concatenate([off.ravel(), off.sum(axis=1)])
+    tri, tri0 = _split(trigamma(args), n, k)
+    d = off - 1.0
+    r = 0.5 * np.sum(d * d * (tri - tri0), axis=1)
+    return r, d, tri, tri0, args, c
+
+
 def info_regularizer_batch(alpha, c=None) -> np.ndarray:
     """R_i = (1/2) sum_{j != c} (alpha_j - 1)^2 (psi'(alpha_j) - psi'(alpha~_0)).
 
     With c=None the sum runs over every j and alpha~_0 = alpha_0: the penalty
     for inputs that belong to no class."""
-    off, _ = _info_args(alpha, c)
-    # off has a one substituted at c, so sum(off) = 1 + sum_{j != c} alpha_j
-    # (alpha_0 when c is None).
-    a_t0 = off.sum(axis=1)
-    d = off - 1.0
-    return 0.5 * np.sum(d * d * (trigamma(off) - trigamma(a_t0)[:, None]), axis=1)
+    return _info_pieces(alpha, c)[0]
 
 
-def info_regularizer_grad_alpha_batch(alpha, c=None) -> np.ndarray:
-    """Analytic gradient of R with respect to alpha (component c is zero)."""
-    off, c = _info_args(alpha, c)
-    a_t0 = off.sum(axis=1)
-    d = off - 1.0
-    tri = trigamma(off)
-    tri0 = trigamma(a_t0)[:, None]
-    tet = tetragamma(off)
-    tet0 = tetragamma(a_t0)[:, None]
+def info_value_grad_batch(alpha, c=None) -> tuple[np.ndarray, np.ndarray]:
+    """(R_i, dR_i/dalpha) for each row (component c of the gradient is zero):
+    one trigamma and one tetragamma call."""
+    r, d, tri, tri0, args, c = _info_pieces(alpha, c)
+    tet, tet0 = _split(tetragamma(args), *d.shape)
     sum_sq = np.sum(d * d, axis=1)[:, None]
     grad = (
         d * (tri - tri0)
@@ -183,8 +194,13 @@ def info_regularizer_grad_alpha_batch(alpha, c=None) -> np.ndarray:
         - 0.5 * tet0 * (sum_sq - d * d)
     )
     if c is not None:
-        grad[np.arange(off.shape[0]), c] = 0.0
-    return grad
+        grad[np.arange(d.shape[0]), c] = 0.0
+    return r, grad
+
+
+def info_regularizer_grad_alpha_batch(alpha, c=None) -> np.ndarray:
+    """Analytic gradient of R with respect to alpha (component c is zero)."""
+    return info_value_grad_batch(alpha, c)[1]
 
 
 def total_loss_batch(alpha, c, lambda_t: float, p_norm: float) -> float:

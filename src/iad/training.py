@@ -133,32 +133,36 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
         p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
 
 
-# loss selector -> (value(alpha, c, cfg) -> (N,), grad(alpha, c, cfg) -> (N, K),
-#                   regularized: bool)
+# loss selector -> (value(alpha, c, cfg) -> (N,),
+#                   value_grad(alpha, c, cfg) -> ((N,), (N, K)), regularized: bool)
 LOSSES = {
     "iad": (
         lambda a, c, cfg: losses.iad_loss_batch(a, c, cfg.p_norm),
-        lambda a, c, cfg: losses.iad_loss_grad_alpha_batch(a, c, cfg.p_norm),
+        lambda a, c, cfg: losses.iad_value_grad_batch(a, c, cfg.p_norm),
         True,
     ),
     "edl": (
         lambda a, c, cfg: losses.edl_mse_loss_batch(a, c),
-        lambda a, c, cfg: losses.edl_mse_grad_alpha_batch(a, c),
+        lambda a, c, cfg: (losses.edl_mse_loss_batch(a, c),
+                           losses.edl_mse_grad_alpha_batch(a, c)),
         False,
     ),
     "nll": (
         lambda a, c, cfg: losses.nll_marginal_loss_batch(a, c),
-        lambda a, c, cfg: losses.nll_marginal_grad_alpha_batch(a, c),
+        lambda a, c, cfg: (losses.nll_marginal_loss_batch(a, c),
+                           losses.nll_marginal_grad_alpha_batch(a, c)),
         False,
     ),
     "bayes_ce": (
         lambda a, c, cfg: losses.bayes_ce_loss_batch(a, c),
-        lambda a, c, cfg: losses.bayes_ce_grad_alpha_batch(a, c),
+        lambda a, c, cfg: (losses.bayes_ce_loss_batch(a, c),
+                           losses.bayes_ce_grad_alpha_batch(a, c)),
         False,
     ),
     "rkl": (
         lambda a, c, cfg: losses.rkl_prior_loss_batch(a, c, cfg.kl_beta),
-        lambda a, c, cfg: losses.rkl_prior_grad_alpha_batch(a, c, cfg.kl_beta),
+        lambda a, c, cfg: (losses.rkl_prior_loss_batch(a, c, cfg.kl_beta),
+                           losses.rkl_prior_grad_alpha_batch(a, c, cfg.kl_beta)),
         False,
     ),
 }
@@ -168,19 +172,19 @@ def _objective(alpha, c, cfg: TrainConfig, lam: float, loss: str):
     """Per-row objective values and alpha-gradients. The first len(c) rows are
     labeled; any rows after them are off-support noise, where every outcome is
     incorrect, so they carry only lam * ood_weight * R(alpha, c=None)."""
-    value_fn, grad_fn, regularized = LOSSES[loss]
+    _, value_grad, regularized = LOSSES[loss]
     n = c.size
     lab, noise = alpha[:n], alpha[n:]
-    vals = value_fn(lab, c, cfg)
-    grads = grad_fn(lab, c, cfg)
+    vals, grads = value_grad(lab, c, cfg)
     if regularized and lam > 0.0:
-        vals = vals + lam * losses.info_regularizer_batch(lab, c)
-        grads = grads + lam * losses.info_regularizer_grad_alpha_batch(lab, c)
+        r, dr = losses.info_value_grad_batch(lab, c)
+        vals = vals + lam * r
+        grads = grads + lam * dr
     if noise.shape[0]:
         w = lam * cfg.ood_weight
-        vals = np.concatenate([vals, w * losses.info_regularizer_batch(noise)])
-        grads = np.concatenate(
-            [grads, w * losses.info_regularizer_grad_alpha_batch(noise)])
+        r, dr = losses.info_value_grad_batch(noise)
+        vals = np.concatenate([vals, w * r])
+        grads = np.concatenate([grads, w * dr])
     return vals, grads
 
 
