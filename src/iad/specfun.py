@@ -83,61 +83,70 @@ def _lanczos(x: np.ndarray) -> np.ndarray:
     return _HALF_LOG_2PI + (z + 0.5) * np.log(t) - t + np.log(acc)
 
 
-def _shift_up(arr: np.ndarray):
-    """Yield (y, correction arrays) with y = arr + n >= cutoff.
+# x + k for k = 0..9: ten recurrence steps lift any x >= MIN_ARG past the cutoff.
+_STEPS = np.arange(_ASYM_CUTOFF)
 
-    Returns y and the list of 1/(x+k) shift points needed by the recurrences.
-    """
-    y = arr.copy()
-    shifts = []  # each entry: values x+k that were shifted past
-    while True:
-        mask = y < _ASYM_CUTOFF
-        if not np.any(mask):
-            break
-        shifts.append((mask.copy(), y[mask].copy()))
-        y[mask] += 1.0
-    return y, shifts
+
+def _shift_up(arr: np.ndarray, power: int):
+    """(y, corr): y = x + n, with n the number of steps k < 10 at which
+    x + k is below the cutoff (so y >= cutoff), and corr = sum_{k<n}
+    (x+k)^-power, the sum the psi-family recurrences collect on the way up
+    (Bernardo 1976, Algorithm AS 103).
+
+    A fixed-width (m, 10) matrix of x + k is built for the m elements below
+    the cutoff only, and reused in place."""
+    flat = arr.ravel()
+    low = np.flatnonzero(flat < _ASYM_CUTOFF)
+    if not low.size:
+        return arr, 0.0
+    pts = flat[low][:, None] + _STEPS
+    below = pts < _ASYM_CUTOFF
+    y = flat.copy()
+    y[low] += below.sum(axis=1)
+    np.divide(1.0, pts, out=pts)
+    pts **= power
+    pts *= below
+    corr = np.zeros_like(flat)
+    corr[low] = pts.sum(axis=1)
+    return y.reshape(arr.shape), corr.reshape(arr.shape)
 
 
 def digamma(x):
     """psi(x) = d/dx ln Gamma(x) for x > 0."""
     arr, scalar = _as_positive_array(x, "x")
-    y, shifts = _shift_up(arr)
+    y, corr = _shift_up(arr, 1)
     u = 1.0 / (y * y)
     # psi(y) ~ ln y - 1/(2y) - sum B_2k / (2k y^2k)
     series = (1.0 / 12.0 - u * (1.0 / 120.0 - u * (1.0 / 252.0 - u * (
         1.0 / 240.0 - u * (1.0 / 132.0 - u * (691.0 / 32760.0 - u / 12.0))))))
-    out = np.log(y) - 0.5 / y - u * series
-    for mask, vals in shifts:
-        out[mask] -= 1.0 / vals  # psi(x) = psi(x+1) - 1/x
+    # psi(x) = psi(x+1) - 1/x
+    out = np.log(y) - 0.5 / y - u * series - corr
     return _ret(out, scalar)
 
 
 def trigamma(x):
     """psi'(x), the polygamma function of order 1, for x > 0."""
     arr, scalar = _as_positive_array(x, "x")
-    y, shifts = _shift_up(arr)
+    y, corr = _shift_up(arr, 2)
     u = 1.0 / (y * y)
     # psi'(y) ~ 1/y + 1/(2y^2) + sum B_2k / y^(2k+1)
     series = (1.0 / 6.0 - u * (1.0 / 30.0 - u * (1.0 / 42.0 - u * (
         1.0 / 30.0 - u * (5.0 / 66.0 - u * (691.0 / 2730.0 - u * 7.0 / 6.0))))))
-    out = 1.0 / y + 0.5 * u + u / y * series
-    for mask, vals in shifts:
-        out[mask] += 1.0 / (vals * vals)  # psi'(x) = psi'(x+1) + 1/x^2
+    # psi'(x) = psi'(x+1) + 1/x^2
+    out = 1.0 / y + 0.5 * u + u / y * series + corr
     return _ret(out, scalar)
 
 
 def tetragamma(x):
     """psi''(x), the polygamma function of order 2, for x > 0. Always negative."""
     arr, scalar = _as_positive_array(x, "x")
-    y, shifts = _shift_up(arr)
+    y, corr = _shift_up(arr, 3)
     u = 1.0 / (y * y)
     # psi''(y) ~ -1/y^2 - 1/y^3 - sum (2k+1) B_2k / y^(2k+2)
     series = (0.5 - u * (1.0 / 6.0 - u * (1.0 / 6.0 - u * (
         3.0 / 10.0 - u * (5.0 / 6.0 - u * 691.0 / 210.0)))))
-    out = -u - u / y - u * u * series
-    for mask, vals in shifts:
-        out[mask] -= 2.0 / (vals ** 3)  # psi''(x) = psi''(x+1) - 2/x^3
+    # psi''(x) = psi''(x+1) - 2/x^3
+    out = -u - u / y - u * u * series - 2.0 * corr
     return _ret(out, scalar)
 
 
