@@ -108,6 +108,16 @@ class ExperimentConfig:
         arch = self.values["arch"]
         if not arch or any(h < 1 for h in arch):
             raise ConfigError("arch: must be a non-empty list of positive ints")
+        for key, low in (("seed", 0), ("data.classes", 2), ("data.per_class", 1),
+                         ("ood.n", 1), ("verify.trials", 1), ("verify.n_triples", 1)):
+            if self.values[key] < low:
+                raise ConfigError(f"{key}: must be >= {low}, got {self.values[key]!r}")
+        eps = self.values["attack.epsilons"]
+        if eps != sorted(eps) or not all(e >= 0.0 for e in eps):
+            raise ConfigError(f"attack.epsilons: must be ascending and >= 0, got {eps!r}")
+        frac = self.values["eval.threshold_fraction"]
+        if not 0.0 < frac <= 1.0:
+            raise ConfigError(f"eval.threshold_fraction: must be in (0, 1], got {frac!r}")
         try:
             self.train_config()
             self.loss_config()

@@ -12,6 +12,7 @@ import numpy as np
 __all__ = [
     "Dataset",
     "IdxFormatError",
+    "CsvFormatError",
     "make_blobs",
     "triangle_centers",
     "support_extent",
@@ -29,6 +30,10 @@ _LABEL_MAGIC = 0x00000801
 
 class IdxFormatError(ValueError):
     """Raised on malformed IDX files."""
+
+
+class CsvFormatError(ValueError):
+    """Raised on malformed CSV files; the message names the file and line."""
 
 
 @dataclass(frozen=True)
@@ -165,6 +170,8 @@ def load_idx(images_path, labels_path) -> Dataset:
     if label_count != count:
         raise IdxFormatError(
             f"image/label count mismatch: {count} images vs {label_count} labels")
+    if count == 0:
+        raise IdxFormatError(f"{images_path}: holds no images")
     feats = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols) / 255.0
     idx = np.frombuffer(raw_labels, dtype=np.uint8)
     k = int(idx.max()) + 1
@@ -225,21 +232,33 @@ def save_csv(dataset: Dataset, path) -> None:
             writer.writerow(row)
 
 
-def load_csv(path, k: int | None = None) -> Dataset:
+def load_csv(path) -> Dataset:
+    """Load the native container written by save_csv; one-hot width is the
+    largest label plus one."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        has_label = header and header[-1] == "label"
+        header = next(reader, None)
+        if not header:
+            raise CsvFormatError(f"{path}:1: missing header row")
+        has_label = header[-1] == "label"
         d = len(header) - (1 if has_label else 0)
         feats, idx = [], []
         for row in reader:
-            feats.append([float(v) for v in row[:d]])
-            if has_label:
-                idx.append(int(row[d]))
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(header):
+                raise CsvFormatError(
+                    f"{where}: {len(row)} fields, the header has {len(header)}")
+            try:
+                feats.append([float(v) for v in row[:d]])
+                if has_label:
+                    idx.append(int(row[d]))
+            except ValueError as exc:
+                raise CsvFormatError(f"{where}: {exc}") from None
+            if has_label and idx[-1] < 0:
+                raise CsvFormatError(f"{where}: negative label {idx[-1]}")
     features = np.array(feats, dtype=np.float64).reshape(len(feats), d)
     labels = None
     if has_label:
-        kk = k if k is not None else (max(idx) + 1 if idx else 0)
-        labels = np.zeros((len(idx), kk))
+        labels = np.zeros((len(idx), max(idx) + 1 if idx else 0))
         labels[np.arange(len(idx)), idx] = 1.0
     return Dataset(features, labels, provenance=f"csv({path})")

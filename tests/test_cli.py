@@ -151,6 +151,20 @@ def test_cli_wrong_value_type_names_key(tmp_path, capsys, override):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("override", [
+    "seed=-1", "data.classes=1", "data.per_class=0", "attack.epsilons=[0.3,0.1]",
+    "attack.epsilons=[-0.1,0.2]", "attack.epsilons=[0.0,NaN]",
+    "eval.threshold_fraction=2.0", "eval.threshold_fraction=0", "ood.n=0",
+    "verify.trials=0", "verify.n_triples=0"])
+def test_cli_out_of_range_value_names_key(tmp_path, capsys, override):
+    out = tmp_path / "x"
+    assert run(["train", "--out", str(out)] + TINY + ["--set", override]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert override.partition("=")[0] in err[0]
+    assert not out.exists()
+
+
 def test_config_int_accepted_for_float_key():
     assert ExperimentConfig({"train.learning_rate": 1}).train_config().learning_rate == 1
     assert ExperimentConfig({"attack.epsilons": [0, 0.5]})["attack.epsilons"] == [0, 0.5]

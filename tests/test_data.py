@@ -6,9 +6,9 @@ import struct
 import numpy as np
 import pytest
 
-from iad.data import (Dataset, IdxFormatError, load_csv, load_idx, make_blobs,
-                      make_ood_ring, save_csv, scale_unit, split,
-                      triangle_centers)
+from iad.data import (CsvFormatError, Dataset, IdxFormatError, load_csv,
+                      load_idx, make_blobs, make_ood_ring, save_csv,
+                      scale_unit, split, triangle_centers)
 
 
 def blobs(seed=0, spread=0.6, n=100):
@@ -147,6 +147,12 @@ def test_load_idx_count_mismatch(tmp_path):
         load_idx(ip, short)
 
 
+def test_load_idx_zero_count(tmp_path):
+    ip, lp = write_idx(tmp_path, np.zeros((0, 4, 4), dtype=np.uint8), [])
+    with pytest.raises(IdxFormatError, match="no images"):
+        load_idx(ip, lp)
+
+
 # --------------------------------------------------------------------- split
 
 def test_split_identity():
@@ -218,3 +224,22 @@ def test_csv_roundtrip_unlabeled(tmp_path):
     back = load_csv(path)
     assert back.labels is None
     assert np.array_equal(back.features, ring.features)
+
+
+@pytest.mark.parametrize("body, line, what", [
+    ("f0,f1,label\n0.5,0.25,1\n0.1,0.2,-1\n", 3, "negative label -1"),
+    ("f0,f1,label\n0.5,0.25\n", 2, "2 fields, the header has 3"),
+    ("f0,f1,label\n0.5,0.25,1\n0.5,0.25,1,7\n", 3, "4 fields, the header has 3"),
+    ("f0,f1\n0.5\n", 2, "1 fields, the header has 2"),
+    ("f0,f1,label\n0.5,abc,1\n", 2, "abc"),
+    ("f0,f1,label\n0.5,0.25,one\n", 2, "one"),
+    ("", 1, "missing header"),
+], ids=["negative-label", "short-row", "long-row", "unlabeled-short-row",
+        "bad-feature", "bad-label", "empty-file"])
+def test_load_csv_malformed_names_file_and_line(tmp_path, body, line, what):
+    path = tmp_path / "bad.csv"
+    path.write_text(body)
+    with pytest.raises(CsvFormatError) as exc:
+        load_csv(path)
+    assert f"{path}:{line}: " in str(exc.value)
+    assert what in str(exc.value)

@@ -13,14 +13,16 @@ from iad.losses import (LossConfig, bayes_ce_grad_alpha_batch, bayes_ce_loss,
                         bayes_ce_loss_batch, edl_mse_grad_alpha_batch,
                         edl_mse_loss, edl_mse_loss_batch, iad_loss,
                         iad_loss_batch, iad_loss_grad_alpha,
-                        iad_loss_grad_alpha_batch, info_regularizer,
-                        info_regularizer_batch, info_regularizer_grad_alpha,
+                        iad_loss_grad_alpha_batch, iad_value_grad_batch,
+                        info_regularizer, info_regularizer_batch,
+                        info_regularizer_grad_alpha,
                         info_regularizer_grad_alpha_batch,
+                        info_value_grad_batch,
                         nll_marginal_grad_alpha_batch, nll_marginal_loss,
                         nll_marginal_loss_batch, rkl_prior_grad_alpha_batch,
                         rkl_prior_loss, rkl_prior_loss_batch, total_loss,
                         total_loss_batch)
-from iad.specfun import DomainError, digamma, trigamma
+from iad.specfun import DomainError, digamma, log_gamma, tetragamma, trigamma
 
 
 def params(*alpha):
@@ -81,6 +83,63 @@ def test_iad_loss_batch_matches_scalar():
     for i in range(20):
         assert vals[i] == pytest.approx(
             iad_loss(DirichletParams(alpha[i]), int(c[i]), 4.0), rel=1e-12)
+
+
+def _separate_iad(alpha, c, p):
+    """(F, dF/dalpha) from one special-function call per argument array: the
+    unfused form, which the fused kernel must equal bit for bit."""
+    rows = np.arange(alpha.shape[0])
+    a0 = alpha.sum(axis=1)
+    s = a0 - alpha[rows, c]
+    log_mu_k = np.where(np.arange(alpha.shape[1]) == c[:, None], -np.inf,
+                        log_gamma(alpha + p) - log_gamma(alpha))
+    terms = np.concatenate([(log_gamma(s + p) - log_gamma(s))[:, None], log_mu_k], axis=1)
+    top = terms.max(axis=1, keepdims=True)
+    lse = (top + np.log(np.sum(np.exp(terms - top), axis=1, keepdims=True)))[:, 0]
+    f = np.exp((log_gamma(a0) - log_gamma(a0 + p) + lse) / p)
+    common = digamma(a0) - digamma(a0 + p)
+    w = np.exp(terms - lse[:, None])
+    g = (common[:, None] + w[:, :1] * (digamma(s + p) - digamma(s))[:, None]
+         + w[:, 1:] * (digamma(alpha + p) - digamma(alpha))) / p
+    g[rows, c] = common / p
+    return f, f[:, None] * g
+
+
+def _separate_info(alpha, c):
+    """(R, dR/dalpha) from separate trigamma/tetragamma calls on alpha~ and
+    alpha~_0 (the unfused form)."""
+    off = alpha.copy()
+    if c is not None:
+        off[np.arange(alpha.shape[0]), c] = 1.0
+    d = off - 1.0
+    a_t0 = off.sum(axis=1)
+    tri, tri0 = trigamma(off), trigamma(a_t0)[:, None]
+    tet, tet0 = tetragamma(off), tetragamma(a_t0)[:, None]
+    r = 0.5 * np.sum(d * d * (tri - tri0), axis=1)
+    g = (d * (tri - tri0) + 0.5 * d * d * (tet - tet0)
+         - 0.5 * tet0 * (np.sum(d * d, axis=1)[:, None] - d * d))
+    if c is not None:
+        g[np.arange(alpha.shape[0]), c] = 0.0
+    return r, g
+
+
+@pytest.mark.parametrize("k", [2, 3, 10])
+def test_fused_kernels_equal_thin_views_and_separate_calls(k):
+    rng = np.random.default_rng(k)
+    alpha = 1.0 + rng.exponential(3.0, size=(40, k))
+    alpha[::7] *= 50.0  # rows wholly above the psi-family shift cutoff
+    c = rng.integers(k, size=40)
+    f, df = iad_value_grad_batch(alpha, c, 4.0)
+    assert np.array_equal(f, iad_loss_batch(alpha, c, 4.0))
+    assert np.array_equal(df, iad_loss_grad_alpha_batch(alpha, c, 4.0))
+    ref_f, ref_df = _separate_iad(alpha, c, 4.0)
+    assert np.array_equal(f, ref_f) and np.array_equal(df, ref_df)
+    for cc in (c, None):
+        r, dr = info_value_grad_batch(alpha, cc)
+        assert np.array_equal(r, info_regularizer_batch(alpha, cc))
+        assert np.array_equal(dr, info_regularizer_grad_alpha_batch(alpha, cc))
+        ref_r, ref_dr = _separate_info(alpha, cc)
+        assert np.array_equal(r, ref_r) and np.array_equal(dr, ref_dr)
 
 
 def test_iad_loss_p_moment_matches_monte_carlo():

@@ -127,6 +127,49 @@ def test_tetragamma_negative_everywhere():
     assert np.all(tetragamma(x) < 0.0)
 
 
+# ------------------------------------------------------ recurrence shift
+
+# (function, scipy oracle, rtol, atol of the wide-range tests above,
+#  recurrence f(x+1) - f(x) = step(x), rel and abs of the recurrence tests)
+_PSI_FAMILY = [
+    (digamma, scipy.special.psi, 1e-12, 1e-12, lambda x: 1.0 / x, 1e-10, 1e-10),
+    (trigamma, lambda x: scipy.special.polygamma(1, x), 1e-12, 1e-300,
+     lambda x: -1.0 / x ** 2, 1e-9, 1e-12),
+    (tetragamma, lambda x: scipy.special.polygamma(2, x), 1e-11, 1e-300,
+     lambda x: 2.0 / x ** 3, 1e-8, 1e-12),
+]
+# the smallest argument, the last shifted steps, both sides of the cutoff
+# (10), and far above it
+_SHIFT_EDGES = np.array([MIN_ARG, 9.0, 10.0 - 1e-15, 10.0, 1e6])
+
+
+@pytest.mark.parametrize("fn, oracle, rtol, atol, step, rel, abs_", _PSI_FAMILY)
+def test_psi_family_shift_boundaries(fn, oracle, rtol, atol, step, rel, abs_):
+    x = _SHIFT_EDGES.copy()
+    got = fn(x)
+    assert np.array_equal(x, _SHIFT_EDGES)  # the input is not shifted in place
+    assert np.allclose(got, oracle(x), rtol=rtol, atol=atol)
+    for xi, gi in zip(x, got):
+        assert fn(float(xi)) == gi
+    # recurrences across the cutoff: x shifted, x + 1 not (or both not)
+    for xi in (9.0, 9.5, 10.0 - 1e-15, 10.0, 1e6):
+        assert fn(xi + 1.0) == pytest.approx(fn(xi) + step(xi), rel=rel, abs=abs_)
+
+
+@pytest.mark.parametrize("fn, oracle, rtol, atol, step, rel, abs_", _PSI_FAMILY)
+def test_psi_family_shift_2d_and_wholly_above_cutoff(fn, oracle, rtol, atol,
+                                                      step, rel, abs_):
+    mixed = np.array([[MIN_ARG, 0.3, 9.0, 10.0 - 1e-15],
+                      [10.0, 12.5, 1e3, 1e6]])
+    got = fn(mixed)
+    assert got.shape == (2, 4)
+    assert np.array_equal(got, fn(mixed.ravel()).reshape(2, 4))
+    assert np.allclose(got, oracle(mixed), rtol=rtol, atol=atol)
+    above = np.linspace(10.0, 1e3, 64)
+    assert np.allclose(fn(above), oracle(above), rtol=rtol, atol=atol)
+    assert np.allclose(fn(above + 1.0), fn(above) + step(above), rtol=rel, atol=abs_)
+
+
 # -------------------------------------------------------------- beta_moment
 
 def test_beta_moment_second_moment_example():

@@ -1,10 +1,12 @@
 """Annealing schedule, Adam recurrence, early stopping, determinism and
 divergence handling."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from iad import data, network
+from iad import data, losses, network
 from iad.config import ConfigError, ExperimentConfig
 from iad.training import (AdamState, TrainConfig, TrainingDiverged,
                           adam_step, anneal_lambda, train)
@@ -168,6 +170,23 @@ def test_train_off_support_lowers_far_concentration():
         net, _ = train(ds, [16], cfg, loss="iad")
         strengths.append(np.median(network.forward(net, far).alpha.sum(axis=1)))
     assert strengths[0] < 0.5 * strengths[1]
+
+
+def test_train_step_makes_one_call_per_special_function(monkeypatch):
+    counts = Counter()
+    for name in ("log_gamma", "digamma", "trigamma", "tetragamma"):
+        def counting(x, name=name, real=getattr(losses, name)):
+            counts[name] += 1
+            return real(x)
+        monkeypatch.setattr(losses, name, counting)
+    ds = two_class_blobs(n=80)
+    # t0=0: lambda_t > 0 from epoch 1, so every step evaluates F and R
+    cfg = TrainConfig(seed=0, max_epochs=1, patience=1, t0=0, batch_size=32)
+    train(ds, [8], cfg, val=ds.take(np.arange(16)))
+    steps = 160 // 32
+    # the epoch's one validation pass adds one value-only F and R
+    assert counts == {"log_gamma": steps + 1, "digamma": steps,
+                      "trigamma": steps + 1, "tetragamma": steps}
 
 
 def test_train_record_lambda_matches_schedule():
