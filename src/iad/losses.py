@@ -7,7 +7,10 @@ log-marginal likelihood, Bayes-risk cross-entropy, evidential mean-square,
 reverse-KL prior target).
 
 Public functions take a single DirichletParams; the `*_batch` variants operate
-on an (N, K) alpha matrix and are what the training loop uses.
+on an (N, K) alpha matrix. F and R each have one value+gradient kernel
+(`iad_value_grad_batch`, `info_value_grad_batch`), which the training step
+calls; the gradient functions are views of them, and the value functions stop
+before the gradient's special-function call.
 """
 
 from __future__ import annotations
