@@ -238,7 +238,12 @@ def main(argv=None) -> int:
         return 2
     out = _prepare_out_dir(args)
     _write_run_metadata(out, cfg)
-    return _COMMANDS[args.command](cfg, out, args)
+    try:
+        return _COMMANDS[args.command](cfg, out, args)
+    except (network.CheckpointFormatError, data.CsvFormatError,
+            data.IdxFormatError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

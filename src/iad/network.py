@@ -7,9 +7,13 @@ Backpropagation is exact and works on single examples or batches.
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
+import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +29,7 @@ __all__ = [
     "input_gradient",
     "save_checkpoint",
     "load_checkpoint",
+    "CheckpointFormatError",
 ]
 
 log = logging.getLogger("iad.network")
@@ -33,7 +38,11 @@ log = logging.getLogger("iad.network")
 _GRAD_ALPHA_CLIP = 1e6
 
 _CHECKPOINT_FORMAT = "iad-checkpoint"
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2  # version 1 (nested float lists) is still read
+
+
+class CheckpointFormatError(ValueError):
+    """A checkpoint file that is not a well-formed iad checkpoint; names the file."""
 
 
 @dataclass
@@ -166,32 +175,80 @@ def input_gradient(net: NetworkParams, x: np.ndarray, correct_class, cfg: losses
     return delta[0] if trace.squeezed else delta
 
 
+def _encode_array(arr: np.ndarray) -> str:
+    return base64.b64encode(np.asarray(arr, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _decode_array(entry, shape: tuple[int, ...], version: int, where: str) -> np.ndarray:
+    """One stored array of the given shape: a base64 string of its little-endian
+    float64 bytes in C order (version 2) or a nested list of floats (version 1)."""
+    try:
+        if version == 1:
+            arr = np.array(entry, dtype=np.float64)
+        else:
+            raw = base64.b64decode(entry, validate=True)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointFormatError(f"{where}: malformed array payload") from exc
+    if version != 1:
+        nbytes = 8 * math.prod(shape)
+        if len(raw) != nbytes:
+            raise CheckpointFormatError(f"{where}: {len(raw)} bytes, layer_sizes needs {nbytes}")
+        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    if arr.shape != shape:
+        raise CheckpointFormatError(f"{where}: shape {arr.shape}, layer_sizes needs {shape}")
+    return arr
+
+
 def save_checkpoint(net: NetworkParams, path) -> None:
+    """Write the network as format version 2, atomically: the document goes to
+    a sibling temporary file that then replaces ``path``, so a crash mid-write
+    never leaves a truncated checkpoint."""
     doc = {
         "format": _CHECKPOINT_FORMAT,
         "version": _CHECKPOINT_VERSION,
         "layer_sizes": net.layer_sizes,
         "activation": "relu",
-        "weights": [w.tolist() for w in net.weights],
-        "biases": [b.tolist() for b in net.biases],
+        "weights": [_encode_array(w) for w in net.weights],
+        "biases": [_encode_array(b) for b in net.biases],
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            # the document is pure ASCII, so the escape pass of ensure_ascii is waste
+            fh.write(json.dumps(doc, ensure_ascii=False) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> NetworkParams:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != _CHECKPOINT_FORMAT:
-        raise ValueError(f"{path}: not an iad checkpoint")
-    if doc.get("version") != _CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')!r}")
+    """Read a version 2 or version 1 checkpoint; malformed content raises
+    CheckpointFormatError naming the file."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointFormatError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict) or doc.get("format") != _CHECKPOINT_FORMAT:
+        raise CheckpointFormatError(f"{path}: not an iad checkpoint")
+    version = doc.get("version")
+    if version not in (1, _CHECKPOINT_VERSION):
+        raise CheckpointFormatError(f"{path}: unsupported checkpoint version {version!r}")
     if doc.get("activation") != "relu":
-        raise ValueError(f"{path}: unsupported activation {doc.get('activation')!r}")
-    weights = [np.array(w, dtype=np.float64) for w in doc["weights"]]
-    biases = [np.array(b, dtype=np.float64) for b in doc["biases"]]
-    net = NetworkParams(weights, biases)
-    if net.layer_sizes != doc["layer_sizes"]:
-        raise ValueError(f"{path}: layer_sizes inconsistent with stored arrays")
-    return net
+        raise CheckpointFormatError(f"{path}: unsupported activation {doc.get('activation')!r}")
+    sizes = doc.get("layer_sizes")
+    if (not isinstance(sizes, list) or len(sizes) < 2
+            or not all(type(s) is int and s >= 1 for s in sizes)):
+        raise CheckpointFormatError(f"{path}: layer_sizes must be a list of positive integers")
+    for key in ("weights", "biases"):
+        if not isinstance(doc.get(key), list) or len(doc[key]) != len(sizes) - 1:
+            raise CheckpointFormatError(f"{path}: {key} must be a list of {len(sizes) - 1} arrays")
+    weights = [_decode_array(w, (m, n), version, f"{path}: weights[{i}]")
+               for i, (w, m, n) in enumerate(zip(doc["weights"], sizes[:-1], sizes[1:]))]
+    biases = [_decode_array(b, (n,), version, f"{path}: biases[{i}]")
+              for i, (b, n) in enumerate(zip(doc["biases"], sizes[1:]))]
+    try:
+        return NetworkParams(weights, biases)
+    except ValueError as exc:
+        raise CheckpointFormatError(f"{path}: {exc}") from exc

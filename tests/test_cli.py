@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from iad import network
 from iad.cli import main
 from iad.config import DEFAULTS, ConfigError, ExperimentConfig
 
@@ -201,3 +203,36 @@ def test_cli_checkpoint_dataset_mismatch(tmp_path):
         run(["eval", "--out", str(tmp_path / "e"), "--seed", "3",
              "--checkpoint", str(train_out / "checkpoint.json"),
              "--set", "data.classes=4"] + TINY)
+
+
+def _ckpt_without_weights(tmp_path):
+    path = tmp_path / "ckpt.json"
+    network.save_checkpoint(network.init([2, 8, 3], np.random.default_rng(0)), path)
+    doc = json.loads(path.read_text())
+    del doc["weights"]
+    path.write_text(json.dumps(doc))
+    return ["eval", "--checkpoint", str(path)]
+
+
+def _csv_with_negative_label(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("x0,x1,label\n0.1,0.2,0\n0.3,0.4,-1\n")
+    return ["train", "--set", "data.kind=csv", "--set", f"data.csv={path}"]
+
+
+def _idx_without_header(tmp_path):
+    (tmp_path / "images.idx").write_bytes(b"junk")
+    (tmp_path / "labels.idx").write_bytes(b"junk")
+    return ["train", "--set", "data.kind=idx",
+            "--set", f"data.idx_images={tmp_path / 'images.idx'}",
+            "--set", f"data.idx_labels={tmp_path / 'labels.idx'}"]
+
+
+@pytest.mark.parametrize("make_args", [
+    _ckpt_without_weights, _csv_with_negative_label, _idx_without_header])
+def test_cli_malformed_input_file_exits_2(tmp_path, capsys, make_args):
+    argv = make_args(tmp_path) + ["--out", str(tmp_path / "run")] + TINY
+    assert run(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert str(tmp_path) in err[0]

@@ -1,11 +1,14 @@
 """Forward/backward correctness: softplus head, finite-difference gradient
 certification for parameters and inputs, init determinism, checkpoint I/O."""
 
+import base64
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from iad import losses, network
 from iad.losses import LossConfig
@@ -250,3 +253,138 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+# bit patterns a text format could lose: signed zero, subnormals, extremes
+_SPECIAL = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308,
+            1.0 + 2.0 ** -52, math.pi]
+
+
+def special_net():
+    net = tiny_net([3, 4, 2], seed=12)
+    net.weights[0].flat[:len(_SPECIAL)] = _SPECIAL
+    net.biases[0][:] = [-0.0, 5e-324, 1e308, -1e308]
+    return net
+
+
+def assert_bit_identical(a, b):
+    assert a.layer_sizes == b.layer_sizes
+    for x, y in zip(a.weights + a.biases, b.weights + b.biases):
+        assert x.dtype == y.dtype == np.float64 and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+
+
+def test_checkpoint_v2_roundtrip_bit_exact(tmp_path):
+    net = special_net()
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(net, path)
+    doc = json.loads(path.read_text())
+    assert doc["version"] == 2
+    assert doc["weights"] == [_b64(w) for w in net.weights]
+    assert doc["biases"] == [_b64(b) for b in net.biases]
+    back = load_checkpoint(path)
+    assert_bit_identical(net, back)
+    back.weights[0][0, 0] = 1.0  # decoded arrays are writable
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json"]
+
+
+def test_checkpoint_v1_document_loads_bit_exact(tmp_path):
+    net = special_net()
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps({
+        "format": "iad-checkpoint", "version": 1, "layer_sizes": net.layer_sizes,
+        "activation": "relu",
+        "weights": [w.tolist() for w in net.weights],
+        "biases": [b.tolist() for b in net.biases]}) + "\n")
+    back = load_checkpoint(path)
+    assert_bit_identical(net, back)
+    # saving what was read upgrades the file to version 2, still bit for bit
+    save_checkpoint(back, path)
+    assert json.loads(path.read_text())["version"] == 2
+    assert_bit_identical(net, load_checkpoint(path))
+
+
+def _b64(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
+
+
+def _v2_doc(**changes):
+    net = tiny_net([2, 3, 2], seed=13)
+    doc = {"format": "iad-checkpoint", "version": 2, "layer_sizes": [2, 3, 2],
+           "activation": "relu",
+           "weights": [_b64(w) for w in net.weights],
+           "biases": [_b64(b) for b in net.biases]}
+    doc.update(changes)
+    return {k: v for k, v in doc.items() if v is not None}
+
+
+_ZERO_BIAS = _b64(np.zeros(3))
+_NAN_BIAS = _b64([0.0, np.nan])
+_MALFORMED = {
+    "not json": "{ not json",
+    "top level list": "[1, 2]",
+    "missing weights": json.dumps(_v2_doc(weights=None)),
+    "missing biases": json.dumps(_v2_doc(biases=None)),
+    "missing layer_sizes": json.dumps(_v2_doc(layer_sizes=None)),
+    "layer_sizes string": json.dumps(_v2_doc(layer_sizes="2,3,2")),
+    "layer_sizes float": json.dumps(_v2_doc(layer_sizes=[2, 3.0, 2])),
+    "layer_sizes zero": json.dumps(_v2_doc(layer_sizes=[2, 0, 2])),
+    "weights a dict": json.dumps(_v2_doc(weights={"0": "AAAA"})),
+    "entry a number": json.dumps(_v2_doc(biases=[0, 0])),
+    "wrong array count": json.dumps(_v2_doc(biases=[_NAN_BIAS])),
+    "bad base64": json.dumps(_v2_doc(biases=[_ZERO_BIAS, "A*AA"])),
+    "payload too short": json.dumps(_v2_doc(biases=[_ZERO_BIAS, "AAAAAAAAAAA="])),
+    "layer_sizes disagree": json.dumps(_v2_doc(layer_sizes=[2, 3, 3])),
+    "non-finite payload": json.dumps(_v2_doc(biases=[_ZERO_BIAS, _NAN_BIAS])),
+    "v1 ragged": json.dumps(_v2_doc(version=1, weights=[[[1.0], [1.0, 2.0]], [[1.0]]])),
+    "v1 string entry": json.dumps(_v2_doc(version=1)),
+    "v1 wrong shape": json.dumps(_v2_doc(
+        version=1, weights=[np.zeros((3, 2)).tolist(), np.zeros((3, 2)).tolist()],
+        biases=[[0.0] * 3, [0.0] * 2])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED))
+def test_checkpoint_malformed_raises_named_error(tmp_path, name):
+    path = tmp_path / "ckpt.json"
+    path.write_text(_MALFORMED[name])
+    with pytest.raises(network.CheckpointFormatError, match="ckpt.json"):
+        load_checkpoint(path)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_checkpoint_truncated_or_corrupted_fails_named(tmp_path, data):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(tiny_net([2, 3, 2], seed=14), path)
+    raw = path.read_bytes()
+    assert json.loads(raw)["version"] == 2
+    pos = data.draw(st.integers(0, len(raw) - 1), label="pos")
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[:pos]
+    else:
+        raw = raw[:pos] + bytes([data.draw(st.integers(0, 255), label="byte")]) + raw[pos + 1:]
+    path.write_bytes(raw)
+    try:
+        net = load_checkpoint(path)
+    except network.CheckpointFormatError as exc:
+        assert "ckpt.json" in str(exc)
+    else:
+        assert net.layer_sizes == [2, 3, 2]
+        assert all(np.all(np.isfinite(a)) for a in net.weights + net.biases)
+
+
+def test_checkpoint_save_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "ckpt.json"
+    first = tiny_net([2, 3, 2], seed=15)
+    save_checkpoint(first, path)
+
+    def crash(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(network.os, "replace", crash)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(tiny_net([2, 3, 2], seed=16), path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json"]
+    assert_bit_identical(first, load_checkpoint(path))
