@@ -24,6 +24,14 @@ from .config import ConfigError, ExperimentConfig, parse_assignment
 
 log = logging.getLogger("iad.cli")
 
+# commands that read a trained network from --checkpoint
+_NEEDS_CHECKPOINT = ("eval", "ood", "attack")
+
+
+class UsageError(Exception):
+    """A command line that cannot run: a missing, unreadable or mismatched
+    checkpoint, or an output directory that is in use."""
+
 
 def _setup_logging():
     level = os.environ.get("IAD_LOG", "WARNING").upper()
@@ -43,7 +51,7 @@ def _load_config(args) -> ExperimentConfig:
 def _prepare_out_dir(args) -> Path:
     out = Path(args.out)
     if out.exists() and any(out.iterdir()) and not args.force:
-        raise SystemExit(f"error: output directory {out} is not empty (use --force)")
+        raise UsageError(f"output directory {out} is not empty (use --force)")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -97,14 +105,22 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[data.Dataset, data.Dataset]:
 
 def _load_net(args) -> network.NetworkParams:
     if not args.checkpoint:
-        raise SystemExit("error: this command needs --checkpoint")
-    if not Path(args.checkpoint).exists():
-        raise SystemExit(f"error: checkpoint {args.checkpoint} does not exist")
-    return network.load_checkpoint(args.checkpoint)
+        raise UsageError(f"{args.command} needs --checkpoint")
+    path = Path(args.checkpoint)
+    if not path.is_file():
+        what = "is not a file" if path.exists() else "does not exist"
+        raise UsageError(f"checkpoint {path} {what}")
+    return network.load_checkpoint(path)
 
 
-def cmd_train(cfg: ExperimentConfig, out: Path, args) -> int:
-    train_ds, _ = build_datasets(cfg)
+def _check_net_fits(net: network.NetworkParams, ds: data.Dataset, path) -> None:
+    if net.layer_sizes[0] != ds.d or net.output_dim != ds.k:
+        raise UsageError(f"checkpoint {path} has layer sizes {net.layer_sizes}, but the "
+                         f"dataset has {ds.d} features and {ds.k} classes")
+
+
+def cmd_train(cfg: ExperimentConfig, out: Path, datasets, net) -> int:
+    train_ds, _ = datasets
     net, record = training.train(train_ds, cfg["arch"], cfg.train_config(),
                                  loss=cfg["loss"])
     network.save_checkpoint(net, out / "checkpoint.json")
@@ -113,11 +129,8 @@ def cmd_train(cfg: ExperimentConfig, out: Path, args) -> int:
     return 0
 
 
-def cmd_eval(cfg: ExperimentConfig, out: Path, args) -> int:
-    net = _load_net(args)
-    _, test_ds = build_datasets(cfg)
-    if net.weights[0].shape[0] != test_ds.d or net.output_dim != test_ds.k:
-        raise SystemExit("error: checkpoint architecture does not match the dataset")
+def cmd_eval(cfg: ExperimentConfig, out: Path, datasets, net) -> int:
+    _, test_ds = datasets
     reports = evaluation.evaluate(net, test_ds)
     evaluation.reports_to_csv(reports, out / "reports.csv")
     threshold = cfg["eval.threshold_fraction"] * np.log(test_ds.k)
@@ -129,10 +142,9 @@ def cmd_eval(cfg: ExperimentConfig, out: Path, args) -> int:
     return 0
 
 
-def cmd_ood(cfg: ExperimentConfig, out: Path, args) -> int:
-    net = _load_net(args)
+def cmd_ood(cfg: ExperimentConfig, out: Path, datasets, net) -> int:
     rngs = _rng_streams(cfg)
-    train_ds, _ = build_datasets(cfg)
+    train_ds, _ = datasets
     ood_ds = data.make_ood_ring(train_ds, cfg["ood.radius_factor"], cfg["ood.n"],
                                 rngs["ood"])
     ent, mi = evaluation.ood_evaluate(net, ood_ds, cfg["eval.threshold_fraction"])
@@ -141,9 +153,8 @@ def cmd_ood(cfg: ExperimentConfig, out: Path, args) -> int:
     return 0
 
 
-def cmd_attack(cfg: ExperimentConfig, out: Path, args) -> int:
-    net = _load_net(args)
-    _, test_ds = build_datasets(cfg)
+def cmd_attack(cfg: ExperimentConfig, out: Path, datasets, net) -> int:
+    _, test_ds = datasets
     swept = evaluation.attack_reports(net, test_ds, cfg["attack.epsilons"],
                                       cfg.loss_config())
     evaluation.sweep_to_csv([evaluation.sweep_row(eps, r) for eps, r in swept],
@@ -161,7 +172,7 @@ def cmd_attack(cfg: ExperimentConfig, out: Path, args) -> int:
     return 0
 
 
-def cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
+def cmd_verify(cfg: ExperimentConfig, out: Path, datasets, net) -> int:
     verdicts = verify.run_all(seed=cfg["seed"], trials=cfg["verify.trials"],
                               n_triples=cfg["verify.n_triples"])
     verify.verdicts_to_json(verdicts, out / "verify_evidence.json")
@@ -181,8 +192,8 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
     return 0
 
 
-def cmd_compare(cfg: ExperimentConfig, out: Path, args) -> int:
-    train_ds, test_ds = build_datasets(cfg)
+def cmd_compare(cfg: ExperimentConfig, out: Path, datasets, net) -> int:
+    train_ds, test_ds = datasets
     rows = []
     for sel in cfg["compare.losses"]:
         net, _ = training.train(train_ds, cfg["arch"], cfg.train_config(), loss=sel)
@@ -223,27 +234,34 @@ def build_parser() -> argparse.ArgumentParser:
                        help="allow writing into a non-empty output directory")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a single config key")
-        if name in ("eval", "ood", "attack"):
+        if name in _NEEDS_CHECKPOINT:
             p.add_argument("--checkpoint", help="model checkpoint path")
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command. Bad input, caught before the run directory is
+    written, prints one ``error:`` line: a usage error exits with status 2
+    through SystemExit, as argparse's own do; a bad config or a malformed
+    input file returns 2."""
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-    except ConfigError as exc:
+        net = _load_net(args) if args.command in _NEEDS_CHECKPOINT else None
+        datasets = None if args.command == "verify" else build_datasets(cfg)
+        if net is not None:
+            _check_net_fits(net, datasets[0], args.checkpoint)
+        out = _prepare_out_dir(args)
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    out = _prepare_out_dir(args)
-    _write_run_metadata(out, cfg)
-    try:
-        return _COMMANDS[args.command](cfg, out, args)
-    except (network.CheckpointFormatError, data.CsvFormatError,
+        raise SystemExit(2) from None
+    except (ConfigError, network.CheckpointFormatError, data.CsvFormatError,
             data.IdxFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _write_run_metadata(out, cfg)
+    return _COMMANDS[args.command](cfg, out, datasets, net)
 
 
 if __name__ == "__main__":

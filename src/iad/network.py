@@ -12,7 +12,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -45,23 +45,48 @@ class CheckpointFormatError(ValueError):
     """A checkpoint file that is not a well-formed iad checkpoint; names the file."""
 
 
+def _views(flat: np.ndarray, sizes: list[int]):
+    """(weights, biases) as tuples of reshaped views into ``flat``, laid out
+    layer by layer: W0 in C order, b0, W1, b1, ..."""
+    weights, biases, at = [], [], 0
+    for m, n in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[at:at + m * n].reshape(m, n))
+        biases.append(flat[at + m * n:at + m * n + n])
+        at += m * n + n
+    return tuple(weights), tuple(biases)
+
+
 @dataclass
 class NetworkParams:
-    """Layer weights/biases; weights[i] has shape (fan_in, fan_out)."""
+    """Layer weights/biases; weights[i] has shape (fan_in, fan_out).
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    The given arrays are validated and copied into one contiguous float64
+    vector, ``flat``; ``weights`` and ``biases`` are tuples of views into it,
+    so writing into an entry writes ``flat`` and assigning an entry raises."""
+
+    weights: tuple[np.ndarray, ...]
+    biases: tuple[np.ndarray, ...]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.weights) != len(self.biases):
-            raise ValueError("weights and biases must pair up")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        weights = [np.asarray(w) for w in self.weights]
+        biases = [np.asarray(b) for b in self.biases]
+        if not weights or len(weights) != len(biases):
+            raise ValueError("weights and biases must pair up, one layer at least")
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            if w.ndim != 2 or b.ndim != 1:
+                raise ValueError(f"layer {i}: weights must be 2-D and biases 1-D")
             if w.shape[1] != b.shape[0]:
                 raise ValueError(f"layer {i}: weight/bias shapes do not chain")
-            if i > 0 and self.weights[i - 1].shape[1] != w.shape[0]:
+            if i > 0 and weights[i - 1].shape[1] != w.shape[0]:
                 raise ValueError(f"layer {i}: consecutive layer dimensions do not chain")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError(f"layer {i}: non-finite parameters")
+        sizes = [weights[0].shape[0]] + [b.shape[0] for b in biases]
+        self.flat = np.empty(sum(a.size for a in weights + biases))
+        self.weights, self.biases = _views(self.flat, sizes)
+        for dst, src in zip(self.weights + self.biases, weights + biases):
+            dst[...] = src
 
     @property
     def layer_sizes(self) -> list[int]:
@@ -72,8 +97,7 @@ class NetworkParams:
         return self.weights[-1].shape[1]
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams([w.copy() for w in self.weights],
-                             [b.copy() for b in self.biases])
+        return NetworkParams(self.weights, self.biases)
 
 
 @dataclass
@@ -88,8 +112,12 @@ class ForwardTrace:
 
 @dataclass
 class Gradients:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    """Parameter gradients in the layout of NetworkParams: ``weights`` and
+    ``biases`` are views into ``flat``."""
+
+    flat: np.ndarray
+    weights: tuple[np.ndarray, ...]
+    biases: tuple[np.ndarray, ...]
 
 
 def init(layer_sizes: list[int], rng: np.random.Generator) -> NetworkParams:
@@ -129,8 +157,11 @@ def forward(net: NetworkParams, x: np.ndarray) -> ForwardTrace:
     return ForwardTrace(inputs, preacts, a, squeezed)
 
 
-def _backprop_delta(net: NetworkParams, trace: ForwardTrace, dloss_dalpha: np.ndarray):
-    """Run the chain rule backwards; returns (Gradients, delta at the input)."""
+def _backprop(net: NetworkParams, trace: ForwardTrace, dloss_dalpha: np.ndarray,
+              grads: Gradients | None, input_delta: bool):
+    """Run the chain rule backwards. Writes the parameter gradients into
+    ``grads`` unless it is None; returns the delta at the input if
+    ``input_delta``, else None, and then stops at layer 0."""
     d = np.atleast_2d(np.asarray(dloss_dalpha, dtype=np.float64))
     if d.shape != trace.alpha.shape:
         raise ValueError("dloss_dalpha shape does not match the trace output")
@@ -140,15 +171,16 @@ def _backprop_delta(net: NetworkParams, trace: ForwardTrace, dloss_dalpha: np.nd
     # d alpha / d z = sigmoid(z) for the softplus head
     z_last = trace.preacts[-1]
     delta = d * _sigmoid(z_last)
-    gw = [None] * len(net.weights)
-    gb = [None] * len(net.biases)
     for i in range(len(net.weights) - 1, -1, -1):
-        gw[i] = trace.inputs[i].T @ delta
-        gb[i] = delta.sum(axis=0)
+        if grads is not None:
+            np.matmul(trace.inputs[i].T, delta, out=grads.weights[i])
+            delta.sum(axis=0, out=grads.biases[i])
+        if i == 0 and not input_delta:
+            return None
         delta = delta @ net.weights[i].T
         if i > 0:
-            delta = delta * (trace.preacts[i - 1] > 0.0)
-    return Gradients(gw, gb), delta
+            delta *= trace.preacts[i - 1] > 0.0
+    return delta
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -160,9 +192,17 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def backward(net: NetworkParams, trace: ForwardTrace, dloss_dalpha: np.ndarray) -> Gradients:
-    """Exact parameter gradients, summed over the rows of the trace."""
-    grads, _ = _backprop_delta(net, trace, dloss_dalpha)
+def backward(net: NetworkParams, trace: ForwardTrace, dloss_dalpha: np.ndarray,
+             out: np.ndarray | None = None) -> Gradients:
+    """Exact parameter gradients, summed over the rows of the trace. They are
+    written into ``out``, a float64 vector shaped like ``net.flat``, or into a
+    fresh one; the result's arrays are views of it."""
+    if out is None:
+        out = np.empty_like(net.flat)
+    elif out.shape != net.flat.shape or out.dtype != np.float64:
+        raise ValueError("out must be a float64 vector shaped like net.flat")
+    grads = Gradients(out, *_views(out, net.layer_sizes))
+    _backprop(net, trace, dloss_dalpha, grads, input_delta=False)
     return grads
 
 
@@ -171,7 +211,7 @@ def input_gradient(net: NetworkParams, x: np.ndarray, correct_class, cfg: losses
     trace = forward(net, x)
     c = np.atleast_1d(np.asarray(correct_class, dtype=np.intp))
     dF = losses.iad_loss_grad_alpha_batch(trace.alpha, c, cfg.p_norm)
-    _, delta = _backprop_delta(net, trace, dF)
+    delta = _backprop(net, trace, dF, None, input_delta=True)
     return delta[0] if trace.squeezed else delta
 
 
@@ -193,7 +233,8 @@ def _decode_array(entry, shape: tuple[int, ...], version: int, where: str) -> np
         nbytes = 8 * math.prod(shape)
         if len(raw) != nbytes:
             raise CheckpointFormatError(f"{where}: {len(raw)} bytes, layer_sizes needs {nbytes}")
-        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        # read-only: NetworkParams copies it into its own vector
+        arr = np.frombuffer(raw, dtype="<f8").reshape(shape)
     if arr.shape != shape:
         raise CheckpointFormatError(f"{where}: shape {arr.shape}, layer_sizes needs {shape}")
     return arr

@@ -67,6 +67,19 @@ class TrainConfig:
             raise ValueError("val_fraction must be in (0, 1)")
         if not 0.0 <= self.ood_weight < math.inf:
             raise ValueError("ood_weight must be finite and >= 0")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1)")
+        if not 0.0 < self.adam_eps < math.inf:
+            raise ValueError("adam_eps must be finite and > 0")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
+        if not 1.0 <= self.p_norm < math.inf:
+            raise ValueError("p_norm must be finite and >= 1")
+        if not 0.0 <= self.lambda_max < math.inf:
+            raise ValueError("lambda_max must be finite and >= 0")
+        if not 0.0 < self.kl_beta < math.inf:
+            raise ValueError("kl_beta must be finite and > 0")
 
 
 @dataclass
@@ -108,6 +121,11 @@ class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
+    # two work arrays per parameter array, so that a step allocates nothing
+    scratch: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = [(np.empty_like(m), np.empty_like(m)) for m in self.m]
 
     @classmethod
     def zeros_like(cls, arrays: list[np.ndarray]) -> "AdamState":
@@ -116,21 +134,33 @@ class AdamState:
 
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState,
               cfg: TrainConfig) -> None:
-    """Standard Adam update with bias correction, in place."""
+    """Standard Adam update with bias correction, in place. Each array takes
+    14 ufunc calls into the state's work arrays; per element they do the
+    operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    p -= lr (m / c1) / (sqrt(v / c2) + eps) in that order, so passing one
+    flat vector or its pieces gives the same bits."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("parameter/gradient/state shape mismatch")
     state.t += 1
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape:
+    c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
+    for p, g, m, v, (s, r) in zip(params, grads, state.m, state.v, state.scratch):
+        if p.shape != g.shape or p.shape != m.shape:
             raise ValueError("parameter/gradient shape mismatch")
         m *= b1
-        m += (1.0 - b1) * g
+        np.multiply(g, 1.0 - b1, out=s)
+        m += s
         v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** state.t)
-        v_hat = v / (1.0 - b2 ** state.t)
-        p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        np.multiply(g, 1.0 - b2, out=s)
+        s *= g
+        v += s
+        np.divide(m, c1, out=s)
+        s *= cfg.learning_rate
+        np.divide(v, c2, out=r)
+        np.sqrt(r, out=r)
+        r += cfg.adam_eps
+        s /= r
+        p -= s
 
 
 # loss selector -> (value(alpha, c, cfg) -> (N,),
@@ -228,8 +258,8 @@ def train(dataset: Dataset, arch: list[int], cfg: TrainConfig, loss: str = "iad"
 
     sizes = [dataset.d] + list(arch) + [dataset.k]
     net = network.init(sizes, rng_init)
-    params = net.weights + net.biases
-    state = AdamState.zeros_like(params)
+    grad = np.empty_like(net.flat)
+    state = AdamState.zeros_like([net.flat])
 
     monitor_lam = cfg.lambda_max if LOSSES[loss][2] else 0.0
     record = TrainRecord()
@@ -263,8 +293,8 @@ def train(dataset: Dataset, arch: list[int], cfg: TrainConfig, loss: str = "iad"
             batch_loss = float(np.sum(vals)) / idx.size
             if not np.isfinite(batch_loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
-            grads = network.backward(net, trace, dalpha / idx.size)
-            adam_step(params, grads.weights + grads.biases, state, cfg)
+            network.backward(net, trace, dalpha / idx.size, out=grad)
+            adam_step([net.flat], [grad], state, cfg)
             epoch_loss += batch_loss * idx.size
         epoch_loss /= train_ds.n
 
@@ -275,7 +305,7 @@ def train(dataset: Dataset, arch: list[int], cfg: TrainConfig, loss: str = "iad"
                                     time.perf_counter() - t_start))
         if val_loss < best_val:
             best_val = val_loss
-            best_params = net.copy()
+            np.copyto(best_params.flat, net.flat)
             best_epoch = epoch
         if epoch - best_epoch >= cfg.patience:
             log.info("early stop at epoch %d (best %d)", epoch, best_epoch)

@@ -236,3 +236,54 @@ def test_cli_malformed_input_file_exits_2(tmp_path, capsys, make_args):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert str(tmp_path) in err[0]
+
+
+def _no_checkpoint(tmp_path):
+    return ["eval"]
+
+
+def _missing_checkpoint(tmp_path):
+    return ["ood", "--checkpoint", str(tmp_path / "missing.json")]
+
+
+def _directory_checkpoint(tmp_path):
+    (tmp_path / "ckpt_dir").mkdir()
+    return ["eval", "--checkpoint", str(tmp_path / "ckpt_dir")]
+
+
+def _mismatched_checkpoint(tmp_path):
+    path = tmp_path / "ckpt.json"
+    network.save_checkpoint(network.init([2, 8, 3], np.random.default_rng(0)), path)
+    return ["attack", "--checkpoint", str(path), "--set", "data.classes=4"]
+
+
+def _nonempty_out(tmp_path):
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / "stale.txt").write_text("x")
+    return ["train"]
+
+
+@pytest.mark.parametrize("make_args", [
+    _no_checkpoint, _missing_checkpoint, _directory_checkpoint,
+    _mismatched_checkpoint, _nonempty_out])
+def test_cli_usage_error_exits_2_before_writing(tmp_path, capsys, make_args):
+    argv = make_args(tmp_path) + ["--out", str(tmp_path / "run")] + TINY
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("override", [
+    "train.adam_beta1=1.5", "train.adam_beta2=1.0", "train.adam_eps=-1.0",
+    "train.max_epochs=0"])
+def test_cli_out_of_range_optimizer_value_names_key(tmp_path, capsys, override):
+    out = tmp_path / "x"
+    assert run(["train", "--out", str(out)] + TINY + ["--set", override]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert override.partition("=")[0].removeprefix("train.") in err[0]
+    assert not out.exists()

@@ -120,6 +120,48 @@ def test_network_params_validation():
                       biases=[np.zeros(3), np.zeros(2)])
 
 
+def assert_flat_layout(net):
+    """weights/biases are views that tile net.flat layer by layer."""
+    assert net.flat.dtype == np.float64 and net.flat.flags.c_contiguous
+    for a in net.weights + net.biases:
+        assert np.shares_memory(a, net.flat)
+    tiles = [a.ravel() for pair in zip(net.weights, net.biases) for a in pair]
+    assert np.array_equal(np.concatenate(tiles), net.flat)
+
+
+def test_parameters_are_views_of_one_flat_vector(tmp_path):
+    net = tiny_net([3, 5, 4, 2], seed=1)
+    assert net.flat.size == 3 * 5 + 5 + 5 * 4 + 4 + 4 * 2 + 2
+    assert_flat_layout(net)
+    twin = net.copy()
+    assert_flat_layout(twin)
+    assert not np.shares_memory(twin.flat, net.flat)
+    assert np.array_equal(twin.flat, net.flat)
+    save_checkpoint(net, tmp_path / "ckpt.json")
+    back = load_checkpoint(tmp_path / "ckpt.json")
+    assert_flat_layout(back)
+    assert np.array_equal(back.flat, net.flat)
+    net.flat[-1] = 7.0
+    assert net.biases[-1][-1] == 7.0 and twin.biases[-1][-1] != 7.0
+
+
+def test_network_params_copies_given_arrays_in():
+    w = [np.ones((2, 3)), np.ones((3, 2))]
+    net = NetworkParams(w, [np.zeros(3), np.zeros(2)])
+    w[0][0, 0] = 5.0
+    assert net.weights[0][0, 0] == 1.0
+    with pytest.raises(ValueError):
+        NetworkParams([np.ones(3)], [np.zeros(3)])
+
+
+def test_parameter_entries_cannot_be_reassigned():
+    net = tiny_net([2, 3, 2])
+    with pytest.raises(TypeError):
+        net.weights[0] = np.zeros((2, 3))
+    with pytest.raises(TypeError):
+        net.biases[1] = np.zeros(2)
+
+
 # ------------------------------------------------------------------ backward
 
 def test_backward_zero_upstream_gives_zero_gradients():
@@ -190,6 +232,22 @@ def test_parameter_gradients_with_regularizer_random_points():
             assert gflat[idx] == pytest.approx(fd, rel=1e-4, abs=1e-8)
             checked += 1
     assert checked >= 50
+
+
+def test_backward_into_out_equals_fresh_backward():
+    rng = np.random.default_rng(12)
+    net = tiny_net([5, 7, 6, 3], seed=12)
+    trace = forward(net, rng.normal(size=(9, 5)))
+    d = rng.normal(size=trace.alpha.shape)
+    fresh = backward(net, trace, d)
+    out = np.full_like(net.flat, np.nan)
+    got = backward(net, trace, d, out=out)
+    assert got.flat is out
+    assert np.array_equal(out, fresh.flat)
+    for a, b in zip(got.weights + got.biases, fresh.weights + fresh.biases):
+        assert np.shares_memory(a, out) and np.array_equal(a, b)
+    with pytest.raises(ValueError):
+        backward(net, trace, d, out=np.empty(net.flat.size + 1))
 
 
 # ------------------------------------------------------------ input gradient

@@ -100,6 +100,67 @@ def test_adam_shape_mismatch():
         adam_step(p, [np.zeros(3)], state, TrainConfig())
 
 
+def _adam_step_per_array_reference(params, grads, state, cfg):
+    """The per-array Adam loop adam_step replaced, kept verbatim as the
+    reference for its bits."""
+    state.t += 1
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1 ** state.t)
+        v_hat = v / (1.0 - b2 ** state.t)
+        p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+
+
+def test_adam_step_bit_identical_to_per_array_loop():
+    # the wide benchmark net, 784-100-100-10, as six arrays and as one vector
+    net = network.init([784, 100, 100, 10], np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    cfg = TrainConfig(learning_rate=3e-3)
+    ref = [a.copy() for a in net.weights + net.biases]
+    six = [a.copy() for a in net.weights + net.biases]
+    flat = net.copy()
+    states = [AdamState.zeros_like(ref), AdamState.zeros_like(six),
+              AdamState.zeros_like([flat.flat])]
+    for _ in range(20):
+        grads = [rng.standard_normal(a.shape) * rng.uniform(1e-4, 10.0) for a in ref]
+        _adam_step_per_array_reference(ref, grads, states[0], cfg)
+        adam_step(six, grads, states[1], cfg)
+        g = network.NetworkParams(grads[:3], grads[3:]).flat
+        adam_step([flat.flat], [g], states[2], cfg)
+    for a, b, c in zip(ref, six, flat.weights + flat.biases):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
+    assert np.array_equal(np.concatenate([m.ravel() for m in states[0].m]),
+                          np.concatenate([m.ravel() for m in states[1].m]))
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("adam_beta1", 1.5), ("adam_beta1", -0.1), ("adam_beta2", 1.0),
+    ("adam_beta2", float("nan")), ("adam_eps", -1.0), ("adam_eps", 0.0),
+    ("max_epochs", 0), ("p_norm", 0.5), ("lambda_max", -2.0), ("kl_beta", -1.0),
+    ("kl_beta", 0.0)])
+def test_train_config_rejects_out_of_range_optimizer_and_loss_fields(field, bad):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: bad})
+
+
+def test_train_returns_snapshot_of_best_epoch_unmoved_by_later_steps():
+    ds = data.make_blobs(2, 100, np.array([[0.0, 0.0], [4.0, 4.0]]), 3.0,
+                         np.random.default_rng(0))
+    kw = dict(seed=0, t0=1, t_rate=3, patience=12, learning_rate=0.05)
+    net, record = train(ds, [8], TrainConfig(max_epochs=12, **kw))
+    assert record.best_epoch < len(record.rows) == 12
+    # the same run stopped at the best epoch ends on the snapshot's parameters
+    stopped, short = train(ds, [8], TrainConfig(max_epochs=record.best_epoch, **kw))
+    assert short.best_epoch == record.best_epoch
+    assert np.array_equal(net.flat, stopped.flat)
+    for a in net.weights + net.biases:
+        assert np.shares_memory(a, net.flat)
+
+
 # --------------------------------------------------------------------- train
 
 def test_train_separable_blobs_high_accuracy():
