@@ -82,6 +82,12 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[data.Dataset, data.Dataset]:
     """Deterministic (train, test) pair from the config and root seed."""
     rngs = _rng_streams(cfg)
     kind = cfg["data.kind"]
+    frac = cfg["data.test_fraction"]
+    fractions, scale = [1.0 - frac, frac], cfg["data.scale_unit"]
+    if kind == "idx":
+        train_ds, test_ds = data.load_idx_split(cfg["data.idx_images"], cfg["data.idx_labels"],
+                                                fractions, rngs["split"], scale)
+        return train_ds, test_ds
     if kind == "blobs":
         centers = data.triangle_centers(cfg["data.side"])
         k = cfg["data.classes"]
@@ -92,14 +98,10 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[data.Dataset, data.Dataset]:
             centers = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1)
         ds = data.make_blobs(k, cfg["data.per_class"], centers,
                              cfg["data.spread"], rngs["blobs"])
-    elif kind == "csv":
-        ds = data.load_csv(cfg["data.csv"])
     else:
-        ds = data.load_idx(cfg["data.idx_images"], cfg["data.idx_labels"])
-    if cfg["data.scale_unit"]:
-        ds = data.scale_unit(ds)
-    frac = cfg["data.test_fraction"]
-    train_ds, test_ds = data.split(ds, [1.0 - frac, frac], rngs["split"])
+        ds = data.load_csv(cfg["data.csv"])
+    split = data.split_scaled if scale else data.split
+    train_ds, test_ds = split(ds, fractions, rngs["split"])
     return train_ds, test_ds
 
 
@@ -242,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command. Bad input, caught before the run directory is
     written, prints one ``error:`` line: a usage error exits with status 2
-    through SystemExit, as argparse's own do; a bad config or a malformed
-    input file returns 2."""
+    through SystemExit, as argparse's own do; a bad config, or an input file
+    that is missing, unreadable or malformed, returns 2."""
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:
@@ -257,8 +259,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
     except (ConfigError, network.CheckpointFormatError, data.CsvFormatError,
-            data.IdxFormatError) as exc:
+            data.IdxFormatError, data.FeatureRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # a missing or unreadable --config or data file, or an --out that
+        # cannot be created
+        print(f"error: {exc.strerror}: {exc.filename!r}", file=sys.stderr)
         return 2
     _write_run_metadata(out, cfg)
     return _COMMANDS[args.command](cfg, out, datasets, net)

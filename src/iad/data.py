@@ -4,8 +4,9 @@ container."""
 from __future__ import annotations
 
 import csv
+import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,12 +14,15 @@ __all__ = [
     "Dataset",
     "IdxFormatError",
     "CsvFormatError",
+    "FeatureRangeError",
     "make_blobs",
     "triangle_centers",
     "support_extent",
     "make_ood_ring",
     "load_idx",
+    "load_idx_split",
     "split",
+    "split_scaled",
     "scale_unit",
     "save_csv",
     "load_csv",
@@ -26,6 +30,10 @@ __all__ = [
 
 _IMAGE_MAGIC = 0x00000803
 _LABEL_MAGIC = 0x00000801
+# Row norms are computed over blocks of at most this many bytes in one reused
+# buffer, which stays in cache instead of three (N, D) temporaries; the 2-D
+# desk data is a single block.
+_BLOCK_BYTES = 256 * 1024
 
 
 class IdxFormatError(ValueError):
@@ -36,12 +44,25 @@ class CsvFormatError(ValueError):
     """Raised on malformed CSV files; the message names the file and line."""
 
 
+class FeatureRangeError(ValueError):
+    """Raised when a feature column's max - min overflows float64, so that
+    min-max scaling cannot map it to [0, 1]."""
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Feature matrix with optional one-hot labels.
 
     feature_range records the (min, max) the features are meant to live in
     (used as default clipping bounds for adversarial perturbations).
+
+    The constructor validates what it is given: a 2-D matrix of finite
+    features and one-hot label rows of the same count. It is the check for
+    data from outside (make_blobs, a caller's arrays). The loaders check their
+    input as they parse it. Datasets derived from checked ones (``take``,
+    ``split``, ``scale_unit`` and the parts of ``split_scaled`` and
+    ``load_idx_split``) skip the O(N·D) re-check: a row subset and a min-max
+    map with finite spans keep features finite and labels one-hot.
     """
 
     features: np.ndarray
@@ -87,12 +108,29 @@ class Dataset:
         return np.argmax(self.labels, axis=1)
 
     def take(self, idx: np.ndarray, tag: str = "") -> "Dataset":
-        return replace(
-            self,
-            features=self.features[idx],
-            labels=None if self.labels is None else self.labels[idx],
-            split_tag=tag or self.split_tag,
-        )
+        """The rows ``idx`` (a 1-D index array or boolean mask)."""
+        idx = np.asarray(idx)
+        if idx.ndim != 1:
+            raise ValueError("idx must be a 1-D index array or mask")
+        return _derived(self.features[idx],
+                        None if self.labels is None else self.labels[idx],
+                        self.provenance, tag or self.split_tag, self.feature_range)
+
+
+def _derived(features, labels=None, provenance="", split_tag="",
+             feature_range=None) -> Dataset:
+    """A Dataset over arrays already known valid (finite float64 (N, D)
+    features, one-hot float64 labels), without the constructor's checks."""
+    ds = object.__new__(Dataset)
+    vars(ds).update(features=features, labels=labels, provenance=provenance,
+                    split_tag=split_tag, feature_range=feature_range)
+    return ds
+
+
+def _one_hot(classes: np.ndarray, k: int) -> np.ndarray:
+    out = np.zeros((classes.size, k))
+    out[np.arange(classes.size), classes] = 1.0
+    return out
 
 
 def triangle_centers(side: float = 4.0) -> np.ndarray:
@@ -116,15 +154,30 @@ def make_blobs(k: int, n_per_class: int, centers, spread: float,
     feats = np.concatenate([
         c + spread * rng.standard_normal((n_per_class, d)) for c in centers
     ])
-    labels = np.zeros((k * n_per_class, k))
-    labels[np.arange(k * n_per_class), np.repeat(np.arange(k), n_per_class)] = 1.0
+    labels = _one_hot(np.repeat(np.arange(k), n_per_class), k)
     return Dataset(feats, labels, provenance=f"blobs(k={k},n={n_per_class},spread={spread})")
+
+
+def _row_norms(x: np.ndarray, center=0.0) -> np.ndarray:
+    """np.linalg.norm(x - center, axis=1), bit for bit: the same elementwise
+    square and per-row pairwise sum, over row blocks of one reused buffer."""
+    n, d = x.shape
+    step = max(1, _BLOCK_BYTES // (8 * max(d, 1)))
+    buf = np.empty((min(step, n), d))
+    sq = np.empty(n)
+    for start in range(0, n, step):
+        rows = x[start:start + step]
+        block = buf[:rows.shape[0]]
+        np.subtract(rows, center, out=block)
+        np.multiply(block, block, out=block)
+        np.add.reduce(block, axis=1, out=sq[start:start + step])
+    return np.sqrt(sq, out=sq)
 
 
 def support_extent(dataset: Dataset) -> tuple[np.ndarray, float]:
     """The global feature mean and the largest distance of any row from it."""
     mean = dataset.features.mean(axis=0)
-    return mean, float(np.max(np.linalg.norm(dataset.features - mean, axis=1)))
+    return mean, float(np.max(_row_norms(dataset.features, mean)))
 
 
 def make_ood_ring(dataset: Dataset, radius_factor: float, n: int,
@@ -137,9 +190,10 @@ def make_ood_ring(dataset: Dataset, radius_factor: float, n: int,
     if n < 1:
         raise ValueError("n must be >= 1")
     mean, rmax = support_extent(dataset)
-    dirs = rng.standard_normal((n, dataset.d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    pts = mean + radius_factor * rmax * dirs
+    pts = rng.standard_normal((n, dataset.d))
+    pts /= _row_norms(pts)[:, None]
+    pts *= radius_factor * rmax
+    pts += mean
     return Dataset(pts, provenance=f"ood_ring(factor={radius_factor},n={n})",
                    feature_range=dataset.feature_range)
 
@@ -154,9 +208,9 @@ def _read_idx_header(fh, path, magic, n_dims):
     return vals[1:]
 
 
-def load_idx(images_path, labels_path) -> Dataset:
-    """Load an IDX image/label pair (big-endian, unsigned bytes); images are
-    flattened row-major and scaled to [0, 1]."""
+def _read_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
+    """The (N, rows * cols) uint8 pixels and (N, K) one-hot labels of an IDX
+    pair (big-endian, unsigned bytes)."""
     with open(images_path, "rb") as fh:
         count, rows, cols = _read_idx_header(fh, images_path, _IMAGE_MAGIC, 3)
         raw = fh.read(count * rows * cols)
@@ -172,26 +226,31 @@ def load_idx(images_path, labels_path) -> Dataset:
             f"image/label count mismatch: {count} images vs {label_count} labels")
     if count == 0:
         raise IdxFormatError(f"{images_path}: holds no images")
-    feats = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols) / 255.0
-    idx = np.frombuffer(raw_labels, dtype=np.uint8)
-    k = int(idx.max()) + 1
-    labels = np.zeros((count, k))
-    labels[np.arange(count), idx] = 1.0
-    return Dataset(feats, labels, provenance=f"idx({images_path})", feature_range=(0.0, 1.0))
+    classes = np.frombuffer(raw_labels, dtype=np.uint8)
+    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
+    return pixels, _one_hot(classes, int(classes.max()) + 1)
 
 
-def split(dataset: Dataset, fractions, rng: np.random.Generator) -> list[Dataset]:
-    """Disjoint seeded partitions covering all rows; stratified by class when
-    labels are present."""
+def load_idx(images_path, labels_path) -> Dataset:
+    """Load an IDX image/label pair (big-endian, unsigned bytes); images are
+    flattened row-major and scaled to [0, 1]."""
+    pixels, labels = _read_idx(images_path, labels_path)
+    return _derived(pixels / 255.0, labels, f"idx({images_path})",
+                    feature_range=(0.0, 1.0))
+
+
+def _split_indices(n: int, labels, fractions, rng: np.random.Generator) -> list[np.ndarray]:
+    """The sorted rows of each part: a seeded permutation of each class (of
+    all n rows when unlabeled), cut at the cumulative fractions."""
     fractions = [float(f) for f in fractions]
     if not fractions or any(f <= 0.0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError("fractions must be positive and sum to 1")
     parts: list[list[np.ndarray]] = [[] for _ in fractions]
-    if dataset.labels is None:
-        groups = [np.arange(dataset.n)]
+    if labels is None:
+        groups = [np.arange(n)]
     else:
-        idx = dataset.label_indices
-        groups = [np.flatnonzero(idx == c) for c in range(dataset.k)]
+        idx = np.argmax(labels, axis=1)
+        groups = [np.flatnonzero(idx == c) for c in range(labels.shape[1])]
     for group in groups:
         perm = group[rng.permutation(group.size)]
         bounds = np.floor(np.cumsum(fractions) * group.size + 0.5).astype(int)
@@ -200,19 +259,82 @@ def split(dataset: Dataset, fractions, rng: np.random.Generator) -> list[Dataset
         for i, stop in enumerate(bounds):
             parts[i].append(perm[start:stop])
             start = stop
-    return [
-        dataset.take(np.sort(np.concatenate(p)), tag=f"part{i}")
-        for i, p in enumerate(parts)
-    ]
+    return [np.sort(np.concatenate(p)) for p in parts]
+
+
+def split(dataset: Dataset, fractions, rng: np.random.Generator) -> list[Dataset]:
+    """Disjoint seeded partitions covering all rows; stratified by class when
+    labels are present."""
+    return [dataset.take(idx, tag=f"part{i}") for i, idx in
+            enumerate(_split_indices(dataset.n, dataset.labels, fractions, rng))]
+
+
+def _unit_span(lo: np.ndarray, hi: np.ndarray, provenance: str) -> np.ndarray:
+    """The per-column divisor of min-max scaling: hi - lo, or 1 for a
+    constant column. A finite span keeps every scaled value in [0, 1]."""
+    with np.errstate(over="ignore"):
+        span = np.where(hi > lo, hi - lo, 1.0)
+    wide = np.flatnonzero(~np.isfinite(span))
+    if wide.size:
+        j = wide[0]
+        raise FeatureRangeError(
+            f"{provenance}: feature {j} spans [{float(lo[j])!r}, {float(hi[j])!r}], "
+            "wider than float64 can hold, so it cannot be scaled to [0, 1]")
+    return span
 
 
 def scale_unit(dataset: Dataset) -> Dataset:
     """Min-max scale every feature column to [0, 1]."""
-    lo = dataset.features.min(axis=0)
-    hi = dataset.features.max(axis=0)
-    rng_ = np.where(hi > lo, hi - lo, 1.0)
-    return replace(dataset, features=(dataset.features - lo) / rng_,
-                   feature_range=(0.0, 1.0))
+    f = dataset.features
+    lo = f.min(axis=0)
+    span = _unit_span(lo, f.max(axis=0), dataset.provenance)
+    out = f - lo
+    out /= span
+    return _derived(out, dataset.labels, dataset.provenance, dataset.split_tag,
+                    (0.0, 1.0))
+
+
+def _parts(rows, divisor, labels, fractions, rng, scale: bool, provenance: str,
+           feature_range) -> list[Dataset]:
+    """split(scale_unit(ds), fractions, rng), or split(ds, ...) without
+    scale, bit for bit, for the dataset ds whose features are rows / divisor
+    (rows itself when divisor is None). Each part's float64 features are
+    written by one row gather and scaled in place."""
+    index_sets = _split_indices(rows.shape[0], labels, fractions, rng)
+    if scale:
+        lo, hi = rows.min(axis=0), rows.max(axis=0)
+        if divisor is not None:
+            # dividing by a positive constant is monotone, so min(u) / c is
+            # min(u / c) bit for bit
+            lo, hi = lo / divisor, hi / divisor
+        span = _unit_span(lo, hi, provenance)
+        feature_range = (0.0, 1.0)
+    parts = []
+    for i, idx in enumerate(index_sets):
+        f = rows[idx] if divisor is None else np.divide(rows[idx], divisor)
+        if scale:
+            f -= lo
+            f /= span
+        parts.append(_derived(f, None if labels is None else labels[idx],
+                              provenance, f"part{i}", feature_range))
+    return parts
+
+
+def split_scaled(dataset: Dataset, fractions, rng: np.random.Generator) -> list[Dataset]:
+    """split(scale_unit(dataset), fractions, rng), bit for bit, without the
+    scaled full matrix."""
+    return _parts(dataset.features, None, dataset.labels, fractions, rng, True,
+                  dataset.provenance, dataset.feature_range)
+
+
+def load_idx_split(images_path, labels_path, fractions, rng: np.random.Generator,
+                   scale: bool) -> list[Dataset]:
+    """split(scale_unit(load_idx(...)), fractions, rng), or without
+    scale_unit when not scale, bit for bit: column ranges are taken over the
+    uint8 pixels and each part is converted to float64 once."""
+    pixels, labels = _read_idx(images_path, labels_path)
+    return _parts(pixels, 255.0, labels, fractions, rng, scale,
+                  f"idx({images_path})", (0.0, 1.0))
 
 
 def save_csv(dataset: Dataset, path) -> None:
@@ -249,16 +371,21 @@ def load_csv(path) -> Dataset:
                 raise CsvFormatError(
                     f"{where}: {len(row)} fields, the header has {len(header)}")
             try:
-                feats.append([float(v) for v in row[:d]])
+                values = [float(v) for v in row[:d]]
                 if has_label:
                     idx.append(int(row[d]))
             except ValueError as exc:
                 raise CsvFormatError(f"{where}: {exc}") from None
+            if not all(map(math.isfinite, values)):
+                cell = next(v for v, x in zip(row, values) if not math.isfinite(x))
+                raise CsvFormatError(f"{where}: feature {cell!r} is not finite")
             if has_label and idx[-1] < 0:
                 raise CsvFormatError(f"{where}: negative label {idx[-1]}")
+            feats.append(values)
+        if not feats:
+            raise CsvFormatError(f"{path}:{reader.line_num + 1}: no data rows")
     features = np.array(feats, dtype=np.float64).reshape(len(feats), d)
     labels = None
     if has_label:
-        labels = np.zeros((len(idx), max(idx) + 1 if idx else 0))
-        labels[np.arange(len(idx)), idx] = 1.0
-    return Dataset(features, labels, provenance=f"csv({path})")
+        labels = _one_hot(np.array(idx), max(idx) + 1)
+    return _derived(features, labels, f"csv({path})")

@@ -4,9 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from test_data import assert_identical, reference_scale_unit, reference_split, write_idx
 
-from iad import network
-from iad.cli import main
+from iad import data, network
+from iad.cli import _rng_streams, build_datasets, main
 from iad.config import DEFAULTS, ConfigError, ExperimentConfig
 
 TINY = ["--set", "data.per_class=40", "--set", "train.max_epochs=3",
@@ -287,3 +290,109 @@ def test_cli_out_of_range_optimizer_value_names_key(tmp_path, capsys, override):
     assert len(err) == 1 and err[0].startswith("error: ")
     assert override.partition("=")[0].removeprefix("train.") in err[0]
     assert not out.exists()
+
+
+# ------------------------------------------------------------ build_datasets
+
+@pytest.mark.parametrize("kind, scale", [
+    ("blobs", True), ("blobs", False), ("csv", True), ("idx", True), ("idx", False)])
+def test_build_datasets_matches_reference_bits(tmp_path, kind, scale):
+    overrides = {"seed": 9, "data.kind": kind, "data.scale_unit": scale,
+                 "data.per_class": 60}
+    if kind == "csv":
+        path = tmp_path / "d.csv"
+        data.save_csv(data.make_blobs(3, 60, data.triangle_centers(4.0), 0.7,
+                                      np.random.default_rng(1)), path)
+        overrides["data.csv"] = str(path)
+        source = data.load_csv(path)
+    elif kind == "idx":
+        rng = np.random.default_rng(2)
+        images = rng.integers(0, 256, size=(120, 7, 4), dtype=np.uint8)
+        images[:, 0, 0] = 3
+        labels = list(rng.integers(0, 10, size=120))
+        ip, lp = write_idx(tmp_path, images, labels)
+        overrides.update({"data.idx_images": str(ip), "data.idx_labels": str(lp)})
+        source = data.Dataset(images.reshape(120, -1) / 255.0, np.eye(10)[labels],
+                              provenance=f"idx({ip})", feature_range=(0.0, 1.0))
+    cfg = ExperimentConfig(overrides)
+    rngs = _rng_streams(cfg)
+    if kind == "blobs":
+        source = data.make_blobs(3, 60, data.triangle_centers(4.0), cfg["data.spread"],
+                                 rngs["blobs"])
+    if scale:
+        source = reference_scale_unit(source)
+    frac = cfg["data.test_fraction"]
+    want = reference_split(source, [1.0 - frac, frac], rngs["split"])
+    got = build_datasets(cfg)
+    assert len(got) == 2
+    for g, w in zip(got, want):
+        assert_identical(g, w)
+
+
+# ----------------------------------------- missing and non-finite input files
+
+def _assert_one_error_line(capsys, out, *parts):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    for part in parts:
+        assert part in err[0]
+    assert not out.exists()
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(which=st.sampled_from(["--config", "data.csv", "data.idx_images", "data.idx_labels"]),
+       name=st.text(alphabet="abcxyz019_-.", min_size=1, max_size=12))
+def test_cli_missing_input_file_exits_2(tmp_path, capsys, which, name):
+    missing = tmp_path / "absent" / name
+    ip, lp = write_idx(tmp_path, np.zeros((4, 2, 2), dtype=np.uint8), [0, 1, 0, 1])
+    argv = {
+        "--config": ["--config", str(missing)],
+        "data.csv": ["--set", "data.kind=csv", "--set", f"data.csv={missing}"],
+        "data.idx_images": ["--set", "data.kind=idx", "--set", f"data.idx_images={missing}",
+                            "--set", f"data.idx_labels={lp}"],
+        "data.idx_labels": ["--set", "data.kind=idx", "--set", f"data.idx_images={ip}",
+                            "--set", f"data.idx_labels={missing}"],
+    }[which]
+    out = tmp_path / "run"
+    assert run(["train", "--out", str(out)] + TINY + argv) == 2
+    _assert_one_error_line(capsys, out, str(missing), "No such file")
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_non_finite_csv_cell_exits_2(tmp_path, capsys, data):
+    n_rows = data.draw(st.integers(1, 6), label="rows")
+    row = data.draw(st.integers(0, n_rows - 1), label="row")
+    col = data.draw(st.integers(0, 1), label="col")
+    token = data.draw(st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e999",
+                                       "-2e400"]), label="token")
+    cells = [[repr(0.1 * i), repr(0.2 * i), str(i % 3)] for i in range(n_rows)]
+    cells[row][col] = token
+    path = tmp_path / "bad.csv"
+    path.write_text("f0,f1,label\n" + "".join(",".join(c) + "\n" for c in cells))
+    out = tmp_path / "run"
+    assert run(["train", "--out", str(out), "--set", "data.kind=csv",
+                "--set", f"data.csv={path}"] + TINY) == 2
+    _assert_one_error_line(capsys, out, f"{path}:{row + 2}: ", repr(token))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_overflowing_csv_range_exits_2(tmp_path, capsys, data):
+    # two finite values whose difference overflows float64
+    high = data.draw(st.floats(9e307, 1.7e308), label="high")
+    low = -data.draw(st.floats(9e307, 1.7e308), label="low")
+    col = data.draw(st.integers(0, 2), label="col")
+    n_rows = data.draw(st.integers(2, 6), label="rows")
+    cells = [[0.5 * i, 1.0, 2.0 * i] for i in range(n_rows)]
+    cells[0][col], cells[-1][col] = high, low
+    path = tmp_path / "wide.csv"
+    path.write_text("f0,f1,f2,label\n" + "".join(
+        ",".join(map(repr, c)) + f",{i % 2}\n" for i, c in enumerate(cells)))
+    out = tmp_path / "run"
+    assert run(["train", "--out", str(out), "--set", "data.kind=csv",
+                "--set", f"data.csv={path}"] + TINY) == 2
+    _assert_one_error_line(capsys, out, f"csv({path}): feature {col} spans")

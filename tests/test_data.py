@@ -2,13 +2,18 @@
 round-trips."""
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from iad.data import (CsvFormatError, Dataset, IdxFormatError, load_csv,
-                      load_idx, make_blobs, make_ood_ring, save_csv,
-                      scale_unit, split, triangle_centers)
+from iad.data import (CsvFormatError, Dataset, FeatureRangeError, IdxFormatError,
+                      load_csv, load_idx, load_idx_split, make_blobs, make_ood_ring,
+                      save_csv, scale_unit, split, split_scaled, support_extent,
+                      triangle_centers)
 
 
 def blobs(seed=0, spread=0.6, n=100):
@@ -26,6 +31,8 @@ def test_dataset_validation():
         Dataset(x, np.full((4, 3), 0.5))          # not one-hot
     with pytest.raises(ValueError):
         Dataset(np.array([[1.0, float("inf")]]), None)
+    with pytest.raises(ValueError):
+        Dataset(x).take(np.zeros((2, 2), dtype=int))   # not a 1-D index
 
 
 def test_label_indices_match_one_hot():
@@ -234,8 +241,13 @@ def test_csv_roundtrip_unlabeled(tmp_path):
     ("f0,f1,label\n0.5,abc,1\n", 2, "abc"),
     ("f0,f1,label\n0.5,0.25,one\n", 2, "one"),
     ("", 1, "missing header"),
+    ("f0,f1,label\n", 2, "no data rows"),
+    ("f0,f1,label\n0.5,0.25,1\n0.5,nan,0\n", 3, "'nan' is not finite"),
+    ("f0,f1\n-inf,0.25\n", 2, "'-inf' is not finite"),
+    ("f0,f1,label\n0.5,1e999,1\n", 2, "'1e999' is not finite"),
 ], ids=["negative-label", "short-row", "long-row", "unlabeled-short-row",
-        "bad-feature", "bad-label", "empty-file"])
+        "bad-feature", "bad-label", "empty-file", "header-only", "nan-feature", "inf-feature",
+        "overflowing-feature"])
 def test_load_csv_malformed_names_file_and_line(tmp_path, body, line, what):
     path = tmp_path / "bad.csv"
     path.write_text(body)
@@ -243,3 +255,165 @@ def test_load_csv_malformed_names_file_and_line(tmp_path, body, line, what):
         load_csv(path)
     assert f"{path}:{line}: " in str(exc.value)
     assert what in str(exc.value)
+
+
+# ------------------------------------------------ one-pass data path, bit-exact
+
+# scale_unit, split, support_extent and make_ood_ring as they were written
+# before the one-pass data path (take inlined as dataclasses.replace). The
+# library must reproduce them bit for bit.
+
+def reference_scale_unit(dataset):
+    lo = dataset.features.min(axis=0)
+    hi = dataset.features.max(axis=0)
+    rng_ = np.where(hi > lo, hi - lo, 1.0)
+    return replace(dataset, features=(dataset.features - lo) / rng_,
+                   feature_range=(0.0, 1.0))
+
+
+def reference_split(dataset, fractions, rng):
+    fractions = [float(f) for f in fractions]
+    parts = [[] for _ in fractions]
+    if dataset.labels is None:
+        groups = [np.arange(dataset.n)]
+    else:
+        idx = dataset.label_indices
+        groups = [np.flatnonzero(idx == c) for c in range(dataset.k)]
+    for group in groups:
+        perm = group[rng.permutation(group.size)]
+        bounds = np.floor(np.cumsum(fractions) * group.size + 0.5).astype(int)
+        bounds[-1] = group.size
+        start = 0
+        for i, stop in enumerate(bounds):
+            parts[i].append(perm[start:stop])
+            start = stop
+    out = []
+    for i, p in enumerate(parts):
+        rows = np.sort(np.concatenate(p))
+        out.append(replace(dataset, features=dataset.features[rows],
+                           labels=None if dataset.labels is None else dataset.labels[rows],
+                           split_tag=f"part{i}"))
+    return out
+
+
+def reference_support_extent(dataset):
+    mean = dataset.features.mean(axis=0)
+    return mean, float(np.max(np.linalg.norm(dataset.features - mean, axis=1)))
+
+
+def reference_ood_ring_features(dataset, radius_factor, n, rng):
+    mean, rmax = reference_support_extent(dataset)
+    dirs = rng.standard_normal((n, dataset.d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return mean + radius_factor * rmax * dirs
+
+
+def assert_identical(got, want):
+    """Same features and labels bit for bit, and the same metadata."""
+    assert got.features.dtype == want.features.dtype == np.float64
+    assert got.features.shape == want.features.shape
+    assert got.features.tobytes() == want.features.tobytes()
+    assert (got.labels is None) == (want.labels is None)
+    if want.labels is not None:
+        assert got.labels.tobytes() == want.labels.tobytes()
+    assert (got.provenance, got.split_tag, got.feature_range) == (
+        want.provenance, want.split_tag, want.feature_range)
+
+
+def wide(labeled=True, n=400, d=30, seed=10):
+    """Columns on very different scales, one of them constant."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 1.0, size=(n, d)) * np.logspace(-6, 6, d) + 3.0
+    x[:, 4] = -2.5
+    labels = np.eye(4)[rng.integers(0, 4, size=n)] if labeled else None
+    return Dataset(x, labels, provenance="wide")
+
+
+@pytest.mark.parametrize("make", [blobs, wide, lambda: wide(labeled=False)],
+                         ids=["blobs", "wide", "wide-unlabeled"])
+def test_scale_and_split_match_reference_bits(make):
+    ds = make()
+    assert_identical(scale_unit(ds), reference_scale_unit(ds))
+    for fractions in ([0.8, 0.2], [0.5, 0.3, 0.2], [1.0]):
+        want = reference_split(reference_scale_unit(ds), fractions,
+                               np.random.default_rng(11))
+        got = split_scaled(ds, fractions, np.random.default_rng(11))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_identical(g, w)
+        plain = split(ds, fractions, np.random.default_rng(11))
+        for g, w in zip(plain, reference_split(ds, fractions, np.random.default_rng(11))):
+            assert_identical(g, w)
+
+
+@pytest.mark.parametrize("scale", [True, False])
+def test_load_idx_split_matches_reference_bits(tmp_path, scale):
+    rng = np.random.default_rng(12)
+    # column minima and maxima spread over the byte range, not only 0 and 255
+    lo = rng.integers(0, 128, size=(1, 6, 5))
+    hi = rng.integers(128, 256, size=(1, 6, 5))
+    images = rng.integers(lo, hi, size=(90, 6, 5), endpoint=True).astype(np.uint8)
+    images[:, 0, 0] = 7          # a constant column
+    labels = list(rng.integers(0, 4, size=90))
+    ip, lp = write_idx(tmp_path, images, labels)
+    ds = Dataset(images.reshape(90, -1) / 255.0, np.eye(4)[labels],
+                 provenance=f"idx({ip})", feature_range=(0.0, 1.0))
+    assert_identical(load_idx(ip, lp), ds)
+    source = reference_scale_unit(ds) if scale else ds
+    want = reference_split(source, [0.75, 0.25], np.random.default_rng(13))
+    got = load_idx_split(ip, lp, [0.75, 0.25], np.random.default_rng(13), scale)
+    assert len(got) == 2
+    for g, w in zip(got, want):
+        assert_identical(g, w)
+
+
+# At D=784 a 256 KB block holds 41 rows: 1600 rows end in a one-row block and
+# 123 rows are exactly three blocks. At D=100 (327 rows) 1000 rows end in 19.
+@pytest.mark.parametrize("shape", [(2400, 2), (1600, 784), (123, 784), (1000, 100)])
+def test_support_extent_matches_norm_formula_bits(shape):
+    ds = Dataset(np.random.default_rng(14).normal(2.0, 3.0, size=shape))
+    mean, rmax = support_extent(ds)
+    want_mean, want_rmax = reference_support_extent(ds)
+    assert mean.tobytes() == want_mean.tobytes()
+    assert rmax == want_rmax
+
+
+@pytest.mark.parametrize("make", [blobs, lambda: Dataset(
+    np.random.default_rng(16).uniform(0.0, 1.0, size=(500, 784)))], ids=["blobs", "d784"])
+def test_ood_ring_matches_reference_bits(make):
+    ds = make()
+    ring = make_ood_ring(ds, 1.5, 300, np.random.default_rng(15))
+    want = reference_ood_ring_features(ds, 1.5, 300, np.random.default_rng(15))
+    assert ring.features.tobytes() == want.tobytes()
+
+
+def test_scale_unit_names_an_overflowing_column():
+    x = np.array([[0.0, 1e308], [1.0, -1e308]])
+    with pytest.raises(FeatureRangeError, match=r"blobs-like: feature 1 spans"):
+        scale_unit(Dataset(x, provenance="blobs-like"))
+
+
+_HUGE = st.sampled_from([1e300, -1e300, 1.7e308, -1.7e308])
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
+                  elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                     _HUGE)))
+def test_scaled_features_are_in_unit_range_or_the_overflow_is_named(x):
+    # scaled datasets skip the finiteness re-check; this is what makes that safe
+    ds = Dataset(x)
+    with np.errstate(over="ignore"):
+        overflow = not np.all(np.isfinite(x.max(axis=0) - x.min(axis=0)))
+    try:
+        scaled = scale_unit(ds)
+    except FeatureRangeError as exc:
+        assert overflow, str(exc)
+        with pytest.raises(FeatureRangeError):
+            split_scaled(ds, [1.0], np.random.default_rng(0))
+        return
+    assert not overflow
+    f = scaled.features
+    assert np.all(np.isfinite(f)) and np.all(f >= 0.0) and np.all(f <= 1.0)
+    (whole,) = split_scaled(ds, [1.0], np.random.default_rng(0))
+    assert whole.features.tobytes() == f.tobytes()
