@@ -56,18 +56,28 @@ def _prepare_out_dir(args) -> Path:
     return out
 
 
-def _input_hash(cfg: ExperimentConfig) -> str:
-    h = hashlib.sha256(cfg.resolved_text().encode())
+def _read_inputs(cfg: ExperimentConfig) -> dict[str, bytes]:
+    """The bytes of each data file the config names, read once: the loaders
+    parse them and inputs_sha256 covers them, in this key order."""
+    raw = {}
     for key in ("data.csv", "data.idx_images", "data.idx_labels"):
-        path = cfg[key]
-        if path:
-            h.update(Path(path).read_bytes())
+        if cfg[key]:
+            with open(cfg[key], "rb") as fh:
+                raw[key] = fh.read()
+    return raw
+
+
+def _input_hash(cfg: ExperimentConfig, raw: dict[str, bytes]) -> str:
+    """sha256 of the resolved config text, then of each data file's bytes."""
+    h = hashlib.sha256(cfg.resolved_text().encode())
+    for blob in raw.values():
+        h.update(blob)
     return h.hexdigest()
 
 
-def _write_run_metadata(out: Path, cfg: ExperimentConfig) -> None:
+def _write_run_metadata(out: Path, cfg: ExperimentConfig, inputs_sha256: str) -> None:
     (out / "config_resolved.txt").write_text(cfg.resolved_text(), encoding="utf-8")
-    meta = {"seed": cfg["seed"], "inputs_sha256": _input_hash(cfg)}
+    meta = {"seed": cfg["seed"], "inputs_sha256": inputs_sha256}
     (out / "run_meta.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -78,15 +88,19 @@ def _rng_streams(cfg: ExperimentConfig) -> dict[str, np.random.Generator]:
     return {n: np.random.default_rng(s) for n, s in zip(names, seeds)}
 
 
-def build_datasets(cfg: ExperimentConfig) -> tuple[data.Dataset, data.Dataset]:
-    """Deterministic (train, test) pair from the config and root seed."""
+def build_datasets(cfg: ExperimentConfig,
+                   raw: dict[str, bytes]) -> tuple[data.Dataset, data.Dataset]:
+    """Deterministic (train, test) pair from the config, the root seed and
+    the data files' bytes (from _read_inputs). Every command that reads data
+    needs labels, so a CSV without a label column is refused."""
     rngs = _rng_streams(cfg)
     kind = cfg["data.kind"]
     frac = cfg["data.test_fraction"]
     fractions, scale = [1.0 - frac, frac], cfg["data.scale_unit"]
     if kind == "idx":
-        train_ds, test_ds = data.load_idx_split(cfg["data.idx_images"], cfg["data.idx_labels"],
-                                                fractions, rngs["split"], scale)
+        train_ds, test_ds = data.load_idx_split(
+            cfg["data.idx_images"], cfg["data.idx_labels"], fractions, rngs["split"], scale,
+            raw.get("data.idx_images"), raw.get("data.idx_labels"))
         return train_ds, test_ds
     if kind == "blobs":
         centers = data.triangle_centers(cfg["data.side"])
@@ -99,7 +113,10 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[data.Dataset, data.Dataset]:
         ds = data.make_blobs(k, cfg["data.per_class"], centers,
                              cfg["data.spread"], rngs["blobs"])
     else:
-        ds = data.load_csv(cfg["data.csv"])
+        ds = data.load_csv(cfg["data.csv"], raw.get("data.csv"))
+        if ds.labels is None:
+            raise data.CsvFormatError(f"{cfg['data.csv']}:1: the header has no 'label' "
+                                      "column; training and evaluation need labels")
     split = data.split_scaled if scale else data.split
     train_ds, test_ds = split(ds, fractions, rngs["split"])
     return train_ds, test_ds
@@ -251,7 +268,10 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         net = _load_net(args) if args.command in _NEEDS_CHECKPOINT else None
-        datasets = None if args.command == "verify" else build_datasets(cfg)
+        raw = _read_inputs(cfg)
+        datasets = None if args.command == "verify" else build_datasets(cfg, raw)
+        inputs_sha256 = _input_hash(cfg, raw)
+        del raw  # not held through the command
         if net is not None:
             _check_net_fits(net, datasets[0], args.checkpoint)
         out = _prepare_out_dir(args)
@@ -267,7 +287,7 @@ def main(argv=None) -> int:
         # cannot be created
         print(f"error: {exc.strerror}: {exc.filename!r}", file=sys.stderr)
         return 2
-    _write_run_metadata(out, cfg)
+    _write_run_metadata(out, cfg, inputs_sha256)
     return _COMMANDS[args.command](cfg, out, datasets, net)
 
 

@@ -127,7 +127,13 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
         values: dict = {}
-        text = Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_bytes()
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = raw.count(b"\n", 0, exc.start) + 1
+            raise ConfigError(
+                f"{path}:{lineno}: byte 0x{raw[exc.start]:02x} is not UTF-8") from None
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):

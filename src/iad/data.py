@@ -4,6 +4,7 @@ container."""
 from __future__ import annotations
 
 import csv
+import io
 import math
 import struct
 from dataclasses import dataclass
@@ -198,36 +199,44 @@ def make_ood_ring(dataset: Dataset, radius_factor: float, n: int,
                    feature_range=dataset.feature_range)
 
 
-def _read_idx_header(fh, path, magic, n_dims):
-    head = fh.read(4 * (1 + n_dims))
-    if len(head) != 4 * (1 + n_dims):
+def _contents(path, raw: bytes | None) -> bytes:
+    """raw, or the bytes of the file at path when the caller has not read it."""
+    if raw is not None:
+        return raw
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _idx_header(raw: bytes, path, magic, n_dims) -> tuple[int, ...]:
+    if len(raw) < 4 * (1 + n_dims):
         raise IdxFormatError(f"{path}: truncated header")
-    vals = struct.unpack(f">{1 + n_dims}I", head)
+    vals = struct.unpack_from(f">{1 + n_dims}I", raw)
     if vals[0] != magic:
         raise IdxFormatError(f"{path}: bad magic 0x{vals[0]:08x}, expected 0x{magic:08x}")
     return vals[1:]
 
 
-def _read_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
+def _read_idx(images_path, labels_path, images_raw=None,
+              labels_raw=None) -> tuple[np.ndarray, np.ndarray]:
     """The (N, rows * cols) uint8 pixels and (N, K) one-hot labels of an IDX
-    pair (big-endian, unsigned bytes)."""
-    with open(images_path, "rb") as fh:
-        count, rows, cols = _read_idx_header(fh, images_path, _IMAGE_MAGIC, 3)
-        raw = fh.read(count * rows * cols)
-        if len(raw) != count * rows * cols:
-            raise IdxFormatError(f"{images_path}: truncated pixel data")
-    with open(labels_path, "rb") as fh:
-        (label_count,) = _read_idx_header(fh, labels_path, _LABEL_MAGIC, 1)
-        raw_labels = fh.read(label_count)
-        if len(raw_labels) != label_count:
-            raise IdxFormatError(f"{labels_path}: truncated label data")
+    pair (big-endian, unsigned bytes). images_raw and labels_raw are the
+    files' bytes when the caller has read them already."""
+    images = _contents(images_path, images_raw)
+    count, rows, cols = _idx_header(images, images_path, _IMAGE_MAGIC, 3)
+    if len(images) - 16 < count * rows * cols:
+        raise IdxFormatError(f"{images_path}: truncated pixel data")
+    labels = _contents(labels_path, labels_raw)
+    (label_count,) = _idx_header(labels, labels_path, _LABEL_MAGIC, 1)
+    if len(labels) - 8 < label_count:
+        raise IdxFormatError(f"{labels_path}: truncated label data")
     if label_count != count:
         raise IdxFormatError(
             f"image/label count mismatch: {count} images vs {label_count} labels")
     if count == 0:
         raise IdxFormatError(f"{images_path}: holds no images")
-    classes = np.frombuffer(raw_labels, dtype=np.uint8)
-    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
+    classes = np.frombuffer(labels, dtype=np.uint8, count=count, offset=8)
+    pixels = np.frombuffer(images, dtype=np.uint8, count=count * rows * cols,
+                           offset=16).reshape(count, rows * cols)
     return pixels, _one_hot(classes, int(classes.max()) + 1)
 
 
@@ -328,11 +337,13 @@ def split_scaled(dataset: Dataset, fractions, rng: np.random.Generator) -> list[
 
 
 def load_idx_split(images_path, labels_path, fractions, rng: np.random.Generator,
-                   scale: bool) -> list[Dataset]:
+                   scale: bool, images_raw: bytes | None = None,
+                   labels_raw: bytes | None = None) -> list[Dataset]:
     """split(scale_unit(load_idx(...)), fractions, rng), or without
     scale_unit when not scale, bit for bit: column ranges are taken over the
-    uint8 pixels and each part is converted to float64 once."""
-    pixels, labels = _read_idx(images_path, labels_path)
+    uint8 pixels and each part is converted to float64 once. images_raw and
+    labels_raw are the files' bytes when the caller has read them already."""
+    pixels, labels = _read_idx(images_path, labels_path, images_raw, labels_raw)
     return _parts(pixels, 255.0, labels, fractions, rng, scale,
                   f"idx({images_path})", (0.0, 1.0))
 
@@ -354,10 +365,18 @@ def save_csv(dataset: Dataset, path) -> None:
             writer.writerow(row)
 
 
-def load_csv(path) -> Dataset:
+def load_csv(path, raw: bytes | None = None) -> Dataset:
     """Load the native container written by save_csv; one-hot width is the
-    largest label plus one."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    largest label plus one. raw is the file's bytes when the caller has read
+    them already."""
+    raw = _contents(path, raw)
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise CsvFormatError(
+            f"{path}:{line}: byte 0x{raw[exc.start]:02x} is not UTF-8") from None
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header:

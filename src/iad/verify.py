@@ -14,7 +14,6 @@ from .specfun import digamma, trigamma
 
 __all__ = [
     "Verdict",
-    "SweepResult",
     "verify_lemma1",
     "verify_lemma2",
     "verify_theorem1",
@@ -28,6 +27,11 @@ __all__ = [
 # Differences must beat this in the predicted direction to count as strict.
 STRICT_TOL = 1e-12
 
+# A theorem evaluates its random bases in one loss call of up to this many
+# (50k rows on the default grid; ~47 KB of peak memory per base), so memory
+# stays bounded for any verify.trials. The default 100 trials make one call.
+_BASES_PER_CALL = 1000
+
 
 @dataclass
 class Verdict:
@@ -39,19 +43,6 @@ class Verdict:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-@dataclass
-class SweepResult:
-    """One parameter sweep: grid, loss values, differences and a verdict."""
-
-    grid: list[float]
-    values: list[float]
-    first_diffs: list[float]
-    second_diffs: list[float]
-    passed: bool
-    first_violation: int | None = None
-    knee_index: int | None = None
 
 
 def default_grid(lo: float = 1.01, hi: float = 1e3, n: int = 50) -> np.ndarray:
@@ -98,42 +89,35 @@ def verify_lemma2(n_triples: int = 1000, seed: int = 0) -> Verdict:
 
 
 def _divided_second_diffs(grid: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Second divided differences; positive everywhere iff strictly convex
-    on the (unevenly spaced) grid."""
+    """Second divided differences along the last axis; positive everywhere
+    iff strictly convex on the (unevenly spaced) grid."""
     d1 = np.diff(vals) / np.diff(grid)
     return np.diff(d1) / (grid[2:] - grid[:-2])
 
 
-def _sweep(curve_fn, grid: np.ndarray, check: str) -> SweepResult:
-    vals = curve_fn(grid)
-    diffs = np.diff(vals)
-    second = _divided_second_diffs(grid, vals)
-    first_violation = None
-    knee = None
-    if check == "decreasing_convex":
-        bad_dec = np.flatnonzero(diffs >= -STRICT_TOL)
-        bad_conv = np.flatnonzero(second <= STRICT_TOL)
-        passed = bad_dec.size == 0 and bad_conv.size == 0
-        if not passed:
-            first_violation = int(min(
-                [b[0] for b in (bad_dec, bad_conv) if b.size]))
-    elif check == "increasing":
-        bad = np.flatnonzero(diffs <= STRICT_TOL)
-        passed = bad.size == 0
-        if not passed:
-            first_violation = int(bad[0])
-    elif check == "eventually_increasing":
-        pos = diffs > STRICT_TOL
-        # knee: first index after which every forward difference is positive
-        suffix_ok = np.flatnonzero(np.cumprod(pos[::-1])[::-1])
-        knee = int(suffix_ok[0]) if suffix_ok.size else None
-        passed = knee is not None and vals[-1] > vals[0]
-        if not passed:
-            first_violation = int(np.flatnonzero(~pos)[-1]) if np.any(~pos) else None
-    else:
-        raise ValueError(check)
-    return SweepResult(grid.tolist(), vals.tolist(), diffs.tolist(), second.tolist(),
-                       passed, first_violation, knee)
+def _decreasing_convex(grid: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Per row of vals (sweeps, grid points): strictly decreasing and
+    strictly convex."""
+    bad = (np.any(np.diff(vals) >= -STRICT_TOL, axis=1)
+           | np.any(_divided_second_diffs(grid, vals) <= STRICT_TOL, axis=1))
+    return ~bad
+
+
+def _increasing(vals: np.ndarray) -> np.ndarray:
+    """Per row of vals: strictly increasing."""
+    return ~np.any(np.diff(vals) <= STRICT_TOL, axis=1)
+
+
+def _eventually_increasing(vals: np.ndarray) -> tuple[np.ndarray, list[int | None]]:
+    """Per row of vals: (passed, knee). The knee is the first index after
+    which every forward difference is positive, None when the last one is
+    not; a row passes when it has a knee and ends above its start."""
+    pos = np.diff(vals) > STRICT_TOL
+    suffix_ok = np.logical_and.accumulate(pos[:, ::-1], axis=1)[:, ::-1]
+    has_knee = suffix_ok[:, -1]
+    knees = [int(i) if ok else None
+             for i, ok in zip(np.argmax(suffix_ok, axis=1), has_knee)]
+    return has_knee & (vals[:, -1] > vals[:, 0]), knees
 
 
 def _random_bases(rng: np.random.Generator, trials: int, k: int = 10):
@@ -144,29 +128,34 @@ def _random_bases(rng: np.random.Generator, trials: int, k: int = 10):
         yield alpha, c, j
 
 
-def _base_sweeps(trials: int, grid, seed: int, loss_fn, vary_correct: bool,
-                 check: str) -> tuple[list[SweepResult], list[int]]:
-    """One sweep per random base, loss_fn(alpha, c) along the correct-class
-    concentration parameter or along a random off-class one; also returns
-    the indices of the failed sweeps."""
+def _base_sweeps(trials: int, grid, seed: int, loss_fn,
+                 vary_correct: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(grid, vals): vals[t] is loss_fn(alpha, c) for random base t along the
+    grid, in the correct-class concentration parameter or in a random
+    off-class one. One loss_fn call covers up to _BASES_PER_CALL bases."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     grid = _check_grid(default_grid() if grid is None else grid)
     rng = np.random.default_rng(seed)
-    sweeps = []
-    for alpha, c, j in _random_bases(rng, trials):
-        def curve(g, alpha=alpha, c=c, col=c if vary_correct else j):
-            a = np.tile(alpha, (g.size, 1))
-            a[:, col] = g
-            return loss_fn(a, np.full(g.size, c))
-        sweeps.append(_sweep(curve, grid, check))
-    return sweeps, [i for i, s in enumerate(sweeps) if not s.passed]
+    alphas, cs, js = (np.array(v) for v in zip(*_random_bases(rng, trials)))
+    col = cs if vary_correct else js
+    vals = np.empty((trials, grid.size))
+    for lo in range(0, trials, _BASES_PER_CALL):
+        part = slice(lo, lo + _BASES_PER_CALL)
+        a = np.repeat(alphas[part, None, :], grid.size, axis=1)
+        a[np.arange(a.shape[0])[:, None], np.arange(grid.size), col[part, None]] = grid
+        vals[part] = loss_fn(a.reshape(-1, alphas.shape[1]),
+                             np.repeat(cs[part], grid.size)).reshape(-1, grid.size)
+    return grid, vals
 
 
 def verify_theorem1(trials: int = 100, grid=None, seed: int = 0,
                     p_norm: float = 4.0) -> Verdict:
     """F is strictly convex and strictly decreasing in the correct-class
     concentration parameter."""
-    _, bad = _base_sweeps(trials, grid, seed, lambda a, c: iad_loss_batch(a, c, p_norm),
-                          True, "decreasing_convex")
+    grid, vals = _base_sweeps(trials, grid, seed,
+                              lambda a, c: iad_loss_batch(a, c, p_norm), True)
+    bad = np.flatnonzero(~_decreasing_convex(grid, vals)).tolist()
     return Verdict("theorem1", not bad, seed, trials, {"p_norm": p_norm, "failures": bad})
 
 
@@ -174,17 +163,19 @@ def verify_theorem2(trials: int = 100, grid=None, seed: int = 0,
                     p_norm: float = 4.0) -> Verdict:
     """F is eventually strictly increasing in an off-class concentration
     parameter, with the final value above the initial one."""
-    sweeps, bad = _base_sweeps(trials, grid, seed, lambda a, c: iad_loss_batch(a, c, p_norm),
-                               False, "eventually_increasing")
+    _, vals = _base_sweeps(trials, grid, seed,
+                           lambda a, c: iad_loss_batch(a, c, p_norm), False)
+    passed, knees = _eventually_increasing(vals)
+    bad = np.flatnonzero(~passed).tolist()
     return Verdict("theorem2", not bad, seed, trials,
-                   {"p_norm": p_norm, "knees": [s.knee_index for s in sweeps],
-                    "failures": bad})
+                   {"p_norm": p_norm, "knees": knees, "failures": bad})
 
 
 def verify_theorem3(trials: int = 100, grid=None, seed: int = 0) -> Verdict:
     """The information regularizer is strictly increasing in every off-class
     concentration parameter over the whole grid."""
-    _, bad = _base_sweeps(trials, grid, seed, info_regularizer_batch, False, "increasing")
+    _, vals = _base_sweeps(trials, grid, seed, info_regularizer_batch, False)
+    bad = np.flatnonzero(~_increasing(vals)).tolist()
     return Verdict("theorem3", not bad, seed, trials, {"failures": bad})
 
 
@@ -205,7 +196,6 @@ def theorem2_figure_sweep(alpha: np.ndarray, c: int, p_norm: float, grid) -> dic
     mask[c] = False
     approx = ((s ** p_norm + np.sum(a[:, mask] ** p_norm, axis=1)) / a0 ** p_norm) ** (1.0 / p_norm)
 
-    sweep = _sweep(lambda _: exact, grid, "eventually_increasing")
     return {
         "grid": grid.tolist(),
         "swept_index": j,
@@ -213,7 +203,7 @@ def theorem2_figure_sweep(alpha: np.ndarray, c: int, p_norm: float, grid) -> dic
         "p_norm": p_norm,
         "exact": exact.tolist(),
         "approx": approx.tolist(),
-        "knee_index": sweep.knee_index,
+        "knee_index": _eventually_increasing(exact[None, :])[1][0],
         "has_dip": bool(np.any(np.diff(exact) < -STRICT_TOL)),
         "rises": bool(exact[-1] > exact[0]),
     }

@@ -1,6 +1,8 @@
 """Config parsing and CLI command plumbing on tiny runs."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from test_data import assert_identical, reference_scale_unit, reference_split, write_idx
 
 from iad import data, network
-from iad.cli import _rng_streams, build_datasets, main
+from iad.cli import _load_config, _read_inputs, _rng_streams, build_datasets, build_parser, main
 from iad.config import DEFAULTS, ConfigError, ExperimentConfig
 
 TINY = ["--set", "data.per_class=40", "--set", "train.max_epochs=3",
@@ -44,6 +46,14 @@ def test_config_from_file_and_overrides(tmp_path):
     assert cfg["data.spread"] == 1.25
     assert cfg["loss"] == "edl"
     assert cfg["arch"] == [16, 16]
+
+
+def test_config_from_file_rejects_non_utf8(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(b"seed = 1\n# caf\xe9\nloss = edl\n")
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig.from_file(path)
+    assert f"{path}:2: byte 0xe9 is not UTF-8" in str(exc.value)
 
 
 def test_config_rejects_bad_loss():
@@ -323,7 +333,7 @@ def test_build_datasets_matches_reference_bits(tmp_path, kind, scale):
         source = reference_scale_unit(source)
     frac = cfg["data.test_fraction"]
     want = reference_split(source, [1.0 - frac, frac], rngs["split"])
-    got = build_datasets(cfg)
+    got = build_datasets(cfg, _read_inputs(cfg))
     assert len(got) == 2
     for g, w in zip(got, want):
         assert_identical(g, w)
@@ -396,3 +406,65 @@ def test_cli_overflowing_csv_range_exits_2(tmp_path, capsys, data):
     assert run(["train", "--out", str(out), "--set", "data.kind=csv",
                 "--set", f"data.csv={path}"] + TINY) == 2
     _assert_one_error_line(capsys, out, f"csv({path}): feature {col} spans")
+
+
+# ---------------------------------------- unlabeled and non-UTF-8 input files
+
+@pytest.mark.parametrize("command", ["train", "eval", "ood", "attack", "compare"])
+def test_cli_unlabeled_csv_exits_2_before_writing(tmp_path, capsys, command):
+    path = tmp_path / "unlabeled.csv"
+    path.write_text("f0,f1\n0.1,0.2\n0.3,0.4\n0.5,0.6\n")
+    out = tmp_path / "run"
+    argv = [command, "--out", str(out), "--set", "data.kind=csv",
+            "--set", f"data.csv={path}"] + TINY
+    if command in ("eval", "ood", "attack"):
+        ckpt = tmp_path / "ckpt.json"
+        network.save_checkpoint(network.init([2, 8, 3], np.random.default_rng(0)), ckpt)
+        argv += ["--checkpoint", str(ckpt)]
+    assert run(argv) == 2
+    _assert_one_error_line(capsys, out, f"{path}:1: ", "'label' column")
+
+
+@pytest.mark.parametrize("which, body, line", [
+    ("--config", b"seed = 1\n# caf\xe9\n", 2),
+    ("data.csv", b"f0,f1,label\n0.1,0.2,0\n0.3,\xff,1\n", 3)])
+def test_cli_non_utf8_input_exits_2(tmp_path, capsys, which, body, line):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(body)
+    argv = (["--config", str(path)] if which == "--config" else
+            ["--set", "data.kind=csv", "--set", f"data.csv={path}"])
+    out = tmp_path / "run"
+    assert run(["train", "--out", str(out)] + TINY + argv) == 2
+    _assert_one_error_line(capsys, out, f"{path}:{line}: ", "is not UTF-8")
+
+
+# ----------------------------------------------------------- inputs_sha256
+
+def reference_input_hash(cfg) -> str:
+    """inputs_sha256 as first defined: the resolved config text, then the
+    bytes of each data file the config names, read anew, in key order."""
+    h = hashlib.sha256(cfg.resolved_text().encode())
+    for key in ("data.csv", "data.idx_images", "data.idx_labels"):
+        if cfg[key]:
+            h.update(Path(cfg[key]).read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kind", ["blobs", "csv", "idx"])
+def test_cli_inputs_sha256_matches_reference(tmp_path, kind):
+    csv_path = tmp_path / "d.csv"
+    data.save_csv(data.make_blobs(3, 20, data.triangle_centers(4.0), 0.5,
+                                  np.random.default_rng(1)), csv_path)
+    rng = np.random.default_rng(2)
+    ip, lp = write_idx(tmp_path, rng.integers(0, 256, size=(60, 3, 3), dtype=np.uint8),
+                       list(np.arange(60) % 3))
+    # every data key names a file, so the hash also covers files the
+    # data.kind does not read
+    out = tmp_path / "run"
+    argv = ["train", "--out", str(out), "--set", f"data.kind={kind}",
+            "--set", f"data.csv={csv_path}", "--set", f"data.idx_images={ip}",
+            "--set", f"data.idx_labels={lp}"] + TINY
+    assert run(argv) == 0
+    meta = json.loads((out / "run_meta.json").read_text())
+    want = reference_input_hash(_load_config(build_parser().parse_args(argv)))
+    assert meta["inputs_sha256"] == want

@@ -245,12 +245,14 @@ def test_csv_roundtrip_unlabeled(tmp_path):
     ("f0,f1,label\n0.5,0.25,1\n0.5,nan,0\n", 3, "'nan' is not finite"),
     ("f0,f1\n-inf,0.25\n", 2, "'-inf' is not finite"),
     ("f0,f1,label\n0.5,1e999,1\n", 2, "'1e999' is not finite"),
+    ("f0,f1,label\n0.5,0.25,1\n0.5,\xff,0\n", 3, "byte 0xff is not UTF-8"),
+    ("f0,f\xe9\n0.5,0.25\n", 1, "byte 0xe9 is not UTF-8"),
 ], ids=["negative-label", "short-row", "long-row", "unlabeled-short-row",
         "bad-feature", "bad-label", "empty-file", "header-only", "nan-feature", "inf-feature",
-        "overflowing-feature"])
+        "overflowing-feature", "invalid-utf8-byte", "latin1-header"])
 def test_load_csv_malformed_names_file_and_line(tmp_path, body, line, what):
     path = tmp_path / "bad.csv"
-    path.write_text(body)
+    path.write_bytes(body.encode("latin-1"))
     with pytest.raises(CsvFormatError) as exc:
         load_csv(path)
     assert f"{path}:{line}: " in str(exc.value)

@@ -11,7 +11,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iad.specfun import (DomainError, MIN_ARG, beta_moment, digamma,
+from iad.specfun import (BLOCK, DomainError, MIN_ARG, beta_moment, digamma,
                          log_gamma, tetragamma, trigamma)
 
 EULER_GAMMA = 0.5772156649015328606
@@ -168,6 +168,63 @@ def test_psi_family_shift_2d_and_wholly_above_cutoff(fn, oracle, rtol, atol,
     above = np.linspace(10.0, 1e3, 64)
     assert np.allclose(fn(above), oracle(above), rtol=rtol, atol=atol)
     assert np.allclose(fn(above + 1.0), fn(above) + step(above), rtol=rel, atol=abs_)
+
+
+# ------------------------------------------------------------ bulk blocking
+
+_BULK_N = 3 * BLOCK + 7
+
+
+@pytest.fixture(scope="module")
+def bulk_input():
+    """3 BLOCK + 7 arguments: a third below 0.5 (log_gamma's reflection), a
+    third in [0.5, 10] (the psi family's shift), a third above 10, shuffled,
+    plus each branch boundary."""
+    rng = np.random.default_rng(8)
+    third = _BULK_N // 3
+    x = np.concatenate([rng.uniform(MIN_ARG, 0.5, third), rng.uniform(0.5, 10.0, third),
+                        rng.uniform(10.0, 1e6, _BULK_N - 2 * third)])
+    rng.shuffle(x)
+    x[:4] = [MIN_ARG, 0.5, 10.0 - 1e-15, 10.0]
+    return x
+
+
+@pytest.fixture(scope="module")
+def elementwise(bulk_input):
+    """Each function applied alone to each element of bulk_input within 8 of
+    a piece boundary or of either end, and to 3000 more at random; NaN
+    elsewhere."""
+    n = bulk_input.size
+    near = (np.arange(0, n + BLOCK, BLOCK)[:, None] + np.arange(-8, 8)).ravel()
+    sample = np.union1d(near[(near >= 0) & (near < n)],
+                        np.random.default_rng(9).choice(n, 3000, replace=False))
+    out = {}
+    for fn in (log_gamma, digamma, trigamma, tetragamma):
+        want = np.full(n, np.nan)
+        want[sample] = [fn(float(bulk_input[i])) for i in sample]
+        out[fn] = want
+    return out
+
+
+@pytest.mark.parametrize("fn", [log_gamma, digamma, trigamma, tetragamma])
+def test_bulk_calls_equal_elementwise_calls(fn, bulk_input, elementwise):
+    # one block, the first calls split into pieces, a ragged last piece, and
+    # 2-D and strided inputs longer than a block; each view is applied to the
+    # element positions too, to find each result's elementwise value
+    pos = np.arange(bulk_input.size)
+    rows = 3 * (BLOCK + 1)
+    views = [lambda a, n=n: a[:n] for n in (BLOCK - 1, BLOCK, BLOCK + 1, _BULK_N)] + [
+        lambda a: a[:rows].reshape(BLOCK + 1, 3),
+        lambda a: a[:rows].reshape(BLOCK + 1, 3).T,
+        lambda a: a[::2]]
+    for view in views:
+        x, at = view(bulk_input), view(pos)
+        got = fn(x)
+        assert got.shape == x.shape
+        want = elementwise[fn][at]
+        checked = ~np.isnan(want)
+        assert checked.sum() > 500
+        assert np.array_equal(got[checked], want[checked])
 
 
 # -------------------------------------------------------------- beta_moment

@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from iad.verify import (STRICT_TOL, default_grid, figure_sweep_to_csv,
+from iad import verify
+from iad.losses import iad_loss_batch, info_regularizer_batch
+from iad.verify import (STRICT_TOL, Verdict, default_grid, figure_sweep_to_csv,
                         run_all, theorem2_figure_sweep, verdicts_to_json,
                         verify_lemma1, verify_lemma2, verify_theorem1,
                         verify_theorem2, verify_theorem3)
@@ -63,6 +65,8 @@ def test_grid_validation():
         verify_theorem1(trials=1, grid=[0.5, 1.0, 2.0])
     with pytest.raises(ValueError):
         verify_theorem1(trials=1, grid=[2.0, 1.5, 3.0])
+    with pytest.raises(ValueError):
+        verify_theorem1(trials=0)
 
 
 def test_figure_sweep_dip_then_rise():
@@ -104,3 +108,87 @@ def test_emission_roundtrip(tmp_path):
     figure_sweep_to_csv(sweep, tmp_path / "f.csv")
     lines = (tmp_path / "f.csv").read_text().splitlines()
     assert len(lines) == len(sweep["grid"]) + 1
+
+
+# ------------------------------------------- batched sweeps against per-trial
+
+def reference_sweeps(trials, seed, loss_fn, vary_correct, check):
+    """(failures, knees) by the per-trial algorithm: one loss call over the
+    grid and one check per random base."""
+    grid = default_grid()
+    rng = np.random.default_rng(seed)
+    failures, knees = [], []
+    for t in range(trials):
+        alpha = rng.uniform(1.0, 50.0, size=10)
+        c = int(rng.integers(10))
+        j = int(rng.choice([i for i in range(10) if i != c]))
+        a = np.tile(alpha, (grid.size, 1))
+        a[:, c if vary_correct else j] = grid
+        vals = loss_fn(a, np.full(grid.size, c))
+        diffs = np.diff(vals)
+        if check == "decreasing_convex":
+            second = np.diff(diffs / np.diff(grid)) / (grid[2:] - grid[:-2])
+            passed = not (np.any(diffs >= -STRICT_TOL) or np.any(second <= STRICT_TOL))
+        elif check == "increasing":
+            passed = not np.any(diffs <= STRICT_TOL)
+        else:
+            pos = diffs > STRICT_TOL
+            suffix_ok = np.flatnonzero(np.cumprod(pos[::-1])[::-1])
+            knee = int(suffix_ok[0]) if suffix_ok.size else None
+            knees.append(knee)
+            passed = knee is not None and vals[-1] > vals[0]
+        if not passed:
+            failures.append(t)
+    return failures, knees
+
+
+def reference_theorem(name, trials, seed, p_norm=4.0) -> dict:
+    iad = lambda a, c: iad_loss_batch(a, c, p_norm)  # noqa: E731
+    if name == "theorem1":
+        bad, _ = reference_sweeps(trials, seed, iad, True, "decreasing_convex")
+        detail = {"p_norm": p_norm, "failures": bad}
+    elif name == "theorem2":
+        bad, knees = reference_sweeps(trials, seed, iad, False, "eventually_increasing")
+        detail = {"p_norm": p_norm, "knees": knees, "failures": bad}
+    else:
+        bad, _ = reference_sweeps(trials, seed, info_regularizer_batch, False, "increasing")
+        detail = {"failures": bad}
+    return Verdict(name, not bad, seed, trials, detail).to_dict()
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("trials", [1, 7, 100])
+def test_batched_theorems_equal_per_trial_reference(seed, trials):
+    for name, fn in (("theorem1", verify_theorem1), ("theorem2", verify_theorem2),
+                     ("theorem3", verify_theorem3)):
+        assert fn(trials, seed=seed).to_dict() == reference_theorem(name, trials, seed)
+
+
+def test_batched_theorems_split_over_calls_equal_per_trial_reference(monkeypatch):
+    monkeypatch.setattr(verify, "_BASES_PER_CALL", 3)
+    for name, fn in (("theorem1", verify_theorem1), ("theorem2", verify_theorem2),
+                     ("theorem3", verify_theorem3)):
+        assert fn(7, seed=2).to_dict() == reference_theorem(name, 7, 2)
+
+
+def test_sweep_checks_report_failures_and_missing_knees():
+    # by c mod 3: a rise with a wiggle that may end falling, a straight
+    # (not strictly convex) fall, and a convex fall
+    def synthetic(a, c):
+        s = a.sum(axis=1)
+        return np.select([c % 3 == 0, c % 3 == 1], [s + 3.0 * np.sin(s), -s], 1.0 / s)
+
+    trials, seed = 40, 3
+    grid, vals = verify._base_sweeps(trials, None, seed, synthetic, False)
+    passed, knees = verify._eventually_increasing(vals)
+    want_bad, want_knees = reference_sweeps(trials, seed, synthetic, False,
+                                            "eventually_increasing")
+    assert np.flatnonzero(~passed).tolist() == want_bad
+    assert knees == want_knees
+    assert 0 < len(want_bad) < trials
+    assert None in knees and any(k is not None for k in knees)
+    for check, got in (("increasing", verify._increasing(vals)),
+                       ("decreasing_convex", verify._decreasing_convex(grid, vals))):
+        want_bad, _ = reference_sweeps(trials, seed, synthetic, False, check)
+        assert np.flatnonzero(~got).tolist() == want_bad
+    assert 0 < len(want_bad) < trials
