@@ -21,6 +21,7 @@ import numpy as np
 
 from . import data, evaluation, network, training, verify
 from .config import ConfigError, ExperimentConfig, parse_assignment
+from .losses import LossConfig
 
 log = logging.getLogger("iad.cli")
 
@@ -175,7 +176,7 @@ def cmd_ood(cfg: ExperimentConfig, out: Path, datasets, net) -> int:
 def cmd_attack(cfg: ExperimentConfig, out: Path, datasets, net) -> int:
     _, test_ds = datasets
     swept = evaluation.attack_reports(net, test_ds, cfg["attack.epsilons"],
-                                      cfg.loss_config())
+                                      LossConfig(p_norm=cfg["train.p_norm"]))
     evaluation.sweep_to_csv([evaluation.sweep_row(eps, r) for eps, r in swept],
                             out / "attack_sweep.csv")
     threshold = cfg["eval.threshold_fraction"] * np.log(test_ds.k)

@@ -5,10 +5,10 @@ words fall back to strings."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .losses import LossConfig
 from .training import LOSSES, TrainConfig
 
 __all__ = ["ConfigError", "ExperimentConfig", "DEFAULTS", "parse_assignment"]
@@ -118,9 +118,16 @@ class ExperimentConfig:
         frac = self.values["eval.threshold_fraction"]
         if not 0.0 < frac <= 1.0:
             raise ConfigError(f"eval.threshold_fraction: must be in (0, 1], got {frac!r}")
+        for key, low, high, what in (
+                ("data.test_fraction", 0.0, 1.0, "in (0, 1)"),
+                ("data.spread", 0.0, math.inf, "finite and > 0"),
+                ("data.side", -math.inf, math.inf, "finite"),
+                ("ood.radius_factor", 1.0, math.inf, "finite and > 1")):
+            val = self.values[key]
+            if not low < val < high:
+                raise ConfigError(f"{key}: must be {what}, got {val!r}")
         try:
             self.train_config()
-            self.loss_config()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -152,11 +159,6 @@ class ExperimentConfig:
         return TrainConfig(seed=self.values["seed"], **{
             key.removeprefix("train."): val for key, val in self.values.items()
             if key.startswith("train.")})
-
-    def loss_config(self) -> LossConfig:
-        v = self.values
-        return LossConfig(p_norm=v["train.p_norm"], lambda_max=v["train.lambda_max"],
-                          kl_beta=v["train.kl_beta"])
 
     def resolved_text(self) -> str:
         lines = [f"{k} = {json.dumps(self.values[k])}" for k in sorted(self.values)]

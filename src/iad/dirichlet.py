@@ -12,6 +12,7 @@ from .specfun import DomainError, digamma, log_gamma, trigamma
 
 __all__ = [
     "DirichletParams",
+    "log_b",
     "log_pdf",
     "predictive_mean",
     "predictive_entropy",

@@ -23,7 +23,6 @@ __all__ = [
     "fgsm_attack",
     "ood_evaluate",
     "attack_reports",
-    "epsilon_sweep",
     "reports_to_csv",
     "summary_to_json",
     "sweep_row",
@@ -146,7 +145,8 @@ def attack_reports(net: network.NetworkParams, data: Dataset, epsilons,
                    cfg: LossConfig, bounds: tuple[float, float] | None = None
                    ) -> list[tuple[float, UncertaintyReports]]:
     """(epsilon, reports on the FGSM inputs) per noise level, one attack each;
-    eps=0 evaluates the clean inputs."""
+    eps=0 evaluates the clean inputs. `sweep_row` reduces an entry to its
+    row of the sweep table."""
     epsilons = [float(e) for e in epsilons]
     if any(b > a for a, b in zip(epsilons[1:], epsilons)):
         raise ValueError("epsilons must be sorted ascending")
@@ -171,14 +171,6 @@ def sweep_row(eps: float, reports: UncertaintyReports) -> SweepRow:
         mean_entropy=float(np.mean(reports.entropy)),
         mean_mutual_info=float(np.mean(reports.mutual_info)),
     )
-
-
-def epsilon_sweep(net: network.NetworkParams, data: Dataset, epsilons,
-                  cfg: LossConfig, bounds: tuple[float, float] | None = None) -> list[SweepRow]:
-    """Accuracy / mean entropy / mean MI per noise level; the eps=0 row equals
-    clean evaluation."""
-    return [sweep_row(eps, reports)
-            for eps, reports in attack_reports(net, data, epsilons, cfg, bounds)]
 
 
 # ---------------------------------------------------------------------------

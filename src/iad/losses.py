@@ -2,12 +2,12 @@
 
 The max-norm-approximating loss F (an L_p relaxation of the expected max
 prediction error), the information regularizer R, their analytic gradients
-with respect to alpha, the total objective, and the baseline losses (negative
-log-marginal likelihood, Bayes-risk cross-entropy, evidential mean-square,
-reverse-KL prior target).
+with respect to alpha, and the baseline losses (negative log-marginal
+likelihood, Bayes-risk cross-entropy, evidential mean-square, reverse-KL
+prior target).
 
-Public functions take a single DirichletParams; the `*_batch` variants operate
-on an (N, K) alpha matrix. F and R each have one value+gradient kernel
+Every function takes an (N, K) alpha matrix and an (N,) class vector and
+works row by row. F and R each have one value+gradient kernel
 (`iad_value_grad_batch`, `info_value_grad_batch`), which the training step
 calls; the gradient functions are views of them, and the value functions stop
 before the gradient's special-function call.
@@ -15,25 +15,30 @@ before the gradient's special-function call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dirichlet import DirichletParams, kl_divergence
 from .specfun import DomainError, digamma, log_gamma, tetragamma, trigamma
 
 __all__ = [
     "LossConfig",
     "LossOverflowError",
-    "iad_loss",
-    "iad_loss_grad_alpha",
-    "info_regularizer",
-    "info_regularizer_grad_alpha",
-    "total_loss",
-    "nll_marginal_loss",
-    "bayes_ce_loss",
-    "edl_mse_loss",
-    "rkl_prior_loss",
+    "iad_loss_batch",
+    "iad_value_grad_batch",
+    "iad_loss_grad_alpha_batch",
+    "info_regularizer_batch",
+    "info_value_grad_batch",
+    "info_regularizer_grad_alpha_batch",
+    "nll_marginal_loss_batch",
+    "nll_marginal_grad_alpha_batch",
+    "bayes_ce_loss_batch",
+    "bayes_ce_grad_alpha_batch",
+    "edl_mse_loss_batch",
+    "edl_mse_grad_alpha_batch",
+    "rkl_prior_loss_batch",
+    "rkl_prior_grad_alpha_batch",
 ]
 
 # Log values beyond this would overflow/underflow exp(); raising beats masking.
@@ -46,24 +51,13 @@ class LossOverflowError(FloatingPointError):
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Knobs shared by the loss family.
-
-    p_norm: order of the L_p relaxation (>= 1). lambda_max: regularizer
-    weight ceiling (>= 0). kl_beta: target concentration of the reverse-KL
-    baseline (> 0).
-    """
+    """p_norm: order of the L_p relaxation of F (finite, >= 1)."""
 
     p_norm: float = 4.0
-    lambda_max: float = 0.5
-    kl_beta: float = 10.0
 
     def __post_init__(self):
-        if self.p_norm < 1.0:
-            raise ValueError("p_norm must be >= 1")
-        if self.lambda_max < 0.0:
-            raise ValueError("lambda_max must be >= 0")
-        if self.kl_beta <= 0.0:
-            raise ValueError("kl_beta must be > 0")
+        if not 1.0 <= self.p_norm < math.inf:
+            raise ValueError("p_norm must be finite and >= 1")
 
 
 def _check_batch(alpha: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -108,7 +102,8 @@ def _iad_pieces(alpha, c, p: float):
 
 
 def iad_loss_batch(alpha, c, p_norm: float) -> np.ndarray:
-    """F_i for each row, computed in log space."""
+    """F_i for each row: the closed-form L_p upper bound on the expected
+    max-norm prediction error, computed in log space."""
     return np.exp(_iad_pieces(*_check_batch(alpha, c), float(p_norm))[0])
 
 
@@ -206,60 +201,12 @@ def info_regularizer_grad_alpha_batch(alpha, c=None) -> np.ndarray:
     return info_value_grad_batch(alpha, c)[1]
 
 
-def total_loss_batch(alpha, c, lambda_t: float, p_norm: float) -> float:
-    """Mean over the batch of F_i + lambda_t R_i."""
-    alpha, c = _check_batch(alpha, c)
-    if alpha.shape[0] == 0:
-        raise ValueError("empty batch")
-    if lambda_t < 0.0:
-        raise ValueError("lambda_t must be >= 0")
-    f = iad_loss_batch(alpha, c, p_norm)
-    if lambda_t > 0.0:
-        f = f + lambda_t * info_regularizer_batch(alpha, c)
-    return float(np.mean(f))
-
-
-# ---------------------------------------------------------------------------
-# per-example API
-
-
-def _single(fn, d: DirichletParams, c: int, *args):
-    if not 0 <= c < d.k:
-        raise IndexError("correct_class out of range")
-    return fn(d.alpha[None, :], np.array([c]), *args)
-
-
-def iad_loss(d: DirichletParams, correct_class: int, p_norm: float) -> float:
-    """Closed-form L_p upper bound on the expected max-norm prediction error."""
-    return float(_single(iad_loss_batch, d, correct_class, p_norm)[0])
-
-
-def iad_loss_grad_alpha(d: DirichletParams, correct_class: int, p_norm: float) -> np.ndarray:
-    return _single(iad_loss_grad_alpha_batch, d, correct_class, p_norm)[0]
-
-
-def info_regularizer(d: DirichletParams, correct_class: int) -> float:
-    return float(_single(info_regularizer_batch, d, correct_class)[0])
-
-
-def info_regularizer_grad_alpha(d: DirichletParams, correct_class: int) -> np.ndarray:
-    return _single(info_regularizer_grad_alpha_batch, d, correct_class)[0]
-
-
-def total_loss(batch, lambda_t: float, p_norm: float) -> float:
-    """Mean of F_i + lambda_t R_i over a list of (DirichletParams, class) pairs."""
-    if not batch:
-        raise ValueError("empty batch")
-    alpha = np.stack([d.alpha for d, _ in batch])
-    c = np.array([ci for _, ci in batch])
-    return total_loss_batch(alpha, c, lambda_t, p_norm)
-
-
 # ---------------------------------------------------------------------------
 # baseline losses
 
 
 def nll_marginal_loss_batch(alpha, c) -> np.ndarray:
+    """Negative log-marginal likelihood -ln(alpha_c / alpha_0)."""
     alpha, c = _check_batch(alpha, c)
     a0 = alpha.sum(axis=1)
     ac = np.take_along_axis(alpha, c[:, None], axis=1)[:, 0]
@@ -276,6 +223,7 @@ def nll_marginal_grad_alpha_batch(alpha, c) -> np.ndarray:
 
 
 def bayes_ce_loss_batch(alpha, c) -> np.ndarray:
+    """Bayes risk of the cross-entropy loss: psi(alpha_0) - psi(alpha_c)."""
     alpha, c = _check_batch(alpha, c)
     a0 = alpha.sum(axis=1)
     ac = np.take_along_axis(alpha, c[:, None], axis=1)[:, 0]
@@ -318,6 +266,8 @@ def edl_mse_grad_alpha_batch(alpha, c) -> np.ndarray:
 
 
 def rkl_prior_loss_batch(alpha, c, beta: float) -> np.ndarray:
+    """Forward KL from the model Dirichlet to the one-hot prior target
+    (beta + 1 at c, 1 elsewhere)."""
     alpha, c = _check_batch(alpha, c)
     if beta <= 0.0:
         raise ValueError("beta must be > 0")
@@ -342,26 +292,3 @@ def rkl_prior_grad_alpha_batch(alpha, c, beta: float) -> np.ndarray:
     a0 = alpha.sum(axis=1)
     diff = alpha - target
     return diff * trigamma(alpha) - trigamma(a0)[:, None] * diff.sum(axis=1)[:, None]
-
-
-def nll_marginal_loss(d: DirichletParams, correct_class: int) -> float:
-    """Negative log-marginal likelihood -ln(alpha_c / alpha_0)."""
-    return float(_single(nll_marginal_loss_batch, d, correct_class)[0])
-
-
-def bayes_ce_loss(d: DirichletParams, correct_class: int) -> float:
-    """Bayes risk of the cross-entropy loss: psi(alpha_0) - psi(alpha_c)."""
-    return float(_single(bayes_ce_loss_batch, d, correct_class)[0])
-
-
-def edl_mse_loss(d: DirichletParams, correct_class: int) -> float:
-    return float(_single(edl_mse_loss_batch, d, correct_class)[0])
-
-
-def rkl_prior_loss(d: DirichletParams, correct_class: int, beta: float) -> float:
-    """Forward KL from the model Dirichlet to the one-hot prior target."""
-    if not 0 <= correct_class < d.k:
-        raise IndexError("correct_class out of range")
-    target = np.ones(d.k)
-    target[correct_class] = beta + 1.0
-    return kl_divergence(d, DirichletParams(target))

@@ -30,6 +30,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "CheckpointFormatError",
+    "softplus",
 ]
 
 log = logging.getLogger("iad.network")

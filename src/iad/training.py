@@ -16,6 +16,7 @@ from .data import Dataset, split, support_extent
 
 __all__ = [
     "TrainConfig",
+    "EpochRow",
     "TrainRecord",
     "AdamState",
     "TrainingDiverged",
@@ -59,8 +60,8 @@ class TrainConfig:
     ood_weight: float = 0.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
         if self.batch_size < 1 or self.patience < 1 or self.t_rate < 1:
             raise ValueError("batch_size, patience and t_rate must be >= 1")
         if not 0.0 < self.val_fraction < 1.0:

@@ -22,6 +22,8 @@ __all__ = [
     "theorem2_figure_sweep",
     "run_all",
     "default_grid",
+    "verdicts_to_json",
+    "figure_sweep_to_csv",
 ]
 
 # Differences must beat this in the predicted direction to count as strict.

@@ -26,6 +26,7 @@ from iad.dirichlet import (DirichletParams, mutual_information,
                            predictive_entropy, sample)
 from iad.losses import LossConfig
 from iad.specfun import digamma, log_gamma, tetragamma, trigamma
+from test_losses import one_row
 
 LN3 = math.log(3.0)
 
@@ -70,7 +71,7 @@ def test_criterion_2_closed_form_versus_monte_carlo():
         d = DirichletParams(alpha)
         draws = sample(d, rng, 1_000_000)
         mc = float(np.mean(np.sum(np.abs(np.eye(k)[c] - draws) ** p, axis=1)))
-        rel = abs(losses.iad_loss(d, c, p) ** p - mc) / mc
+        rel = abs(one_row(losses.iad_loss_batch, alpha, c, p) ** p - mc) / mc
         worst_rel = max(worst_rel, rel)
 
     bound_violations = 0
@@ -84,7 +85,7 @@ def test_criterion_2_closed_form_versus_monte_carlo():
         err = np.max(np.abs(np.eye(k)[c] - draws), axis=1)
         mc = float(err.mean())
         se = float(err.std() / math.sqrt(err.size))
-        if mc > losses.iad_loss(d, c, p) + 3.0 * se:
+        if mc > one_row(losses.iad_loss_batch, alpha, c, p) + 3.0 * se:
             bound_violations += 1
     elapsed = time.perf_counter() - start
     ok = worst_rel <= 0.01 and bound_violations == 0 and elapsed < 120.0
@@ -132,11 +133,11 @@ def test_criterion_4_gradient_certification():
         alpha = rng.uniform(1.05, 50.0, size=5)
         c = int(rng.integers(0, 5))
         p = float(rng.choice([2.0, 4.0, 8.0]))
-        got = losses.iad_loss_grad_alpha(DirichletParams(alpha), c, p)
-        want = fd(lambda a: losses.iad_loss(DirichletParams(a), c, p), alpha)
+        got = one_row(losses.iad_loss_grad_alpha_batch, alpha, c, p)
+        want = fd(lambda a: one_row(losses.iad_loss_batch, a, c, p), alpha)
         alpha_ok &= bool(np.allclose(got, want, rtol=1e-6, atol=1e-10))
-        got_r = losses.info_regularizer_grad_alpha(DirichletParams(alpha), c)
-        want_r = fd(lambda a: losses.info_regularizer(DirichletParams(a), c),
+        got_r = one_row(losses.info_regularizer_grad_alpha_batch, alpha, c)
+        want_r = fd(lambda a: one_row(losses.info_regularizer_batch, a, c),
                     alpha)
         mask = np.arange(5) != c
         alpha_ok &= bool(np.allclose(got_r[mask], want_r[mask],
@@ -239,9 +240,8 @@ def _desk_pipeline():
     reports = evaluation.evaluate(net, test_ds)
     ring = data.make_ood_ring(train_ds, 1.5, 1000, np.random.default_rng(3))
     ent_summary, _ = evaluation.ood_evaluate(net, ring, 0.95)
-    sweep = evaluation.epsilon_sweep(net, test_ds,
-                                     [0.0, 0.1, 0.2, 0.3, 0.4, 0.5],
-                                     LossConfig(p_norm=4.0, lambda_max=0.5))
+    sweep = [evaluation.sweep_row(e, r) for e, r in evaluation.attack_reports(
+        net, test_ds, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5], LossConfig(p_norm=4.0))]
     elapsed = time.perf_counter() - start
     return reports, ent_summary, sweep, elapsed
 

@@ -73,8 +73,6 @@ def test_train_config_projection():
     tc = cfg.train_config()
     assert tc.lambda_max == 0.9
     assert tc.seed == 4
-    lc = cfg.loss_config()
-    assert lc.p_norm == 4.0
 
 
 # ----------------------------------------------------------------------- CLI
@@ -170,7 +168,10 @@ def test_cli_wrong_value_type_names_key(tmp_path, capsys, override):
     "seed=-1", "data.classes=1", "data.per_class=0", "attack.epsilons=[0.3,0.1]",
     "attack.epsilons=[-0.1,0.2]", "attack.epsilons=[0.0,NaN]",
     "eval.threshold_fraction=2.0", "eval.threshold_fraction=0", "ood.n=0",
-    "verify.trials=0", "verify.n_triples=0"])
+    "verify.trials=0", "verify.n_triples=0", "data.test_fraction=0",
+    "data.test_fraction=1.0", "data.spread=0", "data.spread=Infinity",
+    "data.spread=NaN", "data.side=NaN", "data.side=-Infinity",
+    "ood.radius_factor=1.0", "ood.radius_factor=NaN"])
 def test_cli_out_of_range_value_names_key(tmp_path, capsys, override):
     out = tmp_path / "x"
     assert run(["train", "--out", str(out)] + TINY + ["--set", override]) == 2
@@ -292,7 +293,7 @@ def test_cli_usage_error_exits_2_before_writing(tmp_path, capsys, make_args):
 
 @pytest.mark.parametrize("override", [
     "train.adam_beta1=1.5", "train.adam_beta2=1.0", "train.adam_eps=-1.0",
-    "train.max_epochs=0"])
+    "train.max_epochs=0", "train.learning_rate=NaN", "train.learning_rate=Infinity"])
 def test_cli_out_of_range_optimizer_value_names_key(tmp_path, capsys, override):
     out = tmp_path / "x"
     assert run(["train", "--out", str(out)] + TINY + ["--set", override]) == 2

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from iad import data, network
-from iad.evaluation import (epsilon_sweep, evaluate, fgsm_attack,
+from iad.evaluation import (attack_reports, evaluate, fgsm_attack,
                             ood_evaluate, reports_to_csv, summarize,
-                            summary_to_json, sweep_to_csv)
+                            summary_to_json, sweep_row, sweep_to_csv)
 from iad.losses import LossConfig
 
 
@@ -196,18 +196,36 @@ def test_ood_rejects_bad_fraction(desk_model):
         ood_evaluate(net, ring, 1.5)
 
 
-# ------------------------------------------------------------- epsilon_sweep
+# ------------------------------------------------------------ attack_reports
 
 def test_epsilon_sweep_clean_row_and_monotone_accuracy(desk_model):
     net, _, _, test_ds = desk_model
     eps = [0.0, 0.1, 0.3, 0.5]
-    rows = epsilon_sweep(net, test_ds, eps, LossConfig())
+    rows = [sweep_row(e, r) for e, r in attack_reports(net, test_ds, eps, LossConfig())]
     assert len(rows) == len(eps)
     reports = evaluate(net, test_ds)
     clean_acc = float(np.mean(reports.correct))
     assert rows[0].accuracy == pytest.approx(clean_acc)
     assert rows[0].mean_entropy == pytest.approx(float(np.mean(reports.entropy)))
     assert rows[-1].accuracy <= rows[0].accuracy
+
+
+def test_attack_reports_clean_entry_equals_evaluate(desk_model):
+    net, _, _, test_ds = desk_model
+    (eps, clean), _ = attack_reports(net, test_ds, [0.0, 0.2], LossConfig())
+    want = evaluate(net, test_ds)
+    assert eps == 0.0
+    for name in ("pred_class", "correct", "entropy", "mutual_info", "max_prob",
+                 "alpha0"):
+        assert np.array_equal(getattr(clean, name), getattr(want, name)), name
+
+
+def test_attack_reports_rejects_unsorted_epsilons_and_unlabeled_data(desk_model):
+    net, _, _, test_ds = desk_model
+    with pytest.raises(ValueError, match="sorted"):
+        attack_reports(net, test_ds, [0.2, 0.1], LossConfig())
+    with pytest.raises(ValueError, match="labeled"):
+        attack_reports(net, data.Dataset(test_ds.features, None), [0.0], LossConfig())
 
 
 # --------------------------------------------------------------- serializers
@@ -228,6 +246,7 @@ def test_report_and_summary_serialization(tmp_path, desk_model):
     loaded = json.loads((tmp_path / "s.json").read_text())
     assert loaded["count"] == 2
 
-    rows = epsilon_sweep(net, test_ds, [0.0, 0.1], LossConfig())
+    rows = [sweep_row(e, r) for e, r in attack_reports(net, test_ds, [0.0, 0.1],
+                                                         LossConfig())]
     sweep_to_csv(rows, tmp_path / "sweep.csv")
     assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 3

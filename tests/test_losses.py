@@ -8,25 +8,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iad.dirichlet import DirichletParams, sample
-from iad.losses import (LossConfig, bayes_ce_grad_alpha_batch, bayes_ce_loss,
+from iad.dirichlet import DirichletParams, kl_divergence, sample
+from iad.losses import (LossConfig, bayes_ce_grad_alpha_batch,
                         bayes_ce_loss_batch, edl_mse_grad_alpha_batch,
-                        edl_mse_loss, edl_mse_loss_batch, iad_loss,
-                        iad_loss_batch, iad_loss_grad_alpha,
+                        edl_mse_loss_batch, iad_loss_batch,
                         iad_loss_grad_alpha_batch, iad_value_grad_batch,
-                        info_regularizer, info_regularizer_batch,
-                        info_regularizer_grad_alpha,
+                        info_regularizer_batch,
                         info_regularizer_grad_alpha_batch,
                         info_value_grad_batch,
-                        nll_marginal_grad_alpha_batch, nll_marginal_loss,
+                        nll_marginal_grad_alpha_batch,
                         nll_marginal_loss_batch, rkl_prior_grad_alpha_batch,
-                        rkl_prior_loss, rkl_prior_loss_batch, total_loss,
-                        total_loss_batch)
+                        rkl_prior_loss_batch)
 from iad.specfun import DomainError, digamma, log_gamma, tetragamma, trigamma
+from iad.training import TrainConfig, _objective
 
 
-def params(*alpha):
-    return DirichletParams(np.array(alpha, dtype=np.float64))
+def one_row(fn, alpha, c, *args):
+    """The batch loss or gradient fn on one example: alpha (K,), class c."""
+    return fn(np.asarray(alpha, dtype=np.float64)[None, :], np.array([c]),
+              *args)[0]
 
 
 def fd_gradient(fn, alpha, rel_step=1e-4):
@@ -44,35 +44,31 @@ def fd_gradient(fn, alpha, rel_step=1e-4):
 # -------------------------------------------------------------- LossConfig
 
 def test_loss_config_defaults_and_validation():
-    cfg = LossConfig()
-    assert cfg.p_norm == 4.0 and cfg.lambda_max == 0.5 and cfg.kl_beta == 10.0
-    with pytest.raises(ValueError):
-        LossConfig(p_norm=0.5)
-    with pytest.raises(ValueError):
-        LossConfig(lambda_max=-0.1)
-    with pytest.raises(ValueError):
-        LossConfig(kl_beta=0.0)
+    assert LossConfig().p_norm == 4.0
+    for bad in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="p_norm"):
+            LossConfig(p_norm=bad)
 
 
-# ------------------------------------------------------------ iad_loss value
+# -------------------------------------------------------------------- F value
 
 def test_iad_loss_uniform_two_class():
-    assert iad_loss(params(1.0, 1.0), 0, 2.0) == pytest.approx(
+    assert one_row(iad_loss_batch, [1.0, 1.0], 0, 2.0) == pytest.approx(
         math.sqrt(2.0 / 3.0), abs=1e-12)
 
 
 def test_iad_loss_beta_two_one():
-    assert iad_loss(params(2.0, 1.0), 0, 2.0) == pytest.approx(
+    assert one_row(iad_loss_batch, [2.0, 1.0], 0, 2.0) == pytest.approx(
         math.sqrt(1.0 / 3.0), abs=1e-12)
 
 
 def test_iad_loss_vanishes_with_confidence():
-    assert iad_loss(params(1e4, 1.0), 0, 2.0) < 0.02
+    assert one_row(iad_loss_batch, [1e4, 1.0], 0, 2.0) < 0.02
 
 
 def test_iad_loss_index_out_of_range():
     with pytest.raises(IndexError):
-        iad_loss(params(1.0, 1.0), 2, 2.0)
+        one_row(iad_loss_batch, [1.0, 1.0], 2, 2.0)
 
 
 def test_iad_loss_batch_matches_scalar():
@@ -82,7 +78,7 @@ def test_iad_loss_batch_matches_scalar():
     vals = iad_loss_batch(alpha, c, 4.0)
     for i in range(20):
         assert vals[i] == pytest.approx(
-            iad_loss(DirichletParams(alpha[i]), int(c[i]), 4.0), rel=1e-12)
+            one_row(iad_loss_batch, alpha[i], int(c[i]), 4.0), rel=1e-12)
 
 
 def _separate_iad(alpha, c, p):
@@ -153,7 +149,8 @@ def test_iad_loss_p_moment_matches_monte_carlo():
         draws = sample(d, rng, 400_000)
         y = np.eye(k)[c]
         moment = float(np.mean(np.sum(np.abs(y - draws) ** p, axis=1)))
-        assert iad_loss(d, c, p) ** p == pytest.approx(moment, rel=0.01)
+        assert one_row(iad_loss_batch, alpha, c, p) ** p == pytest.approx(
+            moment, rel=0.01)
 
 
 def test_iad_loss_upper_bounds_max_norm_error():
@@ -166,7 +163,7 @@ def test_iad_loss_upper_bounds_max_norm_error():
         draws = sample(d, rng, 100_000)
         err = np.max(np.abs(np.eye(k)[c] - draws), axis=1)
         mc, se = float(err.mean()), float(err.std() / math.sqrt(err.size))
-        assert mc <= iad_loss(d, c, 4.0) + 3.0 * se
+        assert mc <= one_row(iad_loss_batch, alpha, c, 4.0) + 3.0 * se
 
 
 def test_norm_ordering_for_error_vectors():
@@ -180,11 +177,10 @@ def test_norm_ordering_for_error_vectors():
         assert np.all(lp <= l2 + 1e-12)
 
 
-# --------------------------------------------------------- iad_loss gradient
+# ----------------------------------------------------------------- F gradient
 
 def test_iad_grad_correct_class_hand_value():
-    d = params(2.0, 1.0)
-    g = iad_loss_grad_alpha(d, 0, 2.0)
+    g = one_row(iad_loss_grad_alpha_batch, [2.0, 1.0], 0, 2.0)
     want = math.sqrt(1.0 / 3.0) * 0.5 * (digamma(3.0) - digamma(5.0))
     assert g[0] == pytest.approx(want, abs=1e-12)
     assert g[0] == pytest.approx(-0.1684, abs=5e-4)
@@ -196,7 +192,7 @@ def test_iad_grad_correct_class_negative():
         k = int(rng.integers(2, 9))
         alpha = rng.uniform(1.0, 80.0, size=k)
         c = int(rng.integers(0, k))
-        g = iad_loss_grad_alpha(DirichletParams(alpha), c, 4.0)
+        g = one_row(iad_loss_grad_alpha_batch, alpha, c, 4.0)
         assert g[c] < 0.0
 
 
@@ -206,23 +202,23 @@ def test_iad_grad_matches_finite_differences():
         alpha = rng.uniform(1.05, 50.0, size=5)
         c = int(rng.integers(0, 5))
         p = float(rng.choice([2.0, 4.0, 7.5]))
-        got = iad_loss_grad_alpha(DirichletParams(alpha), c, p)
-        want = fd_gradient(
-            lambda a: iad_loss(DirichletParams(a), c, p), alpha)
+        got = one_row(iad_loss_grad_alpha_batch, alpha, c, p)
+        want = fd_gradient(lambda a: one_row(iad_loss_batch, a, c, p), alpha)
         assert np.allclose(got, want, rtol=1e-6, atol=1e-10)
 
 
 # --------------------------------------------------------------- regularizer
 
 def test_regularizer_zero_at_unit_off_class():
-    assert info_regularizer(params(7.0, 1.0, 1.0), 0) == pytest.approx(
+    assert one_row(info_regularizer_batch, [7.0, 1.0, 1.0], 0) == pytest.approx(
         0.0, abs=1e-14)
-    assert np.allclose(info_regularizer_grad_alpha(params(7.0, 1.0, 1.0), 0),
-                       0.0, atol=1e-14)
+    assert np.allclose(
+        one_row(info_regularizer_grad_alpha_batch, [7.0, 1.0, 1.0], 0),
+        0.0, atol=1e-14)
 
 
 def test_regularizer_hand_value():
-    got = info_regularizer(params(5.0, 2.0, 1.0), 0)
+    got = one_row(info_regularizer_batch, [5.0, 2.0, 1.0], 0)
     assert got == pytest.approx(0.5 * (trigamma(2.0) - trigamma(4.0)),
                                 abs=1e-13)
     assert got == pytest.approx(0.18056, abs=5e-6)
@@ -234,14 +230,14 @@ def test_regularizer_nonnegative():
         k = int(rng.integers(2, 8))
         alpha = rng.uniform(1.0, 60.0, size=k)
         c = int(rng.integers(0, k))
-        assert info_regularizer(DirichletParams(alpha), c) >= 0.0
+        assert one_row(info_regularizer_batch, alpha, c) >= 0.0
 
 
 def test_regularizer_rejects_off_class_below_one():
     with pytest.raises(DomainError):
-        info_regularizer(params(5.0, 0.5, 2.0), 0)
+        one_row(info_regularizer_batch, [5.0, 0.5, 2.0], 0)
     # a sub-one entry at the correct class is fine
-    assert info_regularizer(params(0.5, 2.0), 0) > 0.0
+    assert one_row(info_regularizer_batch, [0.5, 2.0], 0) > 0.0
 
 
 def test_regularizer_grad_matches_finite_differences():
@@ -249,9 +245,8 @@ def test_regularizer_grad_matches_finite_differences():
     for _ in range(60):
         alpha = rng.uniform(1.05, 50.0, size=5)
         c = int(rng.integers(0, 5))
-        got = info_regularizer_grad_alpha(DirichletParams(alpha), c)
-        want = fd_gradient(
-            lambda a: info_regularizer(DirichletParams(a), c), alpha)
+        got = one_row(info_regularizer_grad_alpha_batch, alpha, c)
+        want = fd_gradient(lambda a: one_row(info_regularizer_batch, a, c), alpha)
         assert got[c] == 0.0
         mask = np.arange(5) != c
         assert np.allclose(got[mask], want[mask], rtol=1e-6, atol=1e-10)
@@ -262,7 +257,7 @@ def test_regularizer_grad_off_class_nonnegative():
     for _ in range(100):
         alpha = rng.uniform(1.0, 60.0, size=6)
         c = int(rng.integers(0, 6))
-        g = info_regularizer_grad_alpha(DirichletParams(alpha), c)
+        g = one_row(info_regularizer_grad_alpha_batch, alpha, c)
         assert np.all(g[np.arange(6) != c] >= -1e-12)
 
 
@@ -309,51 +304,57 @@ def test_regularizer_no_class_rejects_below_one():
         info_regularizer_batch(np.array([[5.0, 0.5, 2.0]]))
 
 
-# ---------------------------------------------------------------- total_loss
+# ------------------------------------------------------ training objective
+
+def mean_objective(alpha, c, lam, p_norm):
+    """Mean of F_i + lam R_i as the training step computes it."""
+    vals, _ = _objective(np.asarray(alpha, dtype=np.float64), np.asarray(c),
+                         TrainConfig(p_norm=p_norm), lam, "iad")
+    return float(np.mean(vals))
+
 
 def test_total_loss_lambda_zero_is_mean_classification_loss():
-    batch = [(params(3.0, 1.0, 2.0), 0), (params(1.0, 4.0, 1.0), 1)]
-    want = np.mean([iad_loss(d, c, 4.0) for d, c in batch])
-    assert total_loss(batch, 0.0, 4.0) == pytest.approx(want, rel=1e-12)
+    batch = [([3.0, 1.0, 2.0], 0), ([1.0, 4.0, 1.0], 1)]
+    want = np.mean([one_row(iad_loss_batch, a, c, 4.0) for a, c in batch])
+    got = mean_objective([a for a, _ in batch], [c for _, c in batch], 0.0, 4.0)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_total_loss_single_element():
-    d, c = params(3.0, 2.0), 0
-    want = iad_loss(d, c, 4.0) + 0.7 * info_regularizer(d, c)
-    assert total_loss([(d, c)], 0.7, 4.0) == pytest.approx(want, rel=1e-12)
-    assert total_loss([(d, c), (d, c)], 0.7, 4.0) == pytest.approx(
+    a, c = [3.0, 2.0], 0
+    want = (one_row(iad_loss_batch, a, c, 4.0)
+            + 0.7 * one_row(info_regularizer_batch, a, c))
+    assert mean_objective([a], [c], 0.7, 4.0) == pytest.approx(want, rel=1e-12)
+    assert mean_objective([a, a], [c, c], 0.7, 4.0) == pytest.approx(
         want, rel=1e-12)
-
-
-def test_total_loss_empty_batch():
-    with pytest.raises(ValueError):
-        total_loss([], 0.5, 4.0)
 
 
 def test_total_loss_batch_matches_list_form():
     rng = np.random.default_rng(9)
     alpha = rng.uniform(1.0, 10.0, size=(8, 3))
     c = rng.integers(0, 3, size=8)
-    batch = [(DirichletParams(alpha[i]), int(c[i])) for i in range(8)]
-    assert total_loss_batch(alpha, c, 0.3, 4.0) == pytest.approx(
-        total_loss(batch, 0.3, 4.0), rel=1e-12)
+    want = np.mean([one_row(iad_loss_batch, alpha[i], int(c[i]), 4.0)
+                    + 0.3 * one_row(info_regularizer_batch, alpha[i], int(c[i]))
+                    for i in range(8)])
+    assert mean_objective(alpha, c, 0.3, 4.0) == pytest.approx(want, rel=1e-12)
 
 
 # ----------------------------------------------------------------- baselines
 
 def test_nll_marginal_values():
-    assert nll_marginal_loss(params(2.0, 2.0), 0) == pytest.approx(
+    assert one_row(nll_marginal_loss_batch, [2.0, 2.0], 0) == pytest.approx(
         math.log(2.0), abs=1e-12)
-    assert nll_marginal_loss(params(9.0, 1.0), 0) == pytest.approx(
+    assert one_row(nll_marginal_loss_batch, [9.0, 1.0], 0) == pytest.approx(
         -math.log(0.9), abs=1e-12)
-    assert nll_marginal_loss(params(1.0, 9.0), 0) == pytest.approx(
+    assert one_row(nll_marginal_loss_batch, [1.0, 9.0], 0) == pytest.approx(
         -math.log(0.1), abs=1e-12)
 
 
 def test_bayes_ce_values():
-    assert bayes_ce_loss(params(2.0, 2.0), 0) == pytest.approx(
+    assert one_row(bayes_ce_loss_batch, [2.0, 2.0], 0) == pytest.approx(
         0.5 + 1.0 / 3.0, abs=1e-12)
-    assert bayes_ce_loss(params(1.0, 1.0), 0) == pytest.approx(1.0, abs=1e-12)
+    assert one_row(bayes_ce_loss_batch, [1.0, 1.0], 0) == pytest.approx(
+        1.0, abs=1e-12)
 
 
 def test_bayes_ce_dominates_nll_marginal():
@@ -365,14 +366,14 @@ def test_bayes_ce_dominates_nll_marginal():
 
 
 def test_edl_mse_uniform_two_class():
-    got = edl_mse_loss(params(1.0, 1.0), 0)
+    got = one_row(edl_mse_loss_batch, [1.0, 1.0], 0)
     assert got == pytest.approx(2.0 / 3.0, abs=1e-12)
-    assert got == pytest.approx(iad_loss(params(1.0, 1.0), 0, 2.0) ** 2,
+    assert got == pytest.approx(one_row(iad_loss_batch, [1.0, 1.0], 0, 2.0) ** 2,
                                 abs=1e-12)
 
 
 def test_edl_mse_vanishes_with_confidence():
-    assert edl_mse_loss(params(1e4, 1.0), 0) < 1e-3
+    assert one_row(edl_mse_loss_batch, [1e4, 1.0], 0) < 1e-3
 
 
 def test_edl_mse_matches_monte_carlo():
@@ -384,13 +385,13 @@ def test_edl_mse_matches_monte_carlo():
         d = DirichletParams(alpha)
         draws = sample(d, rng, 1_000_000)
         mc = float(np.mean(np.sum((np.eye(k)[c] - draws) ** 2, axis=1)))
-        assert edl_mse_loss(d, c) == pytest.approx(mc, rel=0.01)
+        assert one_row(edl_mse_loss_batch, alpha, c) == pytest.approx(mc, rel=0.01)
 
 
 def test_rkl_prior_zero_at_target():
-    assert rkl_prior_loss(params(2.0, 1.0), 0, 1.0) == pytest.approx(
+    assert one_row(rkl_prior_loss_batch, [2.0, 1.0], 0, 1.0) == pytest.approx(
         0.0, abs=1e-12)
-    assert rkl_prior_loss(params(11.0, 1.0, 1.0), 0, 10.0) == pytest.approx(
+    assert one_row(rkl_prior_loss_batch, [11.0, 1.0, 1.0], 0, 10.0) == pytest.approx(
         0.0, abs=1e-12)
 
 
@@ -399,6 +400,18 @@ def test_rkl_prior_nonnegative():
     alpha = rng.uniform(0.5, 50.0, size=(500, 3))
     c = rng.integers(0, 3, size=500)
     assert np.all(rkl_prior_loss_batch(alpha, c, 10.0) >= -1e-10)
+
+
+def test_rkl_prior_matches_dirichlet_kl_divergence():
+    rng = np.random.default_rng(14)
+    alpha = rng.uniform(0.5, 50.0, size=(50, 4))
+    c = rng.integers(0, 4, size=50)
+    got = rkl_prior_loss_batch(alpha, c, 10.0)
+    for i in range(50):
+        target = np.ones(4)
+        target[c[i]] = 11.0
+        want = kl_divergence(DirichletParams(alpha[i]), DirichletParams(target))
+        assert got[i] == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("value_fn,grad_fn,extra", [
@@ -425,7 +438,7 @@ def test_baseline_grads_match_finite_differences(value_fn, grad_fn, extra):
        st.floats(min_value=1.0, max_value=200.0),
        st.floats(min_value=1.0, max_value=10.0))
 def test_iad_loss_positive_and_finite(a1, a2, p):
-    val = iad_loss(params(a1, a2), 0, p)
+    val = one_row(iad_loss_batch, [a1, a2], 0, p)
     assert 0.0 < val < math.inf
 
 

@@ -9,7 +9,7 @@ import pytest
 from iad import data, losses, network
 from iad.config import ConfigError, ExperimentConfig
 from iad.training import (AdamState, TrainConfig, TrainingDiverged,
-                          adam_step, anneal_lambda, train)
+                          _objective, adam_step, anneal_lambda, train)
 
 
 def two_class_blobs(seed=0, n=400, spread=0.3):
@@ -141,7 +141,7 @@ def test_adam_step_bit_identical_to_per_array_loop():
     ("adam_beta1", 1.5), ("adam_beta1", -0.1), ("adam_beta2", 1.0),
     ("adam_beta2", float("nan")), ("adam_eps", -1.0), ("adam_eps", 0.0),
     ("max_epochs", 0), ("p_norm", 0.5), ("lambda_max", -2.0), ("kl_beta", -1.0),
-    ("kl_beta", 0.0)])
+    ("kl_beta", 0.0), ("learning_rate", float("nan")), ("learning_rate", float("inf"))])
 def test_train_config_rejects_out_of_range_optimizer_and_loss_fields(field, bad):
     with pytest.raises(ValueError, match=field):
         TrainConfig(**{field: bad})
@@ -159,6 +159,24 @@ def test_train_returns_snapshot_of_best_epoch_unmoved_by_later_steps():
     assert np.array_equal(net.flat, stopped.flat)
     for a in net.weights + net.biases:
         assert np.shares_memory(a, net.flat)
+
+
+# ----------------------------------------------------------------- objective
+
+def test_objective_rows_are_f_plus_lambda_r():
+    """Labeled rows carry F + lambda R; noise rows carry lambda gamma R(c=None)."""
+    rng = np.random.default_rng(9)
+    alpha = rng.uniform(1.0, 10.0, size=(12, 3))
+    c = rng.integers(0, 3, size=8)
+    lab, noise = alpha[:8], alpha[8:]
+    cfg = TrainConfig(p_norm=4.0, ood_weight=1.5)
+    for lam in (0.0, 0.3):
+        vals, _ = _objective(alpha, c, cfg, lam, "iad")
+        want = (losses.iad_loss_batch(lab, c, 4.0)
+                + lam * losses.info_regularizer_batch(lab, c))
+        assert vals[:8] == pytest.approx(want, rel=1e-12)
+        want = lam * 1.5 * losses.info_regularizer_batch(noise, None)
+        assert vals[8:] == pytest.approx(want, rel=1e-12)
 
 
 # --------------------------------------------------------------------- train
