@@ -9,8 +9,9 @@ prior target).
 Every function takes an (N, K) alpha matrix and an (N,) class vector and
 works row by row. F and R each have one value+gradient kernel
 (`iad_value_grad_batch`, `info_value_grad_batch`), which the training step
-calls; the gradient functions are views of them, and the value functions stop
-before the gradient's special-function call.
+calls; the gradient functions are views of them. Each kernel makes one paired
+special-function call, (ln Gamma, psi) for F and (psi', psi'') for R; the
+value functions make one ln Gamma or psi' call over the same arguments.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import DomainError, digamma, log_gamma, tetragamma, trigamma
+from .specfun import (DomainError, digamma, log_gamma, log_gamma_digamma, trigamma,
+                      trigamma_tetragamma)
 
 __all__ = [
     "LossConfig",
@@ -65,50 +67,56 @@ def _check_batch(alpha: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarr
     c = np.atleast_1d(np.asarray(c, dtype=np.intp))
     if alpha.ndim != 2 or c.shape != (alpha.shape[0],):
         raise ValueError("alpha must be (N, K) and c must be (N,)")
-    if np.any(c < 0) or np.any(c >= alpha.shape[1]):
+    if (c < 0).any() or (c >= alpha.shape[1]).any():
         raise IndexError("correct_class out of range")
     return alpha, c
 
 
 def _logsumexp(terms: np.ndarray, axis: int) -> np.ndarray:
-    m = np.max(terms, axis=axis, keepdims=True)
-    return (m + np.log(np.sum(np.exp(terms - m), axis=axis, keepdims=True))).squeeze(axis)
+    m = terms.max(axis=axis, keepdims=True)
+    return (m + np.log(np.exp(terms - m).sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
-def _iad_pieces(alpha, c, p: float):
-    """log F_i and what its gradient reuses, from one log_gamma call over the
-    stacked arguments (alpha_0, s, alpha) || (alpha_0 + p, s + p, alpha + p),
-    where s = alpha_0 - alpha_c is the off-class sum.
-
-    Returns (log F, terms, lse, args): terms[:, 0] = log mu(s) and
-    terms[:, 1:] = log mu(alpha_j), -inf at c, with log mu(a) = ln Gamma(a+p)
-    - ln Gamma(a); lse is their row log-sum-exp. alpha and c come checked."""
-    n, k = alpha.shape
-    rows = np.arange(n)
+def _iad_args(alpha, c, p: float) -> np.ndarray:
+    """The stacked arguments (alpha_0, s, alpha) || (alpha_0 + p, s + p,
+    alpha + p) of F's special functions, where s = alpha_0 - alpha_c is the
+    off-class sum. alpha and c come checked."""
     a0 = alpha.sum(axis=1)
-    x = np.concatenate([a0, a0 - alpha[rows, c], alpha.ravel()])
-    args = np.concatenate([x, x + p])
-    lg = log_gamma(args)
-    log_mu = lg[x.size:] - lg[:x.size]
+    x = np.concatenate([a0, a0 - alpha[np.arange(alpha.shape[0]), c], alpha.ravel()])
+    return np.concatenate([x, x + p])
+
+
+def _iad_log_f(lg, c, p: float, k: int):
+    """log F_i and what its gradient reuses, from ln Gamma over _iad_args.
+
+    Returns (log F, terms, lse): terms[:, 0] = log mu(s) and terms[:, 1:] =
+    log mu(alpha_j), -inf at c, with log mu(a) = ln Gamma(a+p) - ln Gamma(a);
+    lse is their row log-sum-exp."""
+    n = c.size
+    m = lg.size // 2
+    log_mu = lg[m:] - lg[:m]
     terms = np.empty((n, k + 1))
     terms[:, 0] = log_mu[n:2 * n]
     terms[:, 1:] = log_mu[2 * n:].reshape(n, k)
-    terms[rows, c + 1] = -np.inf
+    terms[np.arange(n), c + 1] = -np.inf
     lse = _logsumexp(terms, axis=1)
     log_f = (lse - log_mu[:n]) / p
-    if np.any(np.abs(log_f) > _LOG_CLIP):
+    if (np.abs(log_f) > _LOG_CLIP).any():
         raise LossOverflowError("log F exceeded the exp() clip threshold")
-    return log_f, terms, lse, args
+    return log_f, terms, lse
 
 
 def iad_loss_batch(alpha, c, p_norm: float) -> np.ndarray:
     """F_i for each row: the closed-form L_p upper bound on the expected
-    max-norm prediction error, computed in log space."""
-    return np.exp(_iad_pieces(*_check_batch(alpha, c), float(p_norm))[0])
+    max-norm prediction error, computed in log space from one log_gamma
+    call."""
+    alpha, c = _check_batch(alpha, c)
+    p = float(p_norm)
+    return np.exp(_iad_log_f(log_gamma(_iad_args(alpha, c, p)), c, p, alpha.shape[1])[0])
 
 
 def iad_value_grad_batch(alpha, c, p_norm: float) -> tuple[np.ndarray, np.ndarray]:
-    """(F_i, dF_i/dalpha) for each row: one log_gamma and one digamma call.
+    """(F_i, dF_i/dalpha) for each row: one log_gamma_digamma call.
 
     d log F / d alpha_c = (1/p)(psi(a0) - psi(a0+p)); off-class components add
     the derivative of the log-sum through mu(s) and mu(alpha_j), with
@@ -117,10 +125,10 @@ def iad_value_grad_batch(alpha, c, p_norm: float) -> tuple[np.ndarray, np.ndarra
     alpha, c = _check_batch(alpha, c)
     n, k = alpha.shape
     p = float(p_norm)
-    log_f, terms, lse, args = _iad_pieces(alpha, c, p)
+    lg, dg = log_gamma_digamma(_iad_args(alpha, c, p))
+    log_f, terms, lse = _iad_log_f(lg, c, p, k)
     f = np.exp(log_f)
-    dg = digamma(args)
-    m = args.size // 2
+    m = dg.size // 2
     nu = dg[m:] - dg[:m]  # psi(a+p) - psi(a)
     w = np.exp(terms - lse[:, None])
     common = -nu[:n]
@@ -138,7 +146,8 @@ def iad_loss_grad_alpha_batch(alpha, c, p_norm: float) -> np.ndarray:
 def _info_args(alpha, c):
     """alpha~ for R: alpha with a one substituted at the correct class c, or
     all of alpha when c is None (no outcome is correct, so every component
-    counts as misleading evidence). Returns (alpha~, c)."""
+    counts as misleading evidence). Returns (d, c, args) with d = alpha~ - 1
+    and args the stacked (alpha~, alpha~_0) of R's special functions."""
     if c is None:
         off = np.atleast_2d(np.asarray(alpha, dtype=np.float64))
         if off.ndim != 2:
@@ -147,9 +156,11 @@ def _info_args(alpha, c):
         alpha, c = _check_batch(alpha, c)
         off = alpha.copy()
         off[np.arange(alpha.shape[0]), c] = 1.0
-    if np.any(off < 1.0):
+    if (off < 1.0).any():
         raise DomainError("info regularizer requires off-class alpha_j >= 1")
-    return off, c
+    # off has a one substituted at c, so sum(off) = 1 + sum_{j != c} alpha_j
+    # (alpha_0 when c is None).
+    return off - 1.0, c, np.concatenate([off.ravel(), off.sum(axis=1)])
 
 
 def _split(vals: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -157,35 +168,28 @@ def _split(vals: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return vals[:n * k].reshape(n, k), vals[n * k:, None]
 
 
-def _info_pieces(alpha, c):
-    """R_i and what its gradient reuses, from one trigamma call over the
-    stacked arguments (alpha~, alpha~_0). Returns (R, d, tri, tri0, args, c)
-    with d = alpha~ - 1."""
-    off, c = _info_args(alpha, c)
-    n, k = off.shape
-    # off has a one substituted at c, so sum(off) = 1 + sum_{j != c} alpha_j
-    # (alpha_0 when c is None).
-    args = np.concatenate([off.ravel(), off.sum(axis=1)])
-    tri, tri0 = _split(trigamma(args), n, k)
-    d = off - 1.0
-    r = 0.5 * np.sum(d * d * (tri - tri0), axis=1)
-    return r, d, tri, tri0, args, c
+def _info_value(d, tri, tri0) -> np.ndarray:
+    return 0.5 * (d * d * (tri - tri0)).sum(axis=1)
 
 
 def info_regularizer_batch(alpha, c=None) -> np.ndarray:
-    """R_i = (1/2) sum_{j != c} (alpha_j - 1)^2 (psi'(alpha_j) - psi'(alpha~_0)).
+    """R_i = (1/2) sum_{j != c} (alpha_j - 1)^2 (psi'(alpha_j) - psi'(alpha~_0)),
+    from one trigamma call.
 
     With c=None the sum runs over every j and alpha~_0 = alpha_0: the penalty
     for inputs that belong to no class."""
-    return _info_pieces(alpha, c)[0]
+    d, _, args = _info_args(alpha, c)
+    return _info_value(d, *_split(trigamma(args), *d.shape))
 
 
 def info_value_grad_batch(alpha, c=None) -> tuple[np.ndarray, np.ndarray]:
     """(R_i, dR_i/dalpha) for each row (component c of the gradient is zero):
-    one trigamma and one tetragamma call."""
-    r, d, tri, tri0, args, c = _info_pieces(alpha, c)
-    tet, tet0 = _split(tetragamma(args), *d.shape)
-    sum_sq = np.sum(d * d, axis=1)[:, None]
+    one trigamma_tetragamma call."""
+    d, c, args = _info_args(alpha, c)
+    psi1, psi2 = trigamma_tetragamma(args)
+    tri, tri0 = _split(psi1, *d.shape)
+    tet, tet0 = _split(psi2, *d.shape)
+    sum_sq = (d * d).sum(axis=1)[:, None]
     grad = (
         d * (tri - tri0)
         + 0.5 * d * d * (tet - tet0)
@@ -193,7 +197,7 @@ def info_value_grad_batch(alpha, c=None) -> tuple[np.ndarray, np.ndarray]:
     )
     if c is not None:
         grad[np.arange(d.shape[0]), c] = 0.0
-    return r, grad
+    return _info_value(d, tri, tri0), grad
 
 
 def info_regularizer_grad_alpha_batch(alpha, c=None) -> np.ndarray:
@@ -222,20 +226,25 @@ def nll_marginal_grad_alpha_batch(alpha, c) -> np.ndarray:
     return grad
 
 
+def _bayes_ce_args(alpha, c):
+    """Checked alpha and c, and the stacked (alpha_0, alpha_c)."""
+    alpha, c = _check_batch(alpha, c)
+    return alpha, c, np.concatenate([alpha.sum(axis=1), alpha[np.arange(c.size), c]])
+
+
 def bayes_ce_loss_batch(alpha, c) -> np.ndarray:
     """Bayes risk of the cross-entropy loss: psi(alpha_0) - psi(alpha_c)."""
-    alpha, c = _check_batch(alpha, c)
-    a0 = alpha.sum(axis=1)
-    ac = np.take_along_axis(alpha, c[:, None], axis=1)[:, 0]
-    return digamma(a0) - digamma(ac)
+    _, c, args = _bayes_ce_args(alpha, c)
+    dg = digamma(args)
+    return dg[:c.size] - dg[c.size:]
 
 
 def bayes_ce_grad_alpha_batch(alpha, c) -> np.ndarray:
-    alpha, c = _check_batch(alpha, c)
-    a0 = alpha.sum(axis=1)
-    ac = np.take_along_axis(alpha, c[:, None], axis=1)[:, 0]
-    grad = np.broadcast_to(trigamma(a0)[:, None], alpha.shape).copy()
-    grad[np.arange(alpha.shape[0]), c] -= trigamma(ac)
+    alpha, c, args = _bayes_ce_args(alpha, c)
+    n = c.size
+    tg = trigamma(args)
+    grad = np.broadcast_to(tg[:n, None], alpha.shape).copy()
+    grad[np.arange(n), c] -= tg[n:]
     return grad
 
 
@@ -265,30 +274,35 @@ def edl_mse_grad_alpha_batch(alpha, c) -> np.ndarray:
     return grad
 
 
+def _rkl_diff(alpha, c, beta: float):
+    """Checked alpha and alpha - target, for the one-hot prior target
+    (beta + 1 at c, 1 elsewhere) with 0 < beta < inf."""
+    alpha, c = _check_batch(alpha, c)
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"beta must be finite and > 0, got {beta!r}")
+    target = np.ones_like(alpha)
+    target[np.arange(c.size), c] = beta + 1.0
+    return alpha, alpha - target
+
+
 def rkl_prior_loss_batch(alpha, c, beta: float) -> np.ndarray:
     """Forward KL from the model Dirichlet to the one-hot prior target
-    (beta + 1 at c, 1 elsewhere)."""
-    alpha, c = _check_batch(alpha, c)
-    if beta <= 0.0:
-        raise ValueError("beta must be > 0")
+    (beta + 1 at c, 1 elsewhere), from one log_gamma_digamma call over
+    (alpha, alpha_0, beta + 1, beta + K). ln B(target) = ln Gamma(beta + 1) -
+    ln Gamma(beta + K), as ln Gamma(1) = 0."""
+    alpha, diff = _rkl_diff(alpha, c, beta)
     n, k = alpha.shape
-    target = np.ones((n, k))
-    target[np.arange(n), c] = beta + 1.0
-    a0 = alpha.sum(axis=1)
-    diff = alpha - target
-    log_b_a = np.sum(log_gamma(alpha), axis=1) - log_gamma(a0)
-    log_b_t = np.sum(log_gamma(target), axis=1) - log_gamma(target.sum(axis=1))
-    return (
-        log_b_t - log_b_a
-        + np.sum(diff * (digamma(alpha) - digamma(a0)[:, None]), axis=1)
-    )
+    lg, dg = log_gamma_digamma(np.concatenate([
+        alpha.ravel(), alpha.sum(axis=1), [beta + 1.0, beta + k]]))
+    lg_a, lg_a0 = _split(lg[:-2], n, k)
+    dg_a, dg_a0 = _split(dg[:-2], n, k)
+    log_b_a = np.sum(lg_a, axis=1) - lg_a0[:, 0]
+    log_b_t = lg[-2] - lg[-1]
+    return log_b_t - log_b_a + np.sum(diff * (dg_a - dg_a0), axis=1)
 
 
 def rkl_prior_grad_alpha_batch(alpha, c, beta: float) -> np.ndarray:
-    alpha, c = _check_batch(alpha, c)
-    n, k = alpha.shape
-    target = np.ones((n, k))
-    target[np.arange(n), c] = beta + 1.0
-    a0 = alpha.sum(axis=1)
-    diff = alpha - target
-    return diff * trigamma(alpha) - trigamma(a0)[:, None] * diff.sum(axis=1)[:, None]
+    alpha, diff = _rkl_diff(alpha, c, beta)
+    tri, tri0 = _split(trigamma(np.concatenate([alpha.ravel(), alpha.sum(axis=1)])),
+                       *alpha.shape)
+    return diff * tri - tri0 * diff.sum(axis=1)[:, None]

@@ -1,13 +1,21 @@
 """Numerically stable special-function kernels: log-gamma, digamma family, Beta moments.
 
-All functions accept scalars or numpy arrays and are pure. Strategy for the
-psi family: shift the argument up by the recurrence until it exceeds a cutoff,
-then evaluate the asymptotic (Bernoulli-number) series. Log-gamma uses the
-Lanczos approximation (g=7, 9 terms).
+All functions accept scalars or numpy arrays and are pure. One scheme serves
+all four functions: every argument below the cutoff 10 is lifted by exactly
+ten recurrence steps, y = x + 10, and the asymptotic (Stirling and
+Bernoulli-number) series is evaluated at y. The corrections come from the
+k-major (10, m) matrix of x + k over the m lifted elements: ln Gamma subtracts
+ln prod_k (x + k) (Abramowitz & Stegun 6.1.41), the psi family sums powers of
+1 / (x + k) (Bernardo 1976, Algorithm AS 103).
 
-log_gamma and the psi family check their argument once, then run their
-elementwise body over the whole array, or, for more than BLOCK elements, over
-contiguous BLOCK-element pieces written into one output array.
+`log_gamma_digamma` and `trigamma_tetragamma` return two functions from one
+argument check and one shift; `log_gamma`, `digamma` and `trigamma` are
+single-output views built from the same pieces, bit-identical to the paired
+outputs, and `tetragamma` is the second output of `trigamma_tetragamma`
+(nothing on the training or evaluation path needs psi'' alone). Each public
+function runs its body over the whole array, or, for more than BLOCK
+elements, over contiguous BLOCK-element pieces written into one output array
+per function.
 """
 
 from __future__ import annotations
@@ -20,6 +28,8 @@ __all__ = [
     "digamma",
     "trigamma",
     "tetragamma",
+    "log_gamma_digamma",
+    "trigamma_tetragamma",
     "beta_moment",
 ]
 
@@ -27,27 +37,35 @@ __all__ = [
 # hide upstream bugs (e.g. a concentration parameter driven to zero).
 MIN_ARG = 1e-12
 
-# 256 KB of float64, as data.py's row blocks. A body makes ~25 temporaries
-# the size of its input: over 300k elements they spill out of L2, over one
-# block they stay in cache. Training and evaluation calls fit in one block.
+# 256 KB of float64, as data.py's row blocks. A body makes ~20 temporaries
+# the size of its input and one (10, m) shift matrix: over 300k elements they
+# spill out of L2, over one block they stay in cache. Training and evaluation
+# calls fit in one block.
 BLOCK = 32_768
 
-# Argument above which the asymptotic series are accurate to ~1e-15.
+# Argument above which the asymptotic series are accurate to ~1e-15; elements
+# below it are lifted by this many recurrence steps.
 _ASYM_CUTOFF = 10.0
 
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = np.array([
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-])
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
+
+# x + k for k = 0..9, one row per step.
+_STEPS = np.arange(_ASYM_CUTOFF)[:, None]
+
+# Coefficients c_0..c_6 of the asymptotic series, each sum_k c_k (-u)^k in
+# u = 1/y^2, from the Bernoulli numbers B_2..B_14:
+# ln Gamma(y) ~ (y - 1/2) ln y - y + ln(2 pi)/2 + (1/y) series,
+_LOG_GAMMA = (1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188, 691 / 360360, 1 / 156)
+# psi(y) ~ ln y - 1/(2y) - u series,
+_PSI = (1 / 12, 1 / 120, 1 / 252, 1 / 240, 1 / 132, 691 / 32760, 1 / 12)
+# psi'(y) ~ 1/y + u/2 + (u/y) series,
+_PSI1 = (1 / 6, 1 / 30, 1 / 42, 1 / 30, 5 / 66, 691 / 2730, 7 / 6)
+# psi''(y) ~ -u - u/y - u^2 series.
+_PSI2 = (1 / 2, 1 / 6, 1 / 6, 3 / 10, 5 / 6, 691 / 210, 35 / 2)
+
+# The (7, 2, 1) Horner tables of the two paired kernels, one row per series.
+_LOG_GAMMA_PSI = np.array([_LOG_GAMMA, _PSI]).T[:, :, None]
+_PSI1_PSI2 = np.array([_PSI1, _PSI2]).T[:, :, None]
 
 
 class DomainError(ValueError):
@@ -58,142 +76,185 @@ def _as_positive_array(x, name: str) -> tuple[np.ndarray, bool]:
     arr = np.asarray(x, dtype=np.float64)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError(f"{name} must be finite, got {x!r}")
-    if np.any(arr < MIN_ARG):
+    if (arr < MIN_ARG).any():
         raise DomainError(f"{name} must be >= {MIN_ARG}, got {x!r}")
     return arr, scalar
 
 
-def _ret(values: np.ndarray, scalar: bool):
-    return float(values[0]) if scalar else values
-
-
-def _blocked(body, arr: np.ndarray) -> np.ndarray:
-    """body(arr) for an elementwise body: in one call for at most BLOCK
-    elements, else piece by piece over the flattened array."""
-    if arr.size <= BLOCK:
-        return body(arr)
+def _apply(body, x):
+    """The outputs of body, which maps a flat array to a tuple of flat arrays,
+    for a checked x: in one call for at most BLOCK elements, else piece by
+    piece into one array per output. Each output has x's shape, or is a float
+    for a scalar x."""
+    arr, scalar = _as_positive_array(x, "x")
     flat = arr.ravel()
-    out = np.empty_like(flat)
-    for start in range(0, flat.size, BLOCK):
-        out[start:start + BLOCK] = body(flat[start:start + BLOCK])
-    return out.reshape(arr.shape)
+    if flat.size <= BLOCK:
+        outs = body(flat)
+    else:
+        outs = ()
+        for start in range(0, flat.size, BLOCK):
+            pieces = body(flat[start:start + BLOCK])
+            outs = outs or tuple(np.empty_like(flat) for _ in pieces)
+            for out, piece in zip(outs, pieces):
+                out[start:start + BLOCK] = piece
+    if scalar:
+        return tuple(float(out[0]) for out in outs)
+    return tuple(out.reshape(arr.shape) for out in outs)
+
+
+def _shift(flat: np.ndarray, table):
+    """(y, low, 1/y, 1/y^2, series): y = x + 10 at the indices `low` of the
+    elements below the cutoff and y = x elsewhere, and series u times each
+    series of `table` at y."""
+    below = flat < _ASYM_CUTOFF
+    low = np.flatnonzero(below)
+    y = np.where(below, flat + _ASYM_CUTOFF, flat) if low.size else flat
+    inv = 1.0 / y
+    u = inv * inv
+    return y, low, inv, u, _horner(u, table)
+
+
+def _tree(op, mat: np.ndarray) -> np.ndarray:
+    """op-reduction of the rows of mat into mat[0], in place, as a fixed tree
+    of elementwise calls: every element sees the same order of operations,
+    whatever the number of columns (numpy's own sum changes its order with the
+    layout)."""
+    n = len(mat)
+    while n > 1:
+        half = n // 2
+        op(mat[:half], mat[n - half:n], out=mat[:half])
+        n -= half
+    return mat[0]
+
+
+def _horner(u: np.ndarray, table) -> np.ndarray:
+    """u times the series of `table` at u: (n,) for one series' coefficients,
+    (rows, n) for a (7, rows, 1) table."""
+    acc = table[-1] * u
+    for c in table[-2::-1]:
+        np.subtract(c, acc, out=acc)
+        acc *= u
+    return acc
+
+
+def _recip_steps(flat: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """The k-major (10, m) matrix of 1 / (x + k) over the m elements at low."""
+    pts = flat[low] + _STEPS
+    return np.divide(1.0, pts, out=pts)
+
+
+# Each body below evaluates its series at y, then, if any element lies below
+# the cutoff, subtracts or adds what the ten recurrence steps collect:
+# ln Gamma(x) = ln Gamma(x+10) - ln prod (x+k), psi(x) = psi(x+10) - sum
+# 1/(x+k), psi'(x) = psi'(x+10) + sum 1/(x+k)^2 and psi''(x) = psi''(x+10) -
+# 2 sum 1/(x+k)^3, each reduced over the rows k of a (10, m) matrix that it
+# overwrites. With no element below the cutoff no matrix is built.
+
+def _log_gamma_at(y, ln_y, series):
+    return (y - 0.5) * ln_y - y + _HALF_LOG_2PI + y * series
+
+
+def _digamma_at(ln_y, inv, series):
+    return ln_y - 0.5 * inv - series
+
+
+def _trigamma_at(inv, u, series):
+    return inv + 0.5 * u + inv * series
+
+
+def _log_gamma_digamma(flat):
+    y, low, inv, _, series = _shift(flat, _LOG_GAMMA_PSI)
+    ln_y = np.log(y)
+    lg = _log_gamma_at(y, ln_y, series[0])
+    dg = _digamma_at(ln_y, inv, series[1])
+    if low.size:
+        pts = flat[low] + _STEPS
+        # the product's first tree level, out of place: the reciprocals need pts
+        lg[low] -= np.log(_tree(np.multiply, pts[:5] * pts[5:]))
+        dg[low] -= _tree(np.add, np.divide(1.0, pts, out=pts))
+    return lg, dg
+
+
+def _trigamma_tetragamma(flat):
+    _, low, inv, u, series = _shift(flat, _PSI1_PSI2)
+    tri = _trigamma_at(inv, u, series[0])
+    tetra = -u - u * inv - u * series[1]
+    if low.size:
+        recip = _recip_steps(flat, low)
+        recip2 = recip * recip
+        recip3 = np.multiply(recip2, recip, out=recip)
+        tri[low] += _tree(np.add, recip2)
+        tetra[low] -= 2.0 * _tree(np.add, recip3)
+    return tri, tetra
+
+
+def _log_gamma(flat):
+    y, low, _, _, series = _shift(flat, _LOG_GAMMA)
+    out = _log_gamma_at(y, np.log(y), series)
+    if low.size:
+        out[low] -= np.log(_tree(np.multiply, flat[low] + _STEPS))
+    return (out,)
+
+
+def _digamma(flat):
+    y, low, inv, _, series = _shift(flat, _PSI)
+    out = _digamma_at(np.log(y), inv, series)
+    if low.size:
+        out[low] -= _tree(np.add, _recip_steps(flat, low))
+    return (out,)
+
+
+def _trigamma(flat):
+    _, low, inv, u, series = _shift(flat, _PSI1)
+    out = _trigamma_at(inv, u, series)
+    if low.size:
+        recip = _recip_steps(flat, low)
+        out[low] += _tree(np.add, np.multiply(recip, recip, out=recip))
+    return (out,)
+
+
+def log_gamma_digamma(x):
+    """(ln Gamma(x), psi(x)) for x > 0 from one shift."""
+    return _apply(_log_gamma_digamma, x)
+
+
+def trigamma_tetragamma(x):
+    """(psi'(x), psi''(x)) for x > 0 from one shift."""
+    return _apply(_trigamma_tetragamma, x)
 
 
 def log_gamma(x):
-    """ln Gamma(x) for x > 0 via the Lanczos approximation."""
-    arr, scalar = _as_positive_array(x, "x")
-    return _ret(_blocked(_log_gamma, arr), scalar)
-
-
-def _log_gamma(arr: np.ndarray) -> np.ndarray:
-    out = np.empty_like(arr)
-    small = arr < 0.5
-    if np.any(small):
-        xs = arr[small]
-        # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        out[small] = np.log(np.pi / np.sin(np.pi * xs)) - _lanczos(1.0 - xs)
-    if np.any(~small):
-        out[~small] = _lanczos(arr[~small])
-    return out
-
-
-def _lanczos(x: np.ndarray) -> np.ndarray:
-    z = x - 1.0
-    acc = np.full_like(z, _LANCZOS_COEF[0])
-    for k in range(1, len(_LANCZOS_COEF)):
-        acc = acc + _LANCZOS_COEF[k] / (z + k)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_2PI + (z + 0.5) * np.log(t) - t + np.log(acc)
-
-
-# x + k for k = 0..9: ten recurrence steps lift any x >= MIN_ARG past the cutoff.
-_STEPS = np.arange(_ASYM_CUTOFF)
-
-
-def _shift_up(arr: np.ndarray, power: int):
-    """(y, corr): y = x + n, with n the number of steps k < 10 at which
-    x + k is below the cutoff (so y >= cutoff), and corr = sum_{k<n}
-    (x+k)^-power, the sum the psi-family recurrences collect on the way up
-    (Bernardo 1976, Algorithm AS 103).
-
-    A fixed-width (m, 10) matrix of x + k is built for the m elements below
-    the cutoff only, and reused in place."""
-    flat = arr.ravel()
-    low = np.flatnonzero(flat < _ASYM_CUTOFF)
-    if not low.size:
-        return arr, 0.0
-    pts = flat[low][:, None] + _STEPS
-    below = pts < _ASYM_CUTOFF
-    y = flat.copy()
-    y[low] += below.sum(axis=1)
-    np.divide(1.0, pts, out=pts)
-    pts **= power
-    pts *= below
-    corr = np.zeros_like(flat)
-    corr[low] = pts.sum(axis=1)
-    return y.reshape(arr.shape), corr.reshape(arr.shape)
+    """ln Gamma(x) for x > 0."""
+    return _apply(_log_gamma, x)[0]
 
 
 def digamma(x):
     """psi(x) = d/dx ln Gamma(x) for x > 0."""
-    arr, scalar = _as_positive_array(x, "x")
-    return _ret(_blocked(_digamma, arr), scalar)
-
-
-def _digamma(arr: np.ndarray) -> np.ndarray:
-    y, corr = _shift_up(arr, 1)
-    u = 1.0 / (y * y)
-    # psi(y) ~ ln y - 1/(2y) - sum B_2k / (2k y^2k)
-    series = (1.0 / 12.0 - u * (1.0 / 120.0 - u * (1.0 / 252.0 - u * (
-        1.0 / 240.0 - u * (1.0 / 132.0 - u * (691.0 / 32760.0 - u / 12.0))))))
-    # psi(x) = psi(x+1) - 1/x
-    return np.log(y) - 0.5 / y - u * series - corr
+    return _apply(_digamma, x)[0]
 
 
 def trigamma(x):
     """psi'(x), the polygamma function of order 1, for x > 0."""
-    arr, scalar = _as_positive_array(x, "x")
-    return _ret(_blocked(_trigamma, arr), scalar)
-
-
-def _trigamma(arr: np.ndarray) -> np.ndarray:
-    y, corr = _shift_up(arr, 2)
-    u = 1.0 / (y * y)
-    # psi'(y) ~ 1/y + 1/(2y^2) + sum B_2k / y^(2k+1)
-    series = (1.0 / 6.0 - u * (1.0 / 30.0 - u * (1.0 / 42.0 - u * (
-        1.0 / 30.0 - u * (5.0 / 66.0 - u * (691.0 / 2730.0 - u * 7.0 / 6.0))))))
-    # psi'(x) = psi'(x+1) + 1/x^2
-    return 1.0 / y + 0.5 * u + u / y * series + corr
+    return _apply(_trigamma, x)[0]
 
 
 def tetragamma(x):
     """psi''(x), the polygamma function of order 2, for x > 0. Always negative."""
-    arr, scalar = _as_positive_array(x, "x")
-    return _ret(_blocked(_tetragamma, arr), scalar)
-
-
-def _tetragamma(arr: np.ndarray) -> np.ndarray:
-    y, corr = _shift_up(arr, 3)
-    u = 1.0 / (y * y)
-    # psi''(y) ~ -1/y^2 - 1/y^3 - sum (2k+1) B_2k / y^(2k+2)
-    series = (0.5 - u * (1.0 / 6.0 - u * (1.0 / 6.0 - u * (
-        3.0 / 10.0 - u * (5.0 / 6.0 - u * 691.0 / 210.0)))))
-    # psi''(x) = psi''(x+1) - 2/x^3
-    return -u - u / y - u * u * series - 2.0 * corr
+    return trigamma_tetragamma(x)[1]
 
 
 def beta_moment(a, b, q):
     """q-th moment of Beta(a, b): E[p^q] = B(a+q, b) / B(a, b).
 
-    Computed as exp of log-gamma differences so concentrations up to ~1e6
-    do not overflow.
+    Computed as exp of log-gamma differences, from one log_gamma call over
+    the four stacked arguments, so concentrations up to ~1e6 do not overflow.
     """
     aa, sa = _as_positive_array(a, "a")
     bb, sb = _as_positive_array(b, "b")
     qq, sq = _as_positive_array(q, "q")
-    out = np.exp(
-        log_gamma(aa + qq) + log_gamma(aa + bb) - log_gamma(aa) - log_gamma(aa + bb + qq)
-    )
-    return _ret(out, sa and sb and sq)
+    aa, bb, qq = np.broadcast_arrays(aa, bb, qq)
+    lg = log_gamma(np.stack([aa + qq, aa + bb, aa, aa + bb + qq]))
+    out = np.exp(lg[0] + lg[1] - lg[2] - lg[3])
+    return float(out[0]) if sa and sb and sq else out

@@ -414,6 +414,14 @@ def test_rkl_prior_matches_dirichlet_kl_divergence():
         assert got[i] == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("fn", [rkl_prior_loss_batch, rkl_prior_grad_alpha_batch])
+@pytest.mark.parametrize("beta", [-5.0, 0.0, float("nan"), float("inf")])
+def test_rkl_prior_rejects_out_of_range_beta(fn, beta):
+    with pytest.raises(ValueError, match="beta") as err:
+        fn(np.array([[2.0, 1.5, 3.0]]), np.array([0]), beta)
+    assert type(err.value) is ValueError
+
+
 @pytest.mark.parametrize("value_fn,grad_fn,extra", [
     (nll_marginal_loss_batch, nll_marginal_grad_alpha_batch, ()),
     (bayes_ce_loss_batch, bayes_ce_grad_alpha_batch, ()),

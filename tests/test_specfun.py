@@ -12,9 +12,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iad.specfun import (BLOCK, DomainError, MIN_ARG, beta_moment, digamma,
-                         log_gamma, tetragamma, trigamma)
+                         log_gamma, log_gamma_digamma, tetragamma, trigamma,
+                         trigamma_tetragamma)
 
 EULER_GAMMA = 0.5772156649015328606
+
+
+# each output of the two paired kernels, as a one-output function
+# (`tetragamma` is itself the second output of `trigamma_tetragamma`)
+
+def log_gamma_of_pair(x):
+    return log_gamma_digamma(x)[0]
+
+
+def digamma_of_pair(x):
+    return log_gamma_digamma(x)[1]
+
+
+def trigamma_of_pair(x):
+    return trigamma_tetragamma(x)[0]
+
+
+# (paired output, its single-function view)
+_PAIRED = [(log_gamma_of_pair, log_gamma), (digamma_of_pair, digamma),
+           (trigamma_of_pair, trigamma)]
+_ALL_VIEWS = [log_gamma, digamma, trigamma, tetragamma] + [p for p, _ in _PAIRED]
 
 
 # ---------------------------------------------------------------- log_gamma
@@ -25,14 +47,15 @@ def test_log_gamma_half_integer():
 
 def test_log_gamma_small_integers():
     for n, fact in ((1, 1), (2, 1), (3, 2), (5, 24), (11, 3628800)):
-        assert log_gamma(float(n)) == pytest.approx(math.log(fact), abs=1e-12)
+        for fn in (log_gamma, log_gamma_of_pair):
+            assert fn(float(n)) == pytest.approx(math.log(fact), abs=1e-12)
 
 
 def test_log_gamma_matches_scipy_over_wide_range():
     x = np.logspace(-10, 8, 400)
-    got = log_gamma(x)
     want = scipy.special.gammaln(x)
-    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+    for fn in (log_gamma, log_gamma_of_pair):
+        assert np.allclose(fn(x), want, rtol=1e-12, atol=1e-12)
 
 
 @given(st.floats(min_value=1e-6, max_value=1e6))
@@ -46,7 +69,8 @@ def test_log_gamma_recurrence(x):
 # ------------------------------------------------------------------ digamma
 
 def test_digamma_at_one_is_minus_euler_gamma():
-    assert digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-13)
+    for fn in (digamma, digamma_of_pair):
+        assert fn(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-13)
 
 
 def test_digamma_at_half():
@@ -63,7 +87,8 @@ def test_digamma_ten_and_a_half_via_recurrence_chain():
 
 def test_digamma_matches_scipy_over_wide_range():
     x = np.logspace(-10, 8, 400)
-    assert np.allclose(digamma(x), scipy.special.psi(x), rtol=1e-12, atol=1e-12)
+    for fn in (digamma, digamma_of_pair):
+        assert np.allclose(fn(x), scipy.special.psi(x), rtol=1e-12, atol=1e-12)
 
 
 @given(st.floats(min_value=1e-2, max_value=1e6))
@@ -75,7 +100,8 @@ def test_digamma_recurrence(x):
 # ----------------------------------------------------------------- trigamma
 
 def test_trigamma_at_one_is_pi_squared_over_six():
-    assert trigamma(1.0) == pytest.approx(math.pi ** 2 / 6.0, abs=1e-13)
+    for fn in (trigamma, trigamma_of_pair):
+        assert fn(1.0) == pytest.approx(math.pi ** 2 / 6.0, abs=1e-13)
 
 
 def test_trigamma_at_four():
@@ -87,7 +113,8 @@ def test_trigamma_at_four():
 def test_trigamma_matches_scipy_over_wide_range():
     x = np.logspace(-10, 8, 400)
     want = scipy.special.polygamma(1, x)
-    assert np.allclose(trigamma(x), want, rtol=1e-12, atol=1e-300)
+    for fn in (trigamma, trigamma_of_pair):
+        assert np.allclose(fn(x), want, rtol=1e-12, atol=1e-300)
 
 
 @given(st.floats(min_value=1e-2, max_value=1e6))
@@ -127,10 +154,35 @@ def test_tetragamma_negative_everywhere():
     assert np.all(tetragamma(x) < 0.0)
 
 
+# ---------------------------------------------------- paired kernels
+
+@pytest.mark.parametrize("fn", [log_gamma, log_gamma_of_pair])
+@pytest.mark.parametrize("x", [0.5, 1.0, 2.0])
+def test_log_gamma_against_mpmath_where_the_shift_cancels(fn, x):
+    # ln Gamma(x) = ln Gamma(x + 10) - ln prod (x + k) subtracts two numbers
+    # of 15-18 whose difference is 0 at x = 1 and x = 2
+    want = float(mpmath.loggamma(mpmath.mpf(x)))
+    assert abs(fn(x) - want) <= 1e-13 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("paired, single", _PAIRED)
+def test_paired_outputs_equal_single_views_bit_for_bit(paired, single):
+    rng = np.random.default_rng(11)
+    x = np.exp(rng.uniform(np.log(MIN_ARG), np.log(1e6), 3 * BLOCK + 7))
+    x[:3] = [0.5, 10.0 - 1e-15, 10.0]
+    assert paired(2.5) == single(2.5)
+    assert isinstance(paired(2.5), float)
+    for view in (x[:12].reshape(3, 4), x[::3], x[:BLOCK - 1], x[:BLOCK + 1], x):
+        got = paired(view)
+        assert got.shape == view.shape
+        assert np.array_equal(got, single(view))
+
+
 # ------------------------------------------------------ recurrence shift
 
 # (function, scipy oracle, rtol, atol of the wide-range tests above,
-#  recurrence f(x+1) - f(x) = step(x), rel and abs of the recurrence tests)
+#  recurrence f(x+1) - f(x) = step(x), rel and abs of the recurrence tests);
+# ln Gamma and both outputs of each paired kernel share the psi family's shift
 _PSI_FAMILY = [
     (digamma, scipy.special.psi, 1e-12, 1e-12, lambda x: 1.0 / x, 1e-10, 1e-10),
     (trigamma, lambda x: scipy.special.polygamma(1, x), 1e-12, 1e-300,
@@ -138,6 +190,10 @@ _PSI_FAMILY = [
     (tetragamma, lambda x: scipy.special.polygamma(2, x), 1e-11, 1e-300,
      lambda x: 2.0 / x ** 3, 1e-8, 1e-12),
 ]
+_PSI_FAMILY += [
+    (log_gamma, scipy.special.gammaln, 1e-12, 1e-12, np.log, 1e-10, 1e-10),
+    (log_gamma_of_pair, scipy.special.gammaln, 1e-12, 1e-12, np.log, 1e-10, 1e-10),
+] + [(paired,) + row[1:] for (paired, _), row in zip(_PAIRED[1:], _PSI_FAMILY)]
 # the smallest argument, the last shifted steps, both sides of the cutoff
 # (10), and far above it
 _SHIFT_EDGES = np.array([MIN_ARG, 9.0, 10.0 - 1e-15, 10.0, 1e6])
@@ -177,9 +233,8 @@ _BULK_N = 3 * BLOCK + 7
 
 @pytest.fixture(scope="module")
 def bulk_input():
-    """3 BLOCK + 7 arguments: a third below 0.5 (log_gamma's reflection), a
-    third in [0.5, 10] (the psi family's shift), a third above 10, shuffled,
-    plus each branch boundary."""
+    """3 BLOCK + 7 arguments: a third below 0.5, a third in [0.5, 10] (both
+    shifted), a third above 10, shuffled, plus each boundary."""
     rng = np.random.default_rng(8)
     third = _BULK_N // 3
     x = np.concatenate([rng.uniform(MIN_ARG, 0.5, third), rng.uniform(0.5, 10.0, third),
@@ -199,14 +254,14 @@ def elementwise(bulk_input):
     sample = np.union1d(near[(near >= 0) & (near < n)],
                         np.random.default_rng(9).choice(n, 3000, replace=False))
     out = {}
-    for fn in (log_gamma, digamma, trigamma, tetragamma):
+    for fn in _ALL_VIEWS:
         want = np.full(n, np.nan)
         want[sample] = [fn(float(bulk_input[i])) for i in sample]
         out[fn] = want
     return out
 
 
-@pytest.mark.parametrize("fn", [log_gamma, digamma, trigamma, tetragamma])
+@pytest.mark.parametrize("fn", _ALL_VIEWS)
 def test_bulk_calls_equal_elementwise_calls(fn, bulk_input, elementwise):
     # one block, the first calls split into pieces, a ragged last piece, and
     # 2-D and strided inputs longer than a block; each view is applied to the
@@ -256,7 +311,7 @@ def test_beta_moment_against_quadrature():
 
 # ----------------------------------------------------------- domain handling
 
-@pytest.mark.parametrize("fn", [log_gamma, digamma, trigamma, tetragamma])
+@pytest.mark.parametrize("fn", _ALL_VIEWS)
 @pytest.mark.parametrize("bad", [0.0, -1.0, MIN_ARG / 2.0,
                                  float("nan"), float("inf")])
 def test_rejects_nonpositive_and_nonfinite(fn, bad):
@@ -271,9 +326,9 @@ def test_rejects_bad_array_element():
 
 def test_vectorized_shapes_roundtrip():
     x = np.linspace(0.5, 9.5, 12).reshape(3, 4)
-    for fn in (log_gamma, digamma, trigamma, tetragamma):
+    for fn in _ALL_VIEWS:
         assert fn(x).shape == (3, 4)
-    assert isinstance(digamma(2.5), float)
+        assert isinstance(fn(2.5), float)
 
 
 @settings(max_examples=50)
