@@ -9,9 +9,10 @@ prior target).
 Every function takes an (N, K) alpha matrix and an (N,) class vector and
 works row by row. F and R each have one value+gradient kernel
 (`iad_value_grad_batch`, `info_value_grad_batch`), which the training step
-calls; the gradient functions are views of them. Each kernel makes one paired
-special-function call, (ln Gamma, psi) for F and (psi', psi'') for R; the
-value functions make one ln Gamma or psi' call over the same arguments.
+calls; the gradient functions are views of them. F's value and its kernel
+each make one `log_rising` call, (ln (a)_p, psi(a+p) - psi(a)), over the
+stacked (alpha_0, s, alpha). R's kernel makes one paired (psi', psi'') call
+and its value one psi' call over the same arguments.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import (DomainError, digamma, log_gamma, log_gamma_digamma, trigamma,
+from .specfun import (DomainError, digamma, log_gamma_digamma, log_rising, trigamma,
                       trigamma_tetragamma)
 
 __all__ = [
@@ -58,8 +59,14 @@ class LossConfig:
     p_norm: float = 4.0
 
     def __post_init__(self):
-        if not 1.0 <= self.p_norm < math.inf:
-            raise ValueError("p_norm must be finite and >= 1")
+        _check_p_norm(self.p_norm)
+
+
+def _check_p_norm(p_norm) -> float:
+    p = float(p_norm)
+    if not 1.0 <= p < math.inf:
+        raise ValueError("p_norm must be finite and >= 1")
+    return p
 
 
 def _check_batch(alpha: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -77,24 +84,21 @@ def _logsumexp(terms: np.ndarray, axis: int) -> np.ndarray:
     return (m + np.log(np.exp(terms - m).sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
-def _iad_args(alpha, c, p: float) -> np.ndarray:
-    """The stacked arguments (alpha_0, s, alpha) || (alpha_0 + p, s + p,
-    alpha + p) of F's special functions, where s = alpha_0 - alpha_c is the
-    off-class sum. alpha and c come checked."""
+def _iad_args(alpha, c) -> np.ndarray:
+    """The stacked arguments (alpha_0, s, alpha) of F's rising factorials,
+    where s = alpha_0 - alpha_c is the off-class sum. alpha and c come
+    checked."""
     a0 = alpha.sum(axis=1)
-    x = np.concatenate([a0, a0 - alpha[np.arange(alpha.shape[0]), c], alpha.ravel()])
-    return np.concatenate([x, x + p])
+    return np.concatenate([a0, a0 - alpha[np.arange(alpha.shape[0]), c], alpha.ravel()])
 
 
-def _iad_log_f(lg, c, p: float, k: int):
-    """log F_i and what its gradient reuses, from ln Gamma over _iad_args.
+def _iad_log_f(log_mu, c, p: float, k: int):
+    """log F_i and what its gradient reuses, from log mu(a) = ln (a)_p over
+    _iad_args.
 
     Returns (log F, terms, lse): terms[:, 0] = log mu(s) and terms[:, 1:] =
-    log mu(alpha_j), -inf at c, with log mu(a) = ln Gamma(a+p) - ln Gamma(a);
-    lse is their row log-sum-exp."""
+    log mu(alpha_j), -inf at c; lse is their row log-sum-exp."""
     n = c.size
-    m = lg.size // 2
-    log_mu = lg[m:] - lg[:m]
     terms = np.empty((n, k + 1))
     terms[:, 0] = log_mu[n:2 * n]
     terms[:, 1:] = log_mu[2 * n:].reshape(n, k)
@@ -108,28 +112,27 @@ def _iad_log_f(lg, c, p: float, k: int):
 
 def iad_loss_batch(alpha, c, p_norm: float) -> np.ndarray:
     """F_i for each row: the closed-form L_p upper bound on the expected
-    max-norm prediction error, computed in log space from one log_gamma
-    call."""
+    max-norm prediction error, computed in log space from one log_rising
+    call. p_norm must be finite and >= 1."""
     alpha, c = _check_batch(alpha, c)
-    p = float(p_norm)
-    return np.exp(_iad_log_f(log_gamma(_iad_args(alpha, c, p)), c, p, alpha.shape[1])[0])
+    p = _check_p_norm(p_norm)
+    log_mu, _ = log_rising(_iad_args(alpha, c), p)
+    return np.exp(_iad_log_f(log_mu, c, p, alpha.shape[1])[0])
 
 
 def iad_value_grad_batch(alpha, c, p_norm: float) -> tuple[np.ndarray, np.ndarray]:
-    """(F_i, dF_i/dalpha) for each row: one log_gamma_digamma call.
+    """(F_i, dF_i/dalpha) for each row: one log_rising call.
 
-    d log F / d alpha_c = (1/p)(psi(a0) - psi(a0+p)); off-class components add
-    the derivative of the log-sum through mu(s) and mu(alpha_j), with
-    mu'(a) = mu(a) (psi(a+p) - psi(a)).
+    d log F / d alpha_c = -(1/p) nu(a0); off-class components add the
+    derivative of the log-sum through mu(s) and mu(alpha_j), with
+    mu'(a) = mu(a) nu(a) and nu(a) = psi(a+p) - psi(a).
     """
     alpha, c = _check_batch(alpha, c)
     n, k = alpha.shape
-    p = float(p_norm)
-    lg, dg = log_gamma_digamma(_iad_args(alpha, c, p))
-    log_f, terms, lse = _iad_log_f(lg, c, p, k)
+    p = _check_p_norm(p_norm)
+    log_mu, nu = log_rising(_iad_args(alpha, c), p)
+    log_f, terms, lse = _iad_log_f(log_mu, c, p, k)
     f = np.exp(log_f)
-    m = dg.size // 2
-    nu = dg[m:] - dg[:m]  # psi(a+p) - psi(a)
     w = np.exp(terms - lse[:, None])
     common = -nu[:n]
     grad_log = (common[:, None] + w[:, :1] * nu[n:2 * n, None]

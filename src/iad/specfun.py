@@ -1,4 +1,5 @@
-"""Numerically stable special-function kernels: log-gamma, digamma family, Beta moments.
+"""Numerically stable special-function kernels: log-gamma, digamma family,
+rising factorials, Beta moments.
 
 All functions accept scalars or numpy arrays and are pure. One scheme serves
 all four functions: every argument below the cutoff 10 is lifted by exactly
@@ -12,13 +13,23 @@ ln prod_k (x + k) (Abramowitz & Stegun 6.1.41), the psi family sums powers of
 argument check and one shift; `log_gamma`, `digamma` and `trigamma` are
 single-output views built from the same pieces, bit-identical to the paired
 outputs, and `tetragamma` is the second output of `trigamma_tetragamma`
-(nothing on the training or evaluation path needs psi'' alone). Each public
-function runs its body over the whole array, or, for more than BLOCK
-elements, over contiguous BLOCK-element pieces written into one output array
-per function.
+(nothing on the training or evaluation path needs psi'' alone).
+
+`log_rising` returns ln (x)_p = ln Gamma(x+p) - ln Gamma(x) and
+psi(x+p) - psi(x). For an integer p up to RISING_MAX_P it needs no special
+function: it reduces the k-major (p, m) matrix of the rising factors x + k,
+the log of their product (A&S 6.1.22) and the sum of their reciprocals
+(A&S 6.3.6). Any other p takes log_gamma_digamma differences.
+
+Each public function runs its body over the whole array, or, for more than
+BLOCK elements, over contiguous BLOCK-element pieces written into one output
+array per function.
 """
 
 from __future__ import annotations
+
+import math
+from functools import partial
 
 import numpy as np
 
@@ -30,6 +41,7 @@ __all__ = [
     "tetragamma",
     "log_gamma_digamma",
     "trigamma_tetragamma",
+    "log_rising",
     "beta_moment",
 ]
 
@@ -42,6 +54,14 @@ MIN_ARG = 1e-12
 # spill out of L2, over one block they stay in cache. Training and evaluation
 # calls fit in one block.
 BLOCK = 32_768
+
+# Integer orders up to this take log_rising's rising-factor sums; any other
+# order takes ln Gamma / psi differences (p = 1e6 would build a million-row
+# matrix). The product of at most 8 factors stays finite for x below
+# _RISING_MAX_X ((1e36 + 8)^8 < 1e289); elements above it sum the factors'
+# logs instead.
+RISING_MAX_P = 8
+_RISING_MAX_X = 1e36
 
 # Argument above which the asymptotic series are accurate to ~1e-15; elements
 # below it are lifted by this many recurrence steps.
@@ -213,6 +233,40 @@ def _trigamma(flat):
         recip = _recip_steps(flat, low)
         out[low] += _tree(np.add, np.multiply(recip, recip, out=recip))
     return (out,)
+
+
+def _log_rising(flat, p: int):
+    """(ln (x)_p, psi(x+p) - psi(x)) over the k-major (p, m) matrix of x + k."""
+    pts = flat + np.arange(p)[:, None]
+    # np.minimum copies pts, which the reciprocals need, and keeps the
+    # products of elements above _RISING_MAX_X finite until they are replaced
+    log_prod = np.log(_tree(np.multiply, np.minimum(pts, _RISING_MAX_X)))
+    big = np.flatnonzero(flat > _RISING_MAX_X)
+    if big.size:
+        log_prod[big] = _tree(np.add, np.log(pts[:, big]))
+    return log_prod, _tree(np.add, np.divide(1.0, pts, out=pts))
+
+
+def _log_gamma_ratio(flat, p: float):
+    """(ln (x)_p, psi(x+p) - psi(x)) as log_gamma_digamma differences."""
+    lg, dg = _log_gamma_digamma(np.concatenate([flat, flat + p]))
+    m = flat.size
+    return lg[m:] - lg[:m], dg[m:] - dg[:m]
+
+
+def log_rising(x, p):
+    """(ln (x)_p, psi(x+p) - psi(x)) for x > 0 and p > 0, where (x)_p =
+    Gamma(x+p) / Gamma(x) is the rising factorial.
+
+    An integer p up to RISING_MAX_P sums over the p factors x + k, which does
+    not cancel at large x; any other p takes the differences of
+    log_gamma_digamma at x + p and x."""
+    p = float(p)
+    if not 0.0 < p < math.inf:
+        raise DomainError(f"p must be finite and > 0, got {p!r}")
+    if p.is_integer() and p <= RISING_MAX_P:
+        return _apply(partial(_log_rising, p=int(p)), x)
+    return _apply(partial(_log_gamma_ratio, p=p), x)
 
 
 def log_gamma_digamma(x):

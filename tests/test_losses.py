@@ -3,6 +3,7 @@ finite differences for every analytic gradient."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from iad.losses import (LossConfig, bayes_ce_grad_alpha_batch,
                         nll_marginal_grad_alpha_batch,
                         nll_marginal_loss_batch, rkl_prior_grad_alpha_batch,
                         rkl_prior_loss_batch)
-from iad.specfun import DomainError, digamma, log_gamma, tetragamma, trigamma
+from iad.specfun import DomainError, digamma, log_rising, tetragamma, trigamma
 from iad.training import TrainConfig, _objective
 
 
@@ -82,21 +83,22 @@ def test_iad_loss_batch_matches_scalar():
 
 
 def _separate_iad(alpha, c, p):
-    """(F, dF/dalpha) from one special-function call per argument array: the
+    """(F, dF/dalpha) from one log_rising call per argument array: the
     unfused form, which the fused kernel must equal bit for bit."""
     rows = np.arange(alpha.shape[0])
     a0 = alpha.sum(axis=1)
     s = a0 - alpha[rows, c]
-    log_mu_k = np.where(np.arange(alpha.shape[1]) == c[:, None], -np.inf,
-                        log_gamma(alpha + p) - log_gamma(alpha))
-    terms = np.concatenate([(log_gamma(s + p) - log_gamma(s))[:, None], log_mu_k], axis=1)
+    log_mu_0, nu_0 = log_rising(a0, p)
+    log_mu_s, nu_s = log_rising(s, p)
+    log_mu_a, nu_a = log_rising(alpha, p)
+    log_mu_k = np.where(np.arange(alpha.shape[1]) == c[:, None], -np.inf, log_mu_a)
+    terms = np.concatenate([log_mu_s[:, None], log_mu_k], axis=1)
     top = terms.max(axis=1, keepdims=True)
     lse = (top + np.log(np.sum(np.exp(terms - top), axis=1, keepdims=True)))[:, 0]
-    f = np.exp((log_gamma(a0) - log_gamma(a0 + p) + lse) / p)
-    common = digamma(a0) - digamma(a0 + p)
+    f = np.exp((lse - log_mu_0) / p)
+    common = -nu_0
     w = np.exp(terms - lse[:, None])
-    g = (common[:, None] + w[:, :1] * (digamma(s + p) - digamma(s))[:, None]
-         + w[:, 1:] * (digamma(alpha + p) - digamma(alpha))) / p
+    g = (common[:, None] + w[:, :1] * nu_s[:, None] + w[:, 1:] * nu_a) / p
     g[rows, c] = common / p
     return f, f[:, None] * g
 
@@ -205,6 +207,44 @@ def test_iad_grad_matches_finite_differences():
         got = one_row(iad_loss_grad_alpha_batch, alpha, c, p)
         want = fd_gradient(lambda a: one_row(iad_loss_batch, a, c, p), alpha)
         assert np.allclose(got, want, rtol=1e-6, atol=1e-10)
+
+
+def _iad_mpmath(alpha, c, p):
+    """(F, dF/dalpha) for one row at 40 digits, from the rising factorials
+    mu(a) = (a)_p and nu(a) = sum_k 1 / (a + k) = psi(a+p) - psi(a)."""
+    with mpmath.workdps(40):
+        a = [mpmath.mpf(float(x)) for x in alpha]
+        a0 = mpmath.fsum(a)
+        s = a0 - a[c]
+        mu = lambda x: mpmath.rf(x, p)  # noqa: E731
+        nu = lambda x: mpmath.fsum(1 / (x + k) for k in range(p))  # noqa: E731
+        num = mu(s) + mpmath.fsum(mu(a[j]) for j in range(len(a)) if j != c)
+        f = (num / mu(a0)) ** (mpmath.mpf(1) / p)
+        grad = [f / p * (-nu(a0) + (0 if j == c else
+                                     (mu(s) * nu(s) + mu(a[j]) * nu(a[j])) / num))
+                for j in range(len(a))]
+        return float(f), np.array([float(g) for g in grad])
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 7])
+def test_iad_value_and_grad_against_mpmath_at_large_alpha(p):
+    # ln Gamma(a+p) - ln Gamma(a) cancels at large alpha (F off by ~1e-11
+    # relative here); the sums over the rising factors do not
+    rng = np.random.default_rng(20 + p)
+    alpha = np.exp(rng.uniform(0.0, np.log(1e4), size=(60, 3)))
+    c = rng.integers(3, size=60)
+    f, df = iad_value_grad_batch(alpha, c, float(p))
+    for i in range(60):
+        want_f, want_df = _iad_mpmath(alpha[i], int(c[i]), p)
+        assert abs(f[i] - want_f) <= 1e-13 * want_f
+        assert np.max(np.abs(df[i] - want_df)) <= 1e-11 * np.max(np.abs(want_df))
+
+
+@pytest.mark.parametrize("fn", [iad_loss_batch, iad_value_grad_batch])
+@pytest.mark.parametrize("bad", [0.0, -0.5, math.nan, math.inf])
+def test_iad_rejects_bad_p_norm(fn, bad):
+    with pytest.raises(ValueError, match="p_norm must be finite and >= 1"):
+        fn(np.ones((2, 3)), np.array([0, 1]), bad)
 
 
 # --------------------------------------------------------------- regularizer

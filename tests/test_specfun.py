@@ -11,9 +11,9 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iad.specfun import (BLOCK, DomainError, MIN_ARG, beta_moment, digamma,
-                         log_gamma, log_gamma_digamma, tetragamma, trigamma,
-                         trigamma_tetragamma)
+from iad.specfun import (BLOCK, DomainError, MIN_ARG, RISING_MAX_P, beta_moment,
+                         digamma, log_gamma, log_gamma_digamma, log_rising,
+                         tetragamma, trigamma, trigamma_tetragamma)
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -33,10 +33,19 @@ def trigamma_of_pair(x):
     return trigamma_tetragamma(x)[0]
 
 
+def log_rising_4(x):
+    return log_rising(x, 4)[0]
+
+
+def psi_step_4(x):
+    return log_rising(x, 4)[1]
+
+
 # (paired output, its single-function view)
 _PAIRED = [(log_gamma_of_pair, log_gamma), (digamma_of_pair, digamma),
            (trigamma_of_pair, trigamma)]
-_ALL_VIEWS = [log_gamma, digamma, trigamma, tetragamma] + [p for p, _ in _PAIRED]
+_ALL_VIEWS = ([log_gamma, digamma, trigamma, tetragamma] + [p for p, _ in _PAIRED]
+              + [log_rising_4, psi_step_4])
 
 
 # ---------------------------------------------------------------- log_gamma
@@ -224,6 +233,68 @@ def test_psi_family_shift_2d_and_wholly_above_cutoff(fn, oracle, rtol, atol,
     above = np.linspace(10.0, 1e3, 64)
     assert np.allclose(fn(above), oracle(above), rtol=rtol, atol=atol)
     assert np.allclose(fn(above + 1.0), fn(above) + step(above), rtol=rel, atol=abs_)
+
+
+# ------------------------------------------------------ rising factorials
+
+def _gamma_differences(x, p):
+    """(ln Gamma(x+p) - ln Gamma(x), psi(x+p) - psi(x), ln Gamma(x+p))."""
+    lg, dg = log_gamma_digamma(x)
+    lg_p, dg_p = log_gamma_digamma(x + p)
+    return lg_p - lg, dg_p - dg, lg_p
+
+
+@pytest.mark.parametrize("p", range(1, RISING_MAX_P + 1))
+def test_log_rising_integer_path_matches_gamma_differences(p):
+    # the difference form is only as exact as its larger ln Gamma value
+    x = np.exp(np.linspace(np.log(MIN_ARG), np.log(1e3), 2001))
+    log_mu, nu = log_rising(x, p)
+    want_mu, want_nu, lg_p = _gamma_differences(x, p)
+    assert np.all(np.abs(log_mu - want_mu) <= 1e-13 * np.maximum(1.0, np.abs(lg_p)))
+    assert np.all(np.abs(nu - want_nu) <= 1e-13 * np.maximum(1.0, np.abs(want_nu)))
+
+
+@pytest.mark.parametrize("p", [1, 4, 7, RISING_MAX_P])
+def test_log_rising_against_mpmath_up_to_huge_x(p):
+    # exact sums of ln(x + k) and 1 / (x + k); past 1e36 the factors' logs
+    # are summed, as their 8-factor products would overflow
+    x = np.exp(np.linspace(np.log(MIN_ARG), np.log(1e300), 121))
+    x[:2] = [1e36, 1e36 * (1.0 + 1e-15)]
+    log_mu, nu = log_rising(x, p)
+    for xi, got_mu, got_nu in zip(x, log_mu, nu):
+        with mpmath.workdps(40):
+            pts = [mpmath.mpf(float(xi)) + k for k in range(p)]
+            want_mu = float(mpmath.fsum(mpmath.log(t) for t in pts))
+            want_nu = float(mpmath.fsum(1 / t for t in pts))
+        assert abs(got_mu - want_mu) <= 1e-14 * max(1.0, abs(want_mu))
+        assert abs(got_nu - want_nu) <= 1e-15 * want_nu
+
+
+def test_log_rising_scalar_and_bulk_calls_are_bit_identical():
+    rng = np.random.default_rng(12)
+    x = np.exp(rng.uniform(np.log(MIN_ARG), np.log(1e40), 97))
+    x[:4] = [MIN_ARG, 1.0, 1e36, 1e37]
+    for p in (1, 2, 4, 7, RISING_MAX_P, RISING_MAX_P + 1, 2.5):
+        bulk = log_rising(x.reshape(1, 97), p)
+        assert all(out.shape == (1, 97) for out in bulk)
+        for i, xi in enumerate(x):
+            one = log_rising(float(xi), p)
+            assert isinstance(one[0], float) and isinstance(one[1], float)
+            assert one == (bulk[0][0, i], bulk[1][0, i])
+
+
+@pytest.mark.parametrize("p", [RISING_MAX_P + 1, 2.5, 1e6])
+def test_log_rising_other_orders_take_gamma_differences(p):
+    x = np.exp(np.linspace(np.log(MIN_ARG), np.log(1e6), 301))
+    log_mu, nu = log_rising(x, p)
+    want_mu, want_nu, _ = _gamma_differences(x, p)
+    assert np.array_equal(log_mu, want_mu) and np.array_equal(nu, want_nu)
+
+
+@pytest.mark.parametrize("p", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+def test_log_rising_rejects_bad_order(p):
+    with pytest.raises(DomainError, match="p must be"):
+        log_rising(2.0, p)
 
 
 # ------------------------------------------------------------ bulk blocking

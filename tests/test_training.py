@@ -252,24 +252,26 @@ def test_train_off_support_lowers_far_concentration():
 
 
 def test_train_step_makes_one_call_per_special_function(monkeypatch):
-    # a step makes one paired call for F, (ln Gamma, psi), and one for R,
-    # (psi', psi''); no single-function view is called on the way
-    names = ("log_gamma_digamma", "trigamma_tetragamma",
-             "log_gamma", "digamma", "trigamma")
+    # a step makes one log_rising call for F, (ln (a)_p, psi(a+p) - psi(a)),
+    # and one paired call for R, (psi', psi''); no ln Gamma, psi or
+    # single-function view is called on the way
+    names = ("log_rising", "log_gamma_digamma", "trigamma_tetragamma",
+             "digamma", "trigamma")
     counts = Counter()
     for name in names:
-        def counting(x, name=name, real=getattr(losses, name)):
+        def counting(*args, name=name, real=getattr(losses, name)):
             counts[name] += 1
-            return real(x)
+            return real(*args)
         monkeypatch.setattr(losses, name, counting)
+    assert not hasattr(losses, "log_gamma")
     ds = two_class_blobs(n=80)
     # t0=0: lambda_t > 0 from epoch 1, so every step evaluates F and R
     cfg = TrainConfig(seed=0, max_epochs=1, patience=1, t0=0, batch_size=32)
     train(ds, [8], cfg, val=ds.take(np.arange(16)))
     steps = 160 // 32
     # the epoch's one validation pass adds one value-only F and R
-    assert counts == {"log_gamma_digamma": steps, "trigamma_tetragamma": steps,
-                      "log_gamma": 1, "trigamma": 1}
+    assert counts == {"log_rising": steps + 1, "trigamma_tetragamma": steps,
+                      "trigamma": 1}
 
 
 def test_train_record_lambda_matches_schedule():
