@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .losses import iad_loss_batch, info_regularizer_batch
-from .specfun import digamma, trigamma
+from .specfun import BLOCK, digamma, trigamma
 
 __all__ = [
     "Verdict",
@@ -29,10 +29,17 @@ __all__ = [
 # Differences must beat this in the predicted direction to count as strict.
 STRICT_TOL = 1e-12
 
-# A theorem evaluates its random bases in one loss call of up to this many
-# (50k rows on the default grid; ~47 KB of peak memory per base), so memory
-# stays bounded for any verify.trials. The default 100 trials make one call.
-_BASES_PER_CALL = 1000
+# The lemma sweep walks its triples in blocks of this many: one digamma and
+# one trigamma call over the stacked (4, b) arguments (x1, x2, x1 + p, x2 + p)
+# is one specfun.BLOCK, so each call takes the unsplit path and its
+# temporaries stay in cache rather than being returned to the system and
+# faulted in again.
+_TRIPLES_PER_BLOCK = BLOCK // 4
+
+# A theorem evaluates its random bases in loss calls of up to this many: 1,250
+# rows on the default grid, whose ~15k stacked special-function arguments fit
+# in one specfun.BLOCK. The default 100 trials make four calls.
+_BASES_PER_CALL = 25
 
 
 @dataclass
@@ -66,28 +73,39 @@ def _sample_triples(rng: np.random.Generator, n: int):
     return x1, x2, p
 
 
+def _lemma_sweep(n_triples: int, seed: int) -> tuple[Verdict, Verdict]:
+    """(lemma1, lemma2) over one draw of n_triples random triples, walked in
+    blocks of _TRIPLES_PER_BLOCK with one digamma and one trigamma call each."""
+    if n_triples < 1:
+        raise ValueError("n_triples must be >= 1")
+    rng = np.random.default_rng(seed)
+    x1, x2, p = _sample_triples(rng, n_triples)
+    ok1 = ok2 = True
+    for lo in range(0, n_triples, _TRIPLES_PER_BLOCK):
+        part = slice(lo, lo + _TRIPLES_PER_BLOCK)
+        args = np.stack([x1[part], x2[part], x1[part] + p[part], x2[part] + p[part]])
+        psi = digamma(args)
+        shifted, plain = psi[2] - psi[3], psi[0] - psi[1]
+        ok1 &= bool(np.all(shifted > 0.0) and np.all(shifted < plain))
+        psi1 = trigamma(args)
+        shifted, plain = psi1[2] - psi1[3], psi1[0] - psi1[1]
+        ok2 &= bool(np.all(plain < shifted) and np.all(shifted < 0.0))
+    tail = float(np.max(digamma(1e4 + np.linspace(1e-6, 10.0, 100)) - digamma(1e4)))
+    ok_limit = tail < 1e-3
+    return (Verdict("lemma1", ok1 and ok_limit, seed, n_triples,
+                    {"max_tail_gap": tail, "inequality_ok": ok1, "limit_ok": ok_limit}),
+            Verdict("lemma2", ok2, seed, n_triples))
+
+
 def verify_lemma1(n_triples: int = 1000, seed: int = 0) -> Verdict:
     """0 < psi(x1+p) - psi(x2+p) < psi(x1) - psi(x2) for x1 > x2 > 1, p > 0,
     and psi(x+p) - psi(x) -> 0 as x grows."""
-    rng = np.random.default_rng(seed)
-    x1, x2, p = _sample_triples(rng, n_triples)
-    shifted = digamma(x1 + p) - digamma(x2 + p)
-    plain = digamma(x1) - digamma(x2)
-    ok = bool(np.all(shifted > 0.0) and np.all(shifted < plain))
-    tail = float(np.max(digamma(1e4 + np.linspace(1e-6, 10.0, 100)) - digamma(1e4)))
-    ok_limit = tail < 1e-3
-    return Verdict("lemma1", ok and ok_limit, seed, n_triples,
-                   {"max_tail_gap": tail, "inequality_ok": ok, "limit_ok": ok_limit})
+    return _lemma_sweep(n_triples, seed)[0]
 
 
 def verify_lemma2(n_triples: int = 1000, seed: int = 0) -> Verdict:
     """psi'(x1) - psi'(x2) < psi'(x1+p) - psi'(x2+p) < 0 on the same triples."""
-    rng = np.random.default_rng(seed)
-    x1, x2, p = _sample_triples(rng, n_triples)
-    shifted = trigamma(x1 + p) - trigamma(x2 + p)
-    plain = trigamma(x1) - trigamma(x2)
-    ok = bool(np.all(plain < shifted) and np.all(shifted < 0.0))
-    return Verdict("lemma2", ok, seed, n_triples)
+    return _lemma_sweep(n_triples, seed)[1]
 
 
 def _divided_second_diffs(grid: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -187,6 +205,8 @@ def theorem2_figure_sweep(alpha: np.ndarray, c: int, p_norm: float, grid) -> dic
     grid = _check_grid(grid)
     alpha = np.asarray(alpha, dtype=np.float64)
     k = alpha.size
+    if k < 2:
+        raise ValueError("alpha must have at least 2 classes")
     j = next(i for i in range(k) if i != c)
     a = np.tile(alpha, (grid.size, 1))
     a[:, j] = grid
@@ -213,8 +233,7 @@ def theorem2_figure_sweep(alpha: np.ndarray, c: int, p_norm: float, grid) -> dic
 
 def run_all(seed: int = 0, trials: int = 100, n_triples: int = 1000) -> list[Verdict]:
     return [
-        verify_lemma1(n_triples, seed),
-        verify_lemma2(n_triples, seed),
+        *_lemma_sweep(n_triples, seed),
         verify_theorem1(trials, seed=seed),
         verify_theorem2(trials, seed=seed),
         verify_theorem3(trials, seed=seed),

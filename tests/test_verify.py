@@ -2,12 +2,14 @@
 dip-then-rise illustration sweep."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from iad import verify
 from iad.losses import iad_loss_batch, info_regularizer_batch
+from iad.specfun import digamma, trigamma
 from iad.verify import (STRICT_TOL, Verdict, default_grid, figure_sweep_to_csv,
                         run_all, theorem2_figure_sweep, verdicts_to_json,
                         verify_lemma1, verify_lemma2, verify_theorem1,
@@ -27,6 +29,15 @@ def test_lemma2_passes_over_random_triples():
 
 def test_lemmas_deterministic_per_seed():
     assert verify_lemma1(seed=3).to_dict() == verify_lemma1(seed=3).to_dict()
+
+
+@pytest.mark.parametrize("n_triples", [0, -5])
+@pytest.mark.parametrize("fn", [verify_lemma1, verify_lemma2,
+                                lambda n: run_all(trials=1, n_triples=n)])
+def test_lemmas_reject_fewer_than_one_triple(fn, n_triples):
+    with pytest.raises(ValueError, match="n_triples must be >= 1") as err:
+        fn(n_triples)
+    assert type(err.value) is ValueError
 
 
 def test_theorem1_decreasing_convex():
@@ -82,6 +93,11 @@ def test_figure_sweep_dip_then_rise():
     tail = np.diff(exact[sweep["knee_index"]:])
     assert np.all(tail > STRICT_TOL)
     assert exact[-1] > exact[0]
+
+
+def test_figure_sweep_rejects_one_class_alpha():
+    with pytest.raises(ValueError, match="at least 2 classes"):
+        theorem2_figure_sweep(np.array([1.5]), 0, 2.0, default_grid())
 
 
 def test_figure_sweep_approximation_tracks_exact_at_large_alpha():
@@ -192,3 +208,86 @@ def test_sweep_checks_report_failures_and_missing_knees():
         want_bad, _ = reference_sweeps(trials, seed, synthetic, False, check)
         assert np.flatnonzero(~got).tolist() == want_bad
     assert 0 < len(want_bad) < trials
+
+
+# ------------------------------------------ blocked lemma sweep against whole-array
+
+def reference_lemmas(n_triples, seed) -> tuple[dict, dict]:
+    """(lemma1, lemma2) by the whole-array algorithm: one draw per lemma and
+    one special-function call per argument array."""
+    x1, x2, p = verify._sample_triples(np.random.default_rng(seed), n_triples)
+    shifted = digamma(x1 + p) - digamma(x2 + p)
+    plain = digamma(x1) - digamma(x2)
+    ok1 = bool(np.all(shifted > 0.0) and np.all(shifted < plain))
+    tail = float(np.max(digamma(1e4 + np.linspace(1e-6, 10.0, 100)) - digamma(1e4)))
+    ok_limit = tail < 1e-3
+    x1, x2, p = verify._sample_triples(np.random.default_rng(seed), n_triples)
+    shifted = trigamma(x1 + p) - trigamma(x2 + p)
+    plain = trigamma(x1) - trigamma(x2)
+    ok2 = bool(np.all(plain < shifted) and np.all(shifted < 0.0))
+    return (Verdict("lemma1", ok1 and ok_limit, seed, n_triples,
+                    {"max_tail_gap": tail, "inequality_ok": ok1,
+                     "limit_ok": ok_limit}).to_dict(),
+            Verdict("lemma2", ok2, seed, n_triples).to_dict())
+
+
+@pytest.mark.parametrize("block", [None, 3])
+def test_blocked_lemmas_equal_whole_array_reference(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(verify, "_TRIPLES_PER_BLOCK", block)
+    b = verify._TRIPLES_PER_BLOCK
+    for n in (1, b - 1, b, b + 1, 3 * b + 7):
+        for seed in range(5):
+            want1, want2 = reference_lemmas(n, seed)
+            assert want1["passed"] and want2["passed"]
+            assert verify_lemma1(n, seed).to_dict() == want1
+            assert verify_lemma2(n, seed).to_dict() == want2
+
+
+def test_run_all_lemmas_equal_standalone_lemmas():
+    n = 3 * verify._TRIPLES_PER_BLOCK + 7
+    lemma1, lemma2, *_ = run_all(seed=4, trials=2, n_triples=n)
+    assert lemma1.to_dict() == verify_lemma1(n, 4).to_dict()
+    assert lemma2.to_dict() == verify_lemma2(n, 4).to_dict()
+
+
+@pytest.mark.parametrize("block", [None, 3])
+@pytest.mark.parametrize("where", ["first", "last"])
+@pytest.mark.parametrize("broken", ["digamma", "trigamma"])
+def test_planted_violation_fails_only_its_lemma(monkeypatch, block, where, broken):
+    # The wrapper sets the shifted difference of one triple to 0, which breaks
+    # `shifted > 0` (lemma 1) or `shifted < 0` (lemma 2) there and nowhere
+    # else; the triple sits in the first or in the last, partial, block.
+    if block is not None:
+        monkeypatch.setattr(verify, "_TRIPLES_PER_BLOCK", block)
+    n, seed = 3 * verify._TRIPLES_PER_BLOCK + 7, 2
+    x1, x2, _ = verify._sample_triples(np.random.default_rng(seed), n)
+    t = 0 if where == "first" else n - 1
+    real = getattr(verify, broken)
+
+    def planted(args):
+        out = real(args)
+        if np.ndim(args) == 2:
+            hit = np.flatnonzero((args[0] == x1[t]) & (args[1] == x2[t]))
+            out[2, hit] = out[3, hit]
+        return out
+
+    monkeypatch.setattr(verify, broken, planted)
+    verdicts = {v.name: v.passed for v in run_all(seed=seed, trials=1, n_triples=n)}
+    assert verdicts["lemma1"] is (broken != "digamma")
+    assert verdicts["lemma2"] is (broken != "trigamma")
+    assert verify_lemma1(n, seed).passed is verdicts["lemma1"]
+    assert verify_lemma2(n, seed).passed is verdicts["lemma2"]
+
+
+def test_run_all_peak_memory_at_benchmark_size():
+    # The three sampled 300k-triple arrays are 7.2 MB of this; whole-array
+    # lemma temporaries took the peak to ~16.8 MB.
+    tracemalloc.start()
+    try:
+        verdicts = run_all(seed=0, trials=100, n_triples=300_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(v.passed for v in verdicts)
+    assert peak < 12e6
