@@ -263,7 +263,9 @@ def main(argv=None) -> int:
     """Run one command. Bad input, caught before the run directory is
     written, prints one ``error:`` line: a usage error exits with status 2
     through SystemExit, as argparse's own do; a bad config, or an input file
-    that is missing, unreadable or malformed, returns 2."""
+    that is missing, unreadable or malformed, returns 2. So does a dataset
+    too small to fill every part of a split: the train/test split is made
+    before the run directory is written, training's validation split after."""
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:
@@ -280,7 +282,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
     except (ConfigError, network.CheckpointFormatError, data.CsvFormatError,
-            data.IdxFormatError, data.FeatureRangeError) as exc:
+            data.IdxFormatError, data.FeatureRangeError, data.EmptySplitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
@@ -289,7 +291,12 @@ def main(argv=None) -> int:
         print(f"error: {exc.strerror}: {exc.filename!r}", file=sys.stderr)
         return 2
     _write_run_metadata(out, cfg, inputs_sha256)
-    return _COMMANDS[args.command](cfg, out, datasets, net)
+    try:
+        return _COMMANDS[args.command](cfg, out, datasets, net)
+    except data.EmptySplitError as exc:
+        # training's validation split, made by train and compare before the first epoch
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .training import LOSSES, TrainConfig
@@ -39,20 +39,8 @@ DEFAULTS: dict = {
     "compare.losses": ["iad", "edl"],
     "verify.trials": 100,
     "verify.n_triples": 1000,
-    "train.p_norm": 4.0,
-    "train.lambda_max": 0.5,
-    "train.t0": 10,
-    "train.t_rate": 60,
-    "train.learning_rate": 1e-3,
-    "train.adam_beta1": 0.9,
-    "train.adam_beta2": 0.999,
-    "train.adam_eps": 1e-8,
-    "train.batch_size": 32,
-    "train.max_epochs": 200,
-    "train.patience": 20,
-    "train.val_fraction": 0.1,
-    "train.kl_beta": 10.0,
-    "train.ood_weight": 0.0,
+    # every TrainConfig field but the top-level seed, at its declared default
+    **{f"train.{f.name}": f.default for f in fields(TrainConfig) if f.name != "seed"},
 }
 
 

@@ -16,6 +16,7 @@ __all__ = [
     "IdxFormatError",
     "CsvFormatError",
     "FeatureRangeError",
+    "EmptySplitError",
     "make_blobs",
     "triangle_centers",
     "support_extent",
@@ -48,6 +49,10 @@ class CsvFormatError(ValueError):
 class FeatureRangeError(ValueError):
     """Raised when a feature column's max - min overflows float64, so that
     min-max scaling cannot map it to [0, 1]."""
+
+
+class EmptySplitError(ValueError):
+    """Raised when a split leaves one of its parts without rows."""
 
 
 @dataclass(frozen=True)
@@ -250,7 +255,8 @@ def load_idx(images_path, labels_path) -> Dataset:
 
 def _split_indices(n: int, labels, fractions, rng: np.random.Generator) -> list[np.ndarray]:
     """The sorted rows of each part: a seeded permutation of each class (of
-    all n rows when unlabeled), cut at the cumulative fractions."""
+    all n rows when unlabeled), cut at the cumulative fractions. A part that
+    receives no row raises EmptySplitError."""
     fractions = [float(f) for f in fractions]
     if not fractions or any(f <= 0.0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError("fractions must be positive and sum to 1")
@@ -268,7 +274,12 @@ def _split_indices(n: int, labels, fractions, rng: np.random.Generator) -> list[
         for i, stop in enumerate(bounds):
             parts[i].append(perm[start:stop])
             start = stop
-    return [np.sort(np.concatenate(p)) for p in parts]
+    index_sets = [np.sort(np.concatenate(p)) for p in parts]
+    for i, idx in enumerate(index_sets):
+        if idx.size == 0:
+            raise EmptySplitError(f"part {i} (fraction {fractions[i]:g}) of a split of "
+                                  f"{n} rows is empty: too few rows to fill it")
+    return index_sets
 
 
 def split(dataset: Dataset, fractions, rng: np.random.Generator) -> list[Dataset]:
@@ -309,7 +320,6 @@ def _parts(rows, divisor, labels, fractions, rng, scale: bool, provenance: str,
     scale, bit for bit, for the dataset ds whose features are rows / divisor
     (rows itself when divisor is None). Each part's float64 features are
     written by one row gather and scaled in place."""
-    index_sets = _split_indices(rows.shape[0], labels, fractions, rng)
     if scale:
         lo, hi = rows.min(axis=0), rows.max(axis=0)
         if divisor is not None:
@@ -318,6 +328,9 @@ def _parts(rows, divisor, labels, fractions, rng, scale: bool, provenance: str,
             lo, hi = lo / divisor, hi / divisor
         span = _unit_span(lo, hi, provenance)
         feature_range = (0.0, 1.0)
+    # after the range check: a file too wide to scale is named as such, even
+    # when it also has too few rows to fill every part
+    index_sets = _split_indices(rows.shape[0], labels, fractions, rng)
     parts = []
     for i, idx in enumerate(index_sets):
         f = rows[idx] if divisor is None else np.divide(rows[idx], divisor)

@@ -1,6 +1,6 @@
-"""Dirichlet distribution object: density, predictive posterior, uncertainty
-metrics, Fisher information, sampling, KL divergence and the local Renyi
-approximation."""
+"""Dirichlet distribution object and the two uncertainty metrics of its
+predictive posterior: predictive entropy (total uncertainty) and mutual
+information (its epistemic share)."""
 
 from __future__ import annotations
 
@@ -8,26 +8,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import DomainError, digamma, log_gamma, trigamma
+from .specfun import DomainError, digamma
 
 __all__ = [
     "DirichletParams",
-    "log_b",
-    "log_pdf",
-    "predictive_mean",
     "predictive_entropy",
     "mutual_information",
-    "fisher_information",
-    "sample",
-    "kl_divergence",
-    "renyi_local_approx",
 ]
 
 # Ratios alpha_j / alpha_0 below this contribute zero to entropy-like sums
 # (the 0 * log 0 = 0 convention).
 _RATIO_FLOOR = 1e-300
-
-_SIMPLEX_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -52,39 +43,6 @@ class DirichletParams:
     @property
     def k(self) -> int:
         return self.alpha.size
-
-
-def _check_simplex(p: np.ndarray, k: int) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (k,):
-        raise ValueError(f"probability vector must have shape ({k},)")
-    if np.any(p < 0.0) or abs(p.sum() - 1.0) > _SIMPLEX_TOL:
-        raise DomainError("p is not on the probability simplex")
-    return p
-
-
-def log_b(alpha: np.ndarray) -> float:
-    """log of the multivariate Beta function B(alpha)."""
-    return float(np.sum(log_gamma(alpha)) - log_gamma(alpha.sum()))
-
-
-def log_pdf(d: DirichletParams, p) -> float:
-    """log f(p; alpha) = sum_j (alpha_j - 1) ln p_j - ln B(alpha)."""
-    p = _check_simplex(p, d.k)
-    zero = p == 0.0
-    if np.any(zero & (d.alpha < 1.0)):
-        raise DomainError("density diverges: p_j = 0 with alpha_j < 1")
-    terms = np.zeros(d.k)
-    pos = ~zero
-    terms[pos] = (d.alpha[pos] - 1.0) * np.log(p[pos])
-    if np.any(zero & (d.alpha > 1.0)):
-        return -np.inf
-    return float(terms.sum() - log_b(d.alpha))
-
-
-def predictive_mean(d: DirichletParams) -> np.ndarray:
-    """Expected class probabilities alpha_j / alpha_0."""
-    return d.alpha / d.alpha0
 
 
 def _rows(d) -> tuple[np.ndarray, bool]:
@@ -123,46 +81,3 @@ def mutual_information(d):
     terms = r * (np.log(r) - digamma(alpha + 1.0) + digamma(alpha0 + 1.0)[:, None])
     mi = -np.sum(np.where(keep, terms, 0.0), axis=1)
     return float(mi[0]) if one else mi
-
-
-def fisher_information(d: DirichletParams) -> np.ndarray:
-    """Fisher information matrix J = diag(psi'(alpha_i)) - psi'(alpha_0) 11^T."""
-    t0 = trigamma(d.alpha0)
-    return np.diag(trigamma(d.alpha)) - t0 * np.ones((d.k, d.k))
-
-
-def sample(d: DirichletParams, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n Dirichlet draws (rows) via normalized Gamma variates."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    g = rng.gamma(shape=d.alpha, size=(n, d.k))
-    return g / g.sum(axis=1, keepdims=True)
-
-
-def kl_divergence(d1: DirichletParams, d2: DirichletParams) -> float:
-    """KL(f(.; alpha) || f(.; beta)) between two Dirichlet distributions."""
-    if d1.k != d2.k:
-        raise ValueError("dimension mismatch between Dirichlet parameters")
-    a, b = d1.alpha, d2.alpha
-    return float(
-        log_b(b) - log_b(a)
-        + np.sum((a - b) * (digamma(a) - digamma(d1.alpha0)))
-    )
-
-
-def renyi_local_approx(d: DirichletParams, correct_class: int, u: float) -> float:
-    """Local approximation of the order-u Renyi divergence of the off-class
-    concentration vector from the uniform Dirichlet: the full quadratic form
-    (u/2) s^T J s with s = alpha_tilde - 1, cross terms included."""
-    if not 0 <= correct_class < d.k:
-        raise IndexError("correct_class out of range")
-    if u <= 0.0:
-        raise ValueError("Renyi order u must be positive")
-    a_t = d.alpha.copy()
-    a_t[correct_class] = 1.0
-    a_t0 = a_t.sum()
-    s = a_t - 1.0
-    t0 = trigamma(a_t0)
-    diag_term = np.sum(s * s * (trigamma(a_t) - t0))
-    cross_term = t0 * (s.sum() ** 2 - np.sum(s * s))
-    return float(0.5 * u * (diag_term - cross_term))

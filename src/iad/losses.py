@@ -71,7 +71,11 @@ def _check_p_norm(p_norm) -> float:
 
 def _check_batch(alpha: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     alpha = np.atleast_2d(np.asarray(alpha, dtype=np.float64))
-    c = np.atleast_1d(np.asarray(c, dtype=np.intp))
+    c = np.atleast_1d(np.asarray(c))
+    if not np.issubdtype(c.dtype, np.integer):
+        # casting first would truncate a class index of 1.7 to 1
+        raise ValueError(f"class indices must be integers, got dtype {c.dtype}")
+    c = c.astype(np.intp, copy=False)
     if alpha.ndim != 2 or c.shape != (alpha.shape[0],):
         raise ValueError("alpha must be (N, K) and c must be (N,)")
     if (c < 0).any() or (c >= alpha.shape[1]).any():

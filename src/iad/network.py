@@ -210,8 +210,7 @@ def backward(net: NetworkParams, trace: ForwardTrace, dloss_dalpha: np.ndarray,
 def input_gradient(net: NetworkParams, x: np.ndarray, correct_class, cfg: losses.LossConfig) -> np.ndarray:
     """Gradient of the classification loss F with respect to the input features."""
     trace = forward(net, x)
-    c = np.atleast_1d(np.asarray(correct_class, dtype=np.intp))
-    dF = losses.iad_loss_grad_alpha_batch(trace.alpha, c, cfg.p_norm)
+    dF = losses.iad_loss_grad_alpha_batch(trace.alpha, correct_class, cfg.p_norm)
     delta = _backprop(net, trace, dF, None, input_delta=True)
     return delta[0] if trace.squeezed else delta
 

@@ -1,5 +1,5 @@
 """Numerically stable special-function kernels: log-gamma, digamma family,
-rising factorials, Beta moments.
+rising factorials.
 
 All functions accept scalars or numpy arrays and are pure. One scheme serves
 all four functions: every argument below the cutoff 10 is lifted by exactly
@@ -10,10 +10,12 @@ ln prod_k (x + k) (Abramowitz & Stegun 6.1.41), the psi family sums powers of
 1 / (x + k) (Bernardo 1976, Algorithm AS 103).
 
 `log_gamma_digamma` and `trigamma_tetragamma` return two functions from one
-argument check and one shift; `log_gamma`, `digamma` and `trigamma` are
-single-output views built from the same pieces, bit-identical to the paired
-outputs, and `tetragamma` is the second output of `trigamma_tetragamma`
-(nothing on the training or evaluation path needs psi'' alone).
+argument check and one shift. `digamma` and `trigamma` keep single-output
+bodies built from the same pieces, bit-identical to the paired outputs:
+mutual information, R's value and verify's lemmas call each alone.
+`log_gamma` is the first output of `log_gamma_digamma` and `tetragamma` the
+second output of `trigamma_tetragamma`, as no library call needs ln Gamma or
+psi'' alone.
 
 `log_rising` returns ln (x)_p = ln Gamma(x+p) - ln Gamma(x) and
 psi(x+p) - psi(x). For an integer p up to RISING_MAX_P it needs no special
@@ -42,7 +44,6 @@ __all__ = [
     "log_gamma_digamma",
     "trigamma_tetragamma",
     "log_rising",
-    "beta_moment",
 ]
 
 # Inputs below this are rejected rather than clamped: silent clamping would
@@ -172,10 +173,6 @@ def _recip_steps(flat: np.ndarray, low: np.ndarray) -> np.ndarray:
 # 2 sum 1/(x+k)^3, each reduced over the rows k of a (10, m) matrix that it
 # overwrites. With no element below the cutoff no matrix is built.
 
-def _log_gamma_at(y, ln_y, series):
-    return (y - 0.5) * ln_y - y + _HALF_LOG_2PI + y * series
-
-
 def _digamma_at(ln_y, inv, series):
     return ln_y - 0.5 * inv - series
 
@@ -187,7 +184,7 @@ def _trigamma_at(inv, u, series):
 def _log_gamma_digamma(flat):
     y, low, inv, _, series = _shift(flat, _LOG_GAMMA_PSI)
     ln_y = np.log(y)
-    lg = _log_gamma_at(y, ln_y, series[0])
+    lg = (y - 0.5) * ln_y - y + _HALF_LOG_2PI + y * series[0]
     dg = _digamma_at(ln_y, inv, series[1])
     if low.size:
         pts = flat[low] + _STEPS
@@ -208,14 +205,6 @@ def _trigamma_tetragamma(flat):
         tri[low] += _tree(np.add, recip2)
         tetra[low] -= 2.0 * _tree(np.add, recip3)
     return tri, tetra
-
-
-def _log_gamma(flat):
-    y, low, _, _, series = _shift(flat, _LOG_GAMMA)
-    out = _log_gamma_at(y, np.log(y), series)
-    if low.size:
-        out[low] -= np.log(_tree(np.multiply, flat[low] + _STEPS))
-    return (out,)
 
 
 def _digamma(flat):
@@ -281,7 +270,7 @@ def trigamma_tetragamma(x):
 
 def log_gamma(x):
     """ln Gamma(x) for x > 0."""
-    return _apply(_log_gamma, x)[0]
+    return log_gamma_digamma(x)[0]
 
 
 def digamma(x):
@@ -298,17 +287,3 @@ def tetragamma(x):
     """psi''(x), the polygamma function of order 2, for x > 0. Always negative."""
     return trigamma_tetragamma(x)[1]
 
-
-def beta_moment(a, b, q):
-    """q-th moment of Beta(a, b): E[p^q] = B(a+q, b) / B(a, b).
-
-    Computed as exp of log-gamma differences, from one log_gamma call over
-    the four stacked arguments, so concentrations up to ~1e6 do not overflow.
-    """
-    aa, sa = _as_positive_array(a, "a")
-    bb, sb = _as_positive_array(b, "b")
-    qq, sq = _as_positive_array(q, "q")
-    aa, bb, qq = np.broadcast_arrays(aa, bb, qq)
-    lg = log_gamma(np.stack([aa + qq, aa + bb, aa, aa + bb + qq]))
-    out = np.exp(lg[0] + lg[1] - lg[2] - lg[3])
-    return float(out[0]) if sa and sb and sq else out

@@ -426,6 +426,26 @@ def test_cli_unlabeled_csv_exits_2_before_writing(tmp_path, capsys, command):
     _assert_one_error_line(capsys, out, f"{path}:1: ", "'label' column")
 
 
+# per class: 1 row leaves the test part empty, before the run directory is
+# written; 6 rows leave 5 to train on, whose validation part rounds to none
+@pytest.mark.parametrize("per_class, written", [
+    (1, None), (6, ["config_resolved.txt", "run_meta.json"])])
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_cli_split_with_an_empty_part_exits_2(tmp_path, capsys, command, per_class, written):
+    out = tmp_path / "run"
+    assert run([command, "--out", str(out)] + TINY
+               + ["--set", f"data.per_class={per_class}"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: part 1 "), err
+    assert "is empty" in err[0]
+    assert (sorted(p.name for p in out.iterdir()) if out.exists() else None) == written
+
+
+def test_cli_trains_at_seven_per_class(tmp_path):
+    assert run(["train", "--out", str(tmp_path / "run")] + TINY
+               + ["--set", "data.per_class=7"]) == 0
+
+
 @pytest.mark.parametrize("which, body, line", [
     ("--config", b"seed = 1\n# caf\xe9\n", 2),
     ("data.csv", b"f0,f1,label\n0.1,0.2,0\n0.3,\xff,1\n", 3)])

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from iad.data import (CsvFormatError, Dataset, FeatureRangeError, IdxFormatError,
-                      load_csv, load_idx, load_idx_split, make_blobs, make_ood_ring,
-                      save_csv, scale_unit, split, split_scaled, support_extent,
-                      triangle_centers)
+from iad.data import (CsvFormatError, Dataset, EmptySplitError, FeatureRangeError,
+                      IdxFormatError, load_csv, load_idx, load_idx_split, make_blobs,
+                      make_ood_ring, save_csv, scale_unit, split, split_scaled,
+                      support_extent, triangle_centers)
 
 
 def blobs(seed=0, spread=0.6, n=100):
@@ -201,6 +201,13 @@ def test_split_invalid_fractions():
         split(ds, [0.5, 0.6], np.random.default_rng(0))
     with pytest.raises(ValueError):
         split(ds, [1.2, -0.2], np.random.default_rng(0))
+
+
+def test_split_refuses_an_empty_part():
+    # 5 rows per class: the 10% part of each class rounds to no row
+    ds = make_blobs(3, 5, triangle_centers(4.0), 0.6, np.random.default_rng(0))
+    with pytest.raises(EmptySplitError, match=r"part 1 \(fraction 0.1\) of a split of 15 rows"):
+        split(ds, [0.9, 0.1], np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------- scale/CSV

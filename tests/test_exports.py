@@ -1,8 +1,11 @@
-"""Each module's __all__ names exactly its public functions and classes."""
+"""The public API: each module's __all__ names exactly its public functions
+and classes, and the README's Quick start runs as written."""
 
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -23,3 +26,12 @@ def test_all_lists_every_public_definition(mod):
                and obj.__module__ == mod.__name__}
     unlisted = sorted(defined - set(mod.__all__))
     assert unlisted == [], f"{mod.__name__} defines public {unlisted} outside __all__"
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"## Quick start\n\n```python\n(.*?)```", readme, re.DOTALL)
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    accuracy = float(capsys.readouterr().out.splitlines()[0])
+    assert accuracy == scope["reports"].correct.mean() > 0.9

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iad.dirichlet import DirichletParams, kl_divergence, sample
+from iad import network
+from iad.dirichlet import DirichletParams
 from iad.losses import (LossConfig, bayes_ce_grad_alpha_batch,
                         bayes_ce_loss_batch, edl_mse_grad_alpha_batch,
                         edl_mse_loss_batch, iad_loss_batch,
@@ -22,6 +23,7 @@ from iad.losses import (LossConfig, bayes_ce_grad_alpha_batch,
                         rkl_prior_loss_batch)
 from iad.specfun import DomainError, digamma, log_rising, tetragamma, trigamma
 from iad.training import TrainConfig, _objective
+from oracles import kl_divergence, sample
 
 
 def one_row(fn, alpha, c, *args):
@@ -495,3 +497,35 @@ def test_batch_shape_validation():
         iad_loss_batch(np.ones((3, 2)), np.zeros(4, dtype=int), 2.0)
     with pytest.raises(IndexError):
         iad_loss_batch(np.ones((3, 2)), np.array([0, 1, 2]), 2.0)
+
+
+_ALPHA = np.array([[2.0, 3.0, 4.0]])
+_NET = network.init([2, 4, 3], np.random.default_rng(0))
+# every public function that takes class indices c, called with c
+TAKES_C = {
+    "iad_loss_batch": lambda c: iad_loss_batch(_ALPHA, c, 4.0),
+    "iad_value_grad_batch": lambda c: iad_value_grad_batch(_ALPHA, c, 4.0),
+    "iad_loss_grad_alpha_batch": lambda c: iad_loss_grad_alpha_batch(_ALPHA, c, 4.0),
+    "info_regularizer_batch": lambda c: info_regularizer_batch(_ALPHA, c),
+    "info_value_grad_batch": lambda c: info_value_grad_batch(_ALPHA, c),
+    "info_regularizer_grad_alpha_batch":
+        lambda c: info_regularizer_grad_alpha_batch(_ALPHA, c),
+    "nll_marginal_loss_batch": lambda c: nll_marginal_loss_batch(_ALPHA, c),
+    "nll_marginal_grad_alpha_batch": lambda c: nll_marginal_grad_alpha_batch(_ALPHA, c),
+    "bayes_ce_loss_batch": lambda c: bayes_ce_loss_batch(_ALPHA, c),
+    "bayes_ce_grad_alpha_batch": lambda c: bayes_ce_grad_alpha_batch(_ALPHA, c),
+    "edl_mse_loss_batch": lambda c: edl_mse_loss_batch(_ALPHA, c),
+    "edl_mse_grad_alpha_batch": lambda c: edl_mse_grad_alpha_batch(_ALPHA, c),
+    "rkl_prior_loss_batch": lambda c: rkl_prior_loss_batch(_ALPHA, c, 10.0),
+    "rkl_prior_grad_alpha_batch": lambda c: rkl_prior_grad_alpha_batch(_ALPHA, c, 10.0),
+    "network.input_gradient":
+        lambda c: network.input_gradient(_NET, np.array([[0.4, 0.6]]), c, LossConfig()),
+}
+
+
+@pytest.mark.parametrize("name", TAKES_C)
+@pytest.mark.parametrize("c", [1.7, 0.99, math.nan])
+def test_non_integer_class_index_is_rejected(name, c):
+    # a cast to int would take 1.7 for class 1 and 0.99 for class 0
+    with pytest.raises(ValueError, match="class indices must be integers"):
+        TAKES_C[name]([c])

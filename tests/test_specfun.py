@@ -11,9 +11,10 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iad.specfun import (BLOCK, DomainError, MIN_ARG, RISING_MAX_P, beta_moment,
-                         digamma, log_gamma, log_gamma_digamma, log_rising,
-                         tetragamma, trigamma, trigamma_tetragamma)
+from iad.specfun import (BLOCK, DomainError, MIN_ARG, RISING_MAX_P, digamma,
+                         log_gamma, log_gamma_digamma, log_rising, tetragamma,
+                         trigamma, trigamma_tetragamma)
+from oracles import beta_moment
 
 EULER_GAMMA = 0.5772156649015328606
 
