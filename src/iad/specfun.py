@@ -9,13 +9,14 @@ k-major (10, m) matrix of x + k over the m lifted elements: ln Gamma subtracts
 ln prod_k (x + k) (Abramowitz & Stegun 6.1.41), the psi family sums powers of
 1 / (x + k) (Bernardo 1976, Algorithm AS 103).
 
-`log_gamma_digamma` and `trigamma_tetragamma` return two functions from one
-argument check and one shift. `digamma` and `trigamma` keep single-output
-bodies built from the same pieces, bit-identical to the paired outputs:
-mutual information, R's value and verify's lemmas call each alone.
-`log_gamma` is the first output of `log_gamma_digamma` and `tetragamma` the
-second output of `trigamma_tetragamma`, as no library call needs ln Gamma or
-psi'' alone.
+`log_gamma_digamma`, `trigamma_tetragamma` and `digamma_trigamma` return two
+functions from one argument check and one shift; verify's lemmas take psi and
+psi' from the last. `digamma` and `trigamma` keep single-output bodies built
+from the same pieces, bit-identical to the paired outputs: R's value,
+`bayes_ce`, the `rkl` gradient, mutual information and lemma 1's limit check
+call one of them alone. `log_gamma` is the first output of
+`log_gamma_digamma` and `tetragamma` the second output of
+`trigamma_tetragamma`, as no library call needs ln Gamma or psi'' alone.
 
 `log_rising` returns ln (x)_p = ln Gamma(x+p) - ln Gamma(x) and
 psi(x+p) - psi(x). For an integer p up to RISING_MAX_P it needs no special
@@ -43,6 +44,7 @@ __all__ = [
     "tetragamma",
     "log_gamma_digamma",
     "trigamma_tetragamma",
+    "digamma_trigamma",
     "log_rising",
 ]
 
@@ -84,9 +86,10 @@ _PSI1 = (1 / 6, 1 / 30, 1 / 42, 1 / 30, 5 / 66, 691 / 2730, 7 / 6)
 # psi''(y) ~ -u - u/y - u^2 series.
 _PSI2 = (1 / 2, 1 / 6, 1 / 6, 3 / 10, 5 / 6, 691 / 210, 35 / 2)
 
-# The (7, 2, 1) Horner tables of the two paired kernels, one row per series.
+# The (7, 2, 1) Horner tables of the three paired kernels, one row per series.
 _LOG_GAMMA_PSI = np.array([_LOG_GAMMA, _PSI]).T[:, :, None]
 _PSI1_PSI2 = np.array([_PSI1, _PSI2]).T[:, :, None]
+_PSI_PSI1 = np.array([_PSI, _PSI1]).T[:, :, None]
 
 
 class DomainError(ValueError):
@@ -207,6 +210,18 @@ def _trigamma_tetragamma(flat):
     return tri, tetra
 
 
+def _digamma_trigamma(flat):
+    y, low, inv, u, series = _shift(flat, _PSI_PSI1)
+    dg = _digamma_at(np.log(y), inv, series[0])
+    tri = _trigamma_at(inv, u, series[1])
+    if low.size:
+        recip = _recip_steps(flat, low)
+        recip2 = recip * recip
+        dg[low] -= _tree(np.add, recip)
+        tri[low] += _tree(np.add, recip2)
+    return dg, tri
+
+
 def _digamma(flat):
     y, low, inv, _, series = _shift(flat, _PSI)
     out = _digamma_at(np.log(y), inv, series)
@@ -266,6 +281,11 @@ def log_gamma_digamma(x):
 def trigamma_tetragamma(x):
     """(psi'(x), psi''(x)) for x > 0 from one shift."""
     return _apply(_trigamma_tetragamma, x)
+
+
+def digamma_trigamma(x):
+    """(psi(x), psi'(x)) for x > 0 from one shift."""
+    return _apply(_digamma_trigamma, x)
 
 
 def log_gamma(x):

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .losses import iad_loss_batch, info_regularizer_batch
-from .specfun import BLOCK, digamma, trigamma
+from .specfun import BLOCK, digamma, digamma_trigamma
 
 __all__ = [
     "Verdict",
@@ -29,11 +29,11 @@ __all__ = [
 # Differences must beat this in the predicted direction to count as strict.
 STRICT_TOL = 1e-12
 
-# The lemma sweep walks its triples in blocks of this many: one digamma and
-# one trigamma call over the stacked (4, b) arguments (x1, x2, x1 + p, x2 + p)
-# is one specfun.BLOCK, so each call takes the unsplit path and its
-# temporaries stay in cache rather than being returned to the system and
-# faulted in again.
+# The lemma sweep draws and checks its triples in blocks of this many: the
+# one digamma_trigamma call over the stacked (4, b) arguments (x1, x2, x1 + p,
+# x2 + p) is one specfun.BLOCK, so it takes the unsplit path, and the block's
+# draws and temporaries stay in cache rather than being returned to the
+# system and faulted in again.
 _TRIPLES_PER_BLOCK = BLOCK // 4
 
 # A theorem evaluates its random bases in loss calls of up to this many: 1,250
@@ -65,29 +65,34 @@ def _check_grid(grid) -> np.ndarray:
     return g
 
 
-def _sample_triples(rng: np.random.Generator, n: int):
-    """Random (x1, x2, p) with x1 > x2 > 1 and p in (0, 10]."""
-    x2 = 1.0 + rng.uniform(1e-3, 50.0, size=n)
-    x1 = x2 + rng.uniform(1e-3, 50.0, size=n)
-    p = rng.uniform(1e-6, 10.0, size=n)
-    return x1, x2, p
+def _triple_blocks(n_triples: int, seed: int):
+    """Random (x1, x2, p) with x1 > x2 > 1 and p in (0, 10], in blocks of up
+    to _TRIPLES_PER_BLOCK. They are the numbers of x2 = 1 + u(1e-3, 50),
+    x1 = x2 + u(1e-3, 50) and p = u(1e-6, 10), each drawn n_triples at a time
+    in that order from default_rng(seed): a uniform double takes one 64-bit
+    output, so the x1 and p streams start n_triples and 2 n_triples outputs
+    into the seed's PCG64 stream."""
+    seq = np.random.SeedSequence(seed)
+    x2_rng, x1_rng, p_rng = (
+        np.random.Generator(np.random.PCG64(seq).advance(skip * n_triples))
+        for skip in range(3))
+    for lo in range(0, n_triples, _TRIPLES_PER_BLOCK):
+        b = min(_TRIPLES_PER_BLOCK, n_triples - lo)
+        x2 = 1.0 + x2_rng.uniform(1e-3, 50.0, size=b)
+        x1 = x2 + x1_rng.uniform(1e-3, 50.0, size=b)
+        yield x1, x2, p_rng.uniform(1e-6, 10.0, size=b)
 
 
 def _lemma_sweep(n_triples: int, seed: int) -> tuple[Verdict, Verdict]:
-    """(lemma1, lemma2) over one draw of n_triples random triples, walked in
-    blocks of _TRIPLES_PER_BLOCK with one digamma and one trigamma call each."""
+    """(lemma1, lemma2) over n_triples random triples, drawn and checked block
+    by block with one digamma_trigamma call each."""
     if n_triples < 1:
         raise ValueError("n_triples must be >= 1")
-    rng = np.random.default_rng(seed)
-    x1, x2, p = _sample_triples(rng, n_triples)
     ok1 = ok2 = True
-    for lo in range(0, n_triples, _TRIPLES_PER_BLOCK):
-        part = slice(lo, lo + _TRIPLES_PER_BLOCK)
-        args = np.stack([x1[part], x2[part], x1[part] + p[part], x2[part] + p[part]])
-        psi = digamma(args)
+    for x1, x2, p in _triple_blocks(n_triples, seed):
+        psi, psi1 = digamma_trigamma(np.stack([x1, x2, x1 + p, x2 + p]))
         shifted, plain = psi[2] - psi[3], psi[0] - psi[1]
         ok1 &= bool(np.all(shifted > 0.0) and np.all(shifted < plain))
-        psi1 = trigamma(args)
         shifted, plain = psi1[2] - psi1[3], psi1[0] - psi1[1]
         ok2 &= bool(np.all(plain < shifted) and np.all(shifted < 0.0))
     tail = float(np.max(digamma(1e4 + np.linspace(1e-6, 10.0, 100)) - digamma(1e4)))
@@ -144,8 +149,9 @@ def _random_bases(rng: np.random.Generator, trials: int, k: int = 10):
     for _ in range(trials):
         alpha = rng.uniform(1.0, 50.0, size=k)
         c = int(rng.integers(k))
-        j = int(rng.choice([i for i in range(k) if i != c]))
-        yield alpha, c, j
+        # one of the k - 1 other classes, the draw rng.choice makes over them
+        j = int(rng.integers(k - 1))
+        yield alpha, c, j + (j >= c)
 
 
 def _base_sweeps(trials: int, grid, seed: int, loss_fn,

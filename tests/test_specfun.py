@@ -12,15 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iad.specfun import (BLOCK, DomainError, MIN_ARG, RISING_MAX_P, digamma,
-                         log_gamma, log_gamma_digamma, log_rising, tetragamma,
-                         trigamma, trigamma_tetragamma)
+                         digamma_trigamma, log_gamma, log_gamma_digamma,
+                         log_rising, tetragamma, trigamma, trigamma_tetragamma)
 from oracles import beta_moment
 
 EULER_GAMMA = 0.5772156649015328606
 
 
-# each output of the two paired kernels, as a one-output function
-# (`tetragamma` is itself the second output of `trigamma_tetragamma`)
+# each output of the three paired kernels, as a one-output function
+# (`log_gamma` and `tetragamma` are themselves the first output of
+# `log_gamma_digamma` and the second of `trigamma_tetragamma`)
 
 def log_gamma_of_pair(x):
     return log_gamma_digamma(x)[0]
@@ -34,6 +35,14 @@ def trigamma_of_pair(x):
     return trigamma_tetragamma(x)[0]
 
 
+def digamma_of_psi_pair(x):
+    return digamma_trigamma(x)[0]
+
+
+def trigamma_of_psi_pair(x):
+    return digamma_trigamma(x)[1]
+
+
 def log_rising_4(x):
     return log_rising(x, 4)[0]
 
@@ -42,11 +51,11 @@ def psi_step_4(x):
     return log_rising(x, 4)[1]
 
 
-# (paired output, its single-function view)
-_PAIRED = [(log_gamma_of_pair, log_gamma), (digamma_of_pair, digamma),
-           (trigamma_of_pair, trigamma)]
-_ALL_VIEWS = ([log_gamma, digamma, trigamma, tetragamma] + [p for p, _ in _PAIRED]
-              + [log_rising_4, psi_step_4])
+# (paired output, the single-output body it must equal bit for bit)
+_PAIRED = [(digamma_of_pair, digamma), (trigamma_of_pair, trigamma),
+           (digamma_of_psi_pair, digamma), (trigamma_of_psi_pair, trigamma)]
+_ALL_VIEWS = ([log_gamma, digamma, trigamma, tetragamma, log_gamma_of_pair]
+              + [p for p, _ in _PAIRED] + [log_rising_4, psi_step_4])
 
 
 # ---------------------------------------------------------------- log_gamma
@@ -192,7 +201,8 @@ def test_paired_outputs_equal_single_views_bit_for_bit(paired, single):
 
 # (function, scipy oracle, rtol, atol of the wide-range tests above,
 #  recurrence f(x+1) - f(x) = step(x), rel and abs of the recurrence tests);
-# ln Gamma and both outputs of each paired kernel share the psi family's shift
+# ln Gamma and both outputs of each paired kernel share the psi family's
+# shift, and each paired output takes the row of its single-output function
 _PSI_FAMILY = [
     (digamma, scipy.special.psi, 1e-12, 1e-12, lambda x: 1.0 / x, 1e-10, 1e-10),
     (trigamma, lambda x: scipy.special.polygamma(1, x), 1e-12, 1e-300,
@@ -203,7 +213,9 @@ _PSI_FAMILY = [
 _PSI_FAMILY += [
     (log_gamma, scipy.special.gammaln, 1e-12, 1e-12, np.log, 1e-10, 1e-10),
     (log_gamma_of_pair, scipy.special.gammaln, 1e-12, 1e-12, np.log, 1e-10, 1e-10),
-] + [(paired,) + row[1:] for (paired, _), row in zip(_PAIRED[1:], _PSI_FAMILY)]
+]
+_ORACLE_ROWS = {row[0]: row[1:] for row in _PSI_FAMILY}
+_PSI_FAMILY += [(paired,) + _ORACLE_ROWS[single] for paired, single in _PAIRED]
 # the smallest argument, the last shifted steps, both sides of the cutoff
 # (10), and far above it
 _SHIFT_EDGES = np.array([MIN_ARG, 9.0, 10.0 - 1e-15, 10.0, 1e6])

@@ -212,16 +212,37 @@ def test_sweep_checks_report_failures_and_missing_knees():
 
 # ------------------------------------------ blocked lemma sweep against whole-array
 
+def _sample_triples(rng: np.random.Generator, n: int):
+    """Random (x1, x2, p) with x1 > x2 > 1 and p in (0, 10], as three whole
+    draws from rng: the stream the lemma sweep draws block by block."""
+    x2 = 1.0 + rng.uniform(1e-3, 50.0, size=n)
+    x1 = x2 + rng.uniform(1e-3, 50.0, size=n)
+    p = rng.uniform(1e-6, 10.0, size=n)
+    return x1, x2, p
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+def test_streamed_triples_equal_one_whole_draw(seed):
+    b = verify._TRIPLES_PER_BLOCK
+    for n in (1, b, b + 7, 3 * b + 7):
+        blocks = list(verify._triple_blocks(n, seed))
+        assert [x1.size for x1, _, _ in blocks] == [min(b, n - lo) for lo in range(0, n, b)]
+        got = [np.concatenate(column) for column in zip(*blocks)]
+        want = _sample_triples(np.random.default_rng(seed), n)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
 def reference_lemmas(n_triples, seed) -> tuple[dict, dict]:
     """(lemma1, lemma2) by the whole-array algorithm: one draw per lemma and
     one special-function call per argument array."""
-    x1, x2, p = verify._sample_triples(np.random.default_rng(seed), n_triples)
+    x1, x2, p = _sample_triples(np.random.default_rng(seed), n_triples)
     shifted = digamma(x1 + p) - digamma(x2 + p)
     plain = digamma(x1) - digamma(x2)
     ok1 = bool(np.all(shifted > 0.0) and np.all(shifted < plain))
     tail = float(np.max(digamma(1e4 + np.linspace(1e-6, 10.0, 100)) - digamma(1e4)))
     ok_limit = tail < 1e-3
-    x1, x2, p = verify._sample_triples(np.random.default_rng(seed), n_triples)
+    x1, x2, p = _sample_triples(np.random.default_rng(seed), n_triples)
     shifted = trigamma(x1 + p) - trigamma(x2 + p)
     plain = trigamma(x1) - trigamma(x2)
     ok2 = bool(np.all(plain < shifted) and np.all(shifted < 0.0))
@@ -255,24 +276,25 @@ def test_run_all_lemmas_equal_standalone_lemmas():
 @pytest.mark.parametrize("where", ["first", "last"])
 @pytest.mark.parametrize("broken", ["digamma", "trigamma"])
 def test_planted_violation_fails_only_its_lemma(monkeypatch, block, where, broken):
-    # The wrapper sets the shifted difference of one triple to 0, which breaks
+    # The wrapper sets the shifted difference of one triple to 0 in the psi
+    # (first) or psi' (second) output of digamma_trigamma, which breaks
     # `shifted > 0` (lemma 1) or `shifted < 0` (lemma 2) there and nowhere
     # else; the triple sits in the first or in the last, partial, block.
     if block is not None:
         monkeypatch.setattr(verify, "_TRIPLES_PER_BLOCK", block)
     n, seed = 3 * verify._TRIPLES_PER_BLOCK + 7, 2
-    x1, x2, _ = verify._sample_triples(np.random.default_rng(seed), n)
+    x1, x2, _ = _sample_triples(np.random.default_rng(seed), n)
     t = 0 if where == "first" else n - 1
-    real = getattr(verify, broken)
+    out = ("digamma", "trigamma").index(broken)
+    real = verify.digamma_trigamma
 
     def planted(args):
-        out = real(args)
-        if np.ndim(args) == 2:
-            hit = np.flatnonzero((args[0] == x1[t]) & (args[1] == x2[t]))
-            out[2, hit] = out[3, hit]
-        return out
+        outs = real(args)
+        hit = np.flatnonzero((args[0] == x1[t]) & (args[1] == x2[t]))
+        outs[out][2, hit] = outs[out][3, hit]
+        return outs
 
-    monkeypatch.setattr(verify, broken, planted)
+    monkeypatch.setattr(verify, "digamma_trigamma", planted)
     verdicts = {v.name: v.passed for v in run_all(seed=seed, trials=1, n_triples=n)}
     assert verdicts["lemma1"] is (broken != "digamma")
     assert verdicts["lemma2"] is (broken != "trigamma")
@@ -281,8 +303,9 @@ def test_planted_violation_fails_only_its_lemma(monkeypatch, block, where, broke
 
 
 def test_run_all_peak_memory_at_benchmark_size():
-    # The three sampled 300k-triple arrays are 7.2 MB of this; whole-array
-    # lemma temporaries took the peak to ~16.8 MB.
+    # The lemma sweep draws and checks one 8,192-triple block at a time, so
+    # the peak (~3.4 MB) is one block's draws and temporaries; one 300k-triple
+    # array alone would add 2.4 MB.
     tracemalloc.start()
     try:
         verdicts = run_all(seed=0, trials=100, n_triples=300_000)
@@ -290,4 +313,4 @@ def test_run_all_peak_memory_at_benchmark_size():
     finally:
         tracemalloc.stop()
     assert all(v.passed for v in verdicts)
-    assert peak < 12e6
+    assert peak < 6e6
