@@ -27,6 +27,12 @@ log = logging.getLogger("iad.cli")
 
 # commands that read a trained network from --checkpoint
 _NEEDS_CHECKPOINT = ("eval", "ood", "attack")
+# the parts of the (train, test) split each command reads: only these are
+# built, and a command that reads none builds no data
+_PARTS_READ = {"train": (0,), "ood": (0,), "eval": (1,), "attack": (1,),
+               "compare": (0, 1), "verify": ()}
+# the keys that must name a data file, per data.kind
+_DATA_FILES = {"csv": ("data.csv",), "idx": ("data.idx_images", "data.idx_labels")}
 
 
 class UsageError(Exception):
@@ -89,19 +95,25 @@ def _rng_streams(cfg: ExperimentConfig) -> dict[str, np.random.Generator]:
     return {n: np.random.default_rng(s) for n, s in zip(names, seeds)}
 
 
-def build_datasets(cfg: ExperimentConfig,
-                   raw: dict[str, bytes]) -> tuple[data.Dataset, data.Dataset]:
+def build_datasets(cfg: ExperimentConfig, raw: dict[str, bytes],
+                   keep=(0, 1)) -> tuple[data.Dataset | None, data.Dataset | None]:
     """Deterministic (train, test) pair from the config, the root seed and
-    the data files' bytes (from _read_inputs). Every command that reads data
-    needs labels, so a CSV without a label column is refused."""
-    rngs = _rng_streams(cfg)
+    the data files' bytes (from _read_inputs). Only the parts in keep (0 the
+    training part, 1 the test part) are built, the other is None; the split
+    is drawn and checked whole, so a part is the same whichever are kept.
+    Every command that reads data needs labels, so a CSV without a label
+    column is refused."""
     kind = cfg["data.kind"]
+    for key in _DATA_FILES.get(kind, ()):
+        if not cfg[key]:
+            raise ConfigError(f"{key}: must name a file when data.kind = {kind}")
+    rngs = _rng_streams(cfg)
     frac = cfg["data.test_fraction"]
     fractions, scale = [1.0 - frac, frac], cfg["data.scale_unit"]
     if kind == "idx":
         train_ds, test_ds = data.load_idx_split(
             cfg["data.idx_images"], cfg["data.idx_labels"], fractions, rngs["split"], scale,
-            raw.get("data.idx_images"), raw.get("data.idx_labels"))
+            raw.get("data.idx_images"), raw.get("data.idx_labels"), keep)
         return train_ds, test_ds
     if kind == "blobs":
         centers = data.triangle_centers(cfg["data.side"])
@@ -119,7 +131,7 @@ def build_datasets(cfg: ExperimentConfig,
             raise data.CsvFormatError(f"{cfg['data.csv']}:1: the header has no 'label' "
                                       "column; training and evaluation need labels")
     split = data.split_scaled if scale else data.split
-    train_ds, test_ds = split(ds, fractions, rngs["split"])
+    train_ds, test_ds = split(ds, fractions, rngs["split"], keep)
     return train_ds, test_ds
 
 
@@ -264,19 +276,21 @@ def main(argv=None) -> int:
     written, prints one ``error:`` line: a usage error exits with status 2
     through SystemExit, as argparse's own do; a bad config, or an input file
     that is missing, unreadable or malformed, returns 2. So does a dataset
-    too small to fill every part of a split: the train/test split is made
-    before the run directory is written, training's validation split after."""
+    too small to fill every part of a split, even a part the command does
+    not read: the train/test split is made before the run directory is
+    written, training's validation split after."""
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
         net = _load_net(args) if args.command in _NEEDS_CHECKPOINT else None
         raw = _read_inputs(cfg)
-        datasets = None if args.command == "verify" else build_datasets(cfg, raw)
+        parts = _PARTS_READ[args.command]
+        datasets = build_datasets(cfg, raw, parts) if parts else None
         inputs_sha256 = _input_hash(cfg, raw)
         del raw  # not held through the command
         if net is not None:
-            _check_net_fits(net, datasets[0], args.checkpoint)
+            _check_net_fits(net, datasets[parts[0]], args.checkpoint)
         out = _prepare_out_dir(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -239,6 +239,8 @@ def _read_idx(images_path, labels_path, images_raw=None,
             f"image/label count mismatch: {count} images vs {label_count} labels")
     if count == 0:
         raise IdxFormatError(f"{images_path}: holds no images")
+    if rows * cols == 0:
+        raise IdxFormatError(f"{images_path}: its {rows}x{cols} images hold no pixels")
     classes = np.frombuffer(labels, dtype=np.uint8, count=count, offset=8)
     pixels = np.frombuffer(images, dtype=np.uint8, count=count * rows * cols,
                            offset=16).reshape(count, rows * cols)
@@ -282,11 +284,13 @@ def _split_indices(n: int, labels, fractions, rng: np.random.Generator) -> list[
     return index_sets
 
 
-def split(dataset: Dataset, fractions, rng: np.random.Generator) -> list[Dataset]:
+def split(dataset: Dataset, fractions, rng: np.random.Generator,
+          keep=None) -> list[Dataset | None]:
     """Disjoint seeded partitions covering all rows; stratified by class when
-    labels are present."""
-    return [dataset.take(idx, tag=f"part{i}") for i, idx in
-            enumerate(_split_indices(dataset.n, dataset.labels, fractions, rng))]
+    labels are present. Only the parts whose index is in keep (every part
+    when keep is None) are gathered; the others are None."""
+    return _parts(dataset.features, None, dataset.labels, fractions, rng, False,
+                  dataset.provenance, dataset.feature_range, keep)
 
 
 def _unit_span(lo: np.ndarray, hi: np.ndarray, provenance: str) -> np.ndarray:
@@ -315,11 +319,14 @@ def scale_unit(dataset: Dataset) -> Dataset:
 
 
 def _parts(rows, divisor, labels, fractions, rng, scale: bool, provenance: str,
-           feature_range) -> list[Dataset]:
-    """split(scale_unit(ds), fractions, rng), or split(ds, ...) without
-    scale, bit for bit, for the dataset ds whose features are rows / divisor
-    (rows itself when divisor is None). Each part's float64 features are
-    written by one row gather and scaled in place."""
+           feature_range, keep=None) -> list[Dataset | None]:
+    """The seeded stratified parts of the dataset ds whose features are
+    rows / divisor (rows itself when divisor is None), min-max scaled over
+    all of ds when scale: split(scale_unit(ds), ...) bit for bit. Each kept
+    part's float64 features are written by one row gather and scaled in
+    place; a part whose index is not in keep (when keep is not None) is
+    None. Column ranges and the permutations do not depend on keep, and an
+    empty part raises whether kept or not."""
     if scale:
         lo, hi = rows.min(axis=0), rows.max(axis=0)
         if divisor is not None:
@@ -333,6 +340,9 @@ def _parts(rows, divisor, labels, fractions, rng, scale: bool, provenance: str,
     index_sets = _split_indices(rows.shape[0], labels, fractions, rng)
     parts = []
     for i, idx in enumerate(index_sets):
+        if keep is not None and i not in keep:
+            parts.append(None)
+            continue
         f = rows[idx] if divisor is None else np.divide(rows[idx], divisor)
         if scale:
             f -= lo
@@ -342,23 +352,25 @@ def _parts(rows, divisor, labels, fractions, rng, scale: bool, provenance: str,
     return parts
 
 
-def split_scaled(dataset: Dataset, fractions, rng: np.random.Generator) -> list[Dataset]:
-    """split(scale_unit(dataset), fractions, rng), bit for bit, without the
-    scaled full matrix."""
+def split_scaled(dataset: Dataset, fractions, rng: np.random.Generator,
+                 keep=None) -> list[Dataset | None]:
+    """split(scale_unit(dataset), fractions, rng, keep), bit for bit, without
+    the scaled full matrix."""
     return _parts(dataset.features, None, dataset.labels, fractions, rng, True,
-                  dataset.provenance, dataset.feature_range)
+                  dataset.provenance, dataset.feature_range, keep)
 
 
 def load_idx_split(images_path, labels_path, fractions, rng: np.random.Generator,
                    scale: bool, images_raw: bytes | None = None,
-                   labels_raw: bytes | None = None) -> list[Dataset]:
-    """split(scale_unit(load_idx(...)), fractions, rng), or without
+                   labels_raw: bytes | None = None, keep=None) -> list[Dataset | None]:
+    """split(scale_unit(load_idx(...)), fractions, rng, keep), or without
     scale_unit when not scale, bit for bit: column ranges are taken over the
-    uint8 pixels and each part is converted to float64 once. images_raw and
-    labels_raw are the files' bytes when the caller has read them already."""
+    uint8 pixels and each kept part is converted to float64 once. images_raw
+    and labels_raw are the files' bytes when the caller has read them
+    already."""
     pixels, labels = _read_idx(images_path, labels_path, images_raw, labels_raw)
     return _parts(pixels, 255.0, labels, fractions, rng, scale,
-                  f"idx({images_path})", (0.0, 1.0))
+                  f"idx({images_path})", (0.0, 1.0), keep)
 
 
 def save_csv(dataset: Dataset, path) -> None:
@@ -416,6 +428,8 @@ def load_csv(path, raw: bytes | None = None) -> Dataset:
             feats.append(values)
         if not feats:
             raise CsvFormatError(f"{path}:{reader.line_num + 1}: no data rows")
+        if d == 0:
+            raise CsvFormatError(f"{path}:1: the header names no feature column")
     features = np.array(feats, dtype=np.float64).reshape(len(feats), d)
     labels = None
     if has_label:

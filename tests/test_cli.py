@@ -305,9 +305,15 @@ def test_cli_out_of_range_optimizer_value_names_key(tmp_path, capsys, override):
 
 # ------------------------------------------------------------ build_datasets
 
-@pytest.mark.parametrize("kind, scale", [
-    ("blobs", True), ("blobs", False), ("csv", True), ("idx", True), ("idx", False)])
-def test_build_datasets_matches_reference_bits(tmp_path, kind, scale):
+# every part selection a command makes: both parts (compare, id without a
+# suffix), the training part only (train, ood) and the test part only (eval,
+# attack)
+@pytest.mark.parametrize("kind, scale, keep", [
+    pytest.param(kind, scale, keep,
+                 id=f"{kind}-{scale}" + ("" if len(keep) == 2 else f"-part{keep[0]}"))
+    for kind in ("blobs", "csv", "idx") for scale in (True, False)
+    for keep in ((0, 1), (0,), (1,))])
+def test_build_datasets_matches_reference_bits(tmp_path, kind, scale, keep):
     overrides = {"seed": 9, "data.kind": kind, "data.scale_unit": scale,
                  "data.per_class": 60}
     if kind == "csv":
@@ -334,10 +340,13 @@ def test_build_datasets_matches_reference_bits(tmp_path, kind, scale):
         source = reference_scale_unit(source)
     frac = cfg["data.test_fraction"]
     want = reference_split(source, [1.0 - frac, frac], rngs["split"])
-    got = build_datasets(cfg, _read_inputs(cfg))
+    got = build_datasets(cfg, _read_inputs(cfg), keep)
     assert len(got) == 2
-    for g, w in zip(got, want):
-        assert_identical(g, w)
+    for i, (g, w) in enumerate(zip(got, want)):
+        if i in keep:
+            assert_identical(g, w)
+        else:
+            assert g is None
 
 
 # ----------------------------------------- missing and non-finite input files
@@ -353,9 +362,12 @@ def _assert_one_error_line(capsys, out, *parts):
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(which=st.sampled_from(["--config", "data.csv", "data.idx_images", "data.idx_labels"]),
-       name=st.text(alphabet="abcxyz019_-.", min_size=1, max_size=12))
-def test_cli_missing_input_file_exits_2(tmp_path, capsys, which, name):
-    missing = tmp_path / "absent" / name
+       name=st.text(alphabet="abcxyz019_-.", min_size=1, max_size=12),
+       empty=st.booleans())
+def test_cli_missing_input_file_exits_2(tmp_path, capsys, which, name, empty):
+    # a data key left empty is named; an empty --config means no config file
+    empty = empty and which != "--config"
+    missing = "" if empty else tmp_path / "absent" / name
     ip, lp = write_idx(tmp_path, np.zeros((4, 2, 2), dtype=np.uint8), [0, 1, 0, 1])
     argv = {
         "--config": ["--config", str(missing)],
@@ -367,7 +379,52 @@ def test_cli_missing_input_file_exits_2(tmp_path, capsys, which, name):
     }[which]
     out = tmp_path / "run"
     assert run(["train", "--out", str(out)] + TINY + argv) == 2
-    _assert_one_error_line(capsys, out, str(missing), "No such file")
+    if empty:
+        _assert_one_error_line(capsys, out, f"error: {which}: must name a file")
+    else:
+        _assert_one_error_line(capsys, out, str(missing), "No such file")
+
+
+@pytest.mark.parametrize("kind, key", [
+    ("csv", "data.csv"), ("idx", "data.idx_images"), ("idx", "data.idx_labels")])
+def test_cli_verify_reads_no_data_path(tmp_path, kind, key):
+    out = tmp_path / "v"
+    assert run(["verify", "--out", str(out), "--set", "verify.trials=5",
+                "--set", "verify.n_triples=50", "--set", f"data.kind={kind}",
+                "--set", f"{key}="]) == 0
+    assert (out / "verify_evidence.json").exists()
+
+
+def _checkpoint_args(tmp_path, command):
+    """--checkpoint to a fresh 2-8-3 network for the commands that need one."""
+    if command not in ("eval", "ood", "attack"):
+        return []
+    ckpt = tmp_path / "ckpt.json"
+    network.save_checkpoint(network.init([2, 8, 3], np.random.default_rng(0)), ckpt)
+    return ["--checkpoint", str(ckpt)]
+
+
+def _label_only_csv(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("label\n" + "0\n1\n2\n" * 20)
+    return ["--set", "data.kind=csv", "--set", f"data.csv={path}"], f"{path}:1: "
+
+
+def _pixelless_idx(tmp_path):
+    ip, lp = write_idx(tmp_path, np.zeros((60, 0, 0), dtype=np.uint8), [0, 1, 2] * 20)
+    return (["--set", "data.kind=idx", "--set", f"data.idx_images={ip}",
+             "--set", f"data.idx_labels={lp}"], f"{ip}: ")
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "ood", "attack", "compare"])
+@pytest.mark.parametrize("make_input", [_label_only_csv, _pixelless_idx])
+def test_cli_zero_feature_input_exits_2_before_writing(tmp_path, capsys, make_input,
+                                                       command):
+    argv, where = make_input(tmp_path)
+    out = tmp_path / "run"
+    assert run([command, "--out", str(out)] + TINY + argv
+               + _checkpoint_args(tmp_path, command)) == 2
+    _assert_one_error_line(capsys, out, where)
 
 
 @settings(max_examples=40, deadline=None,
@@ -417,11 +474,7 @@ def test_cli_unlabeled_csv_exits_2_before_writing(tmp_path, capsys, command):
     path.write_text("f0,f1\n0.1,0.2\n0.3,0.4\n0.5,0.6\n")
     out = tmp_path / "run"
     argv = [command, "--out", str(out), "--set", "data.kind=csv",
-            "--set", f"data.csv={path}"] + TINY
-    if command in ("eval", "ood", "attack"):
-        ckpt = tmp_path / "ckpt.json"
-        network.save_checkpoint(network.init([2, 8, 3], np.random.default_rng(0)), ckpt)
-        argv += ["--checkpoint", str(ckpt)]
+            "--set", f"data.csv={path}"] + TINY + _checkpoint_args(tmp_path, command)
     assert run(argv) == 2
     _assert_one_error_line(capsys, out, f"{path}:1: ", "'label' column")
 
@@ -439,6 +492,24 @@ def test_cli_split_with_an_empty_part_exits_2(tmp_path, capsys, command, per_cla
     assert len(err) == 1 and err[0].startswith("error: part 1 "), err
     assert "is empty" in err[0]
     assert (sorted(p.name for p in out.iterdir()) if out.exists() else None) == written
+
+
+# every command draws and checks the whole train/test split, also the part
+# it does not read: one row per class empties the test part (read by neither
+# train nor ood), and at a test fraction of 0.6 the training part (read by
+# neither eval nor attack)
+@pytest.mark.parametrize("command, sets, part", [
+    ("train", ["data.per_class=1"], 1), ("ood", ["data.per_class=1"], 1),
+    ("eval", ["data.per_class=1", "data.test_fraction=0.6"], 0),
+    ("attack", ["data.per_class=1", "data.test_fraction=0.6"], 0)])
+def test_cli_unread_empty_part_exits_2_before_writing(tmp_path, capsys, command, sets,
+                                                      part):
+    out = tmp_path / "run"
+    argv = [command, "--out", str(out)] + TINY + _checkpoint_args(tmp_path, command)
+    for item in sets:
+        argv += ["--set", item]
+    assert run(argv) == 2
+    _assert_one_error_line(capsys, out, f"error: part {part} ", "is empty")
 
 
 def test_cli_trains_at_seven_per_class(tmp_path):

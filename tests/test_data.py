@@ -160,6 +160,16 @@ def test_load_idx_zero_count(tmp_path):
         load_idx(ip, lp)
 
 
+@pytest.mark.parametrize("count, rows, cols, what", [
+    (3, 0, 0, "0x0 images hold no pixels"), (3, 0, 4, "0x4 images hold no pixels"),
+    (3, 4, 0, "4x0 images hold no pixels"), (0, 0, 0, "no images")])
+def test_load_idx_zero_pixels(tmp_path, count, rows, cols, what):
+    ip, lp = write_idx(tmp_path, np.zeros((count, rows, cols), dtype=np.uint8),
+                       [0, 1, 2][:count])
+    with pytest.raises(IdxFormatError, match=f"{ip}: .*{what}"):
+        load_idx(ip, lp)
+
+
 # --------------------------------------------------------------------- split
 
 def test_split_identity():
@@ -254,9 +264,10 @@ def test_csv_roundtrip_unlabeled(tmp_path):
     ("f0,f1,label\n0.5,1e999,1\n", 2, "'1e999' is not finite"),
     ("f0,f1,label\n0.5,0.25,1\n0.5,\xff,0\n", 3, "byte 0xff is not UTF-8"),
     ("f0,f\xe9\n0.5,0.25\n", 1, "byte 0xe9 is not UTF-8"),
+    ("label\n0\n1\n", 1, "the header names no feature column"),
 ], ids=["negative-label", "short-row", "long-row", "unlabeled-short-row",
         "bad-feature", "bad-label", "empty-file", "header-only", "nan-feature", "inf-feature",
-        "overflowing-feature", "invalid-utf8-byte", "latin1-header"])
+        "overflowing-feature", "invalid-utf8-byte", "latin1-header", "label-only"])
 def test_load_csv_malformed_names_file_and_line(tmp_path, body, line, what):
     path = tmp_path / "bad.csv"
     path.write_bytes(body.encode("latin-1"))
