@@ -28,7 +28,7 @@ log = logging.getLogger("iad.cli")
 # commands that read a trained network from --checkpoint
 _NEEDS_CHECKPOINT = ("eval", "ood", "attack")
 # the parts of the (train, test) split each command reads: only these are
-# built, and a command that reads none builds no data
+# built, and a command that reads none builds no data and opens no data file
 _PARTS_READ = {"train": (0,), "ood": (0,), "eval": (1,), "attack": (1,),
                "compare": (0, 1), "verify": ()}
 # the keys that must name a data file, per data.kind
@@ -64,10 +64,11 @@ def _prepare_out_dir(args) -> Path:
 
 
 def _read_inputs(cfg: ExperimentConfig) -> dict[str, bytes]:
-    """The bytes of each data file the config names, read once: the loaders
-    parse them and inputs_sha256 covers them, in this key order."""
+    """The bytes of each data file that data.kind reads and the config names,
+    read once: the loaders parse them and inputs_sha256 covers them, in
+    _DATA_FILES order. A key that data.kind does not read is not opened."""
     raw = {}
-    for key in ("data.csv", "data.idx_images", "data.idx_labels"):
+    for key in _DATA_FILES.get(cfg["data.kind"], ()):
         if cfg[key]:
             with open(cfg[key], "rb") as fh:
                 raw[key] = fh.read()
@@ -284,8 +285,8 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         net = _load_net(args) if args.command in _NEEDS_CHECKPOINT else None
-        raw = _read_inputs(cfg)
         parts = _PARTS_READ[args.command]
+        raw = _read_inputs(cfg) if parts else {}
         datasets = build_datasets(cfg, raw, parts) if parts else None
         inputs_sha256 = _input_hash(cfg, raw)
         del raw  # not held through the command

@@ -74,7 +74,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray | None = None
     provenance: str = ""
-    split_tag: str = ""
     feature_range: tuple[float, float] | None = None
 
     def __post_init__(self):
@@ -113,23 +112,22 @@ class Dataset:
             raise ValueError("dataset has no labels")
         return np.argmax(self.labels, axis=1)
 
-    def take(self, idx: np.ndarray, tag: str = "") -> "Dataset":
+    def take(self, idx: np.ndarray) -> "Dataset":
         """The rows ``idx`` (a 1-D index array or boolean mask)."""
         idx = np.asarray(idx)
         if idx.ndim != 1:
             raise ValueError("idx must be a 1-D index array or mask")
         return _derived(self.features[idx],
                         None if self.labels is None else self.labels[idx],
-                        self.provenance, tag or self.split_tag, self.feature_range)
+                        self.provenance, self.feature_range)
 
 
-def _derived(features, labels=None, provenance="", split_tag="",
-             feature_range=None) -> Dataset:
+def _derived(features, labels=None, provenance="", feature_range=None) -> Dataset:
     """A Dataset over arrays already known valid (finite float64 (N, D)
     features, one-hot float64 labels), without the constructor's checks."""
     ds = object.__new__(Dataset)
     vars(ds).update(features=features, labels=labels, provenance=provenance,
-                    split_tag=split_tag, feature_range=feature_range)
+                    feature_range=feature_range)
     return ds
 
 
@@ -314,8 +312,7 @@ def scale_unit(dataset: Dataset) -> Dataset:
     span = _unit_span(lo, f.max(axis=0), dataset.provenance)
     out = f - lo
     out /= span
-    return _derived(out, dataset.labels, dataset.provenance, dataset.split_tag,
-                    (0.0, 1.0))
+    return _derived(out, dataset.labels, dataset.provenance, (0.0, 1.0))
 
 
 def _parts(rows, divisor, labels, fractions, rng, scale: bool, provenance: str,
@@ -348,7 +345,7 @@ def _parts(rows, divisor, labels, fractions, rng, scale: bool, provenance: str,
             f -= lo
             f /= span
         parts.append(_derived(f, None if labels is None else labels[idx],
-                              provenance, f"part{i}", feature_range))
+                              provenance, feature_range))
     return parts
 
 

@@ -10,13 +10,11 @@ ln prod_k (x + k) (Abramowitz & Stegun 6.1.41), the psi family sums powers of
 1 / (x + k) (Bernardo 1976, Algorithm AS 103).
 
 `log_gamma_digamma`, `trigamma_tetragamma` and `digamma_trigamma` return two
-functions from one argument check and one shift; verify's lemmas take psi and
-psi' from the last. `digamma` and `trigamma` keep single-output bodies built
-from the same pieces, bit-identical to the paired outputs: R's value,
-`bayes_ce`, the `rkl` gradient, mutual information and lemma 1's limit check
-call one of them alone. `log_gamma` is the first output of
-`log_gamma_digamma` and `tetragamma` the second output of
-`trigamma_tetragamma`, as no library call needs ln Gamma or psi'' alone.
+functions from one argument check and one shift. Each single-function name is
+one output of the paired kernel that names it: `log_gamma` and `digamma` of
+`log_gamma_digamma`, `trigamma` and `tetragamma` of `trigamma_tetragamma`.
+`digamma_trigamma`, which verify's lemmas call, gives the same psi and psi'
+bit for bit.
 
 `log_rising` returns ln (x)_p = ln Gamma(x+p) - ln Gamma(x) and
 psi(x+p) - psi(x). For an integer p up to RISING_MAX_P it needs no special
@@ -154,8 +152,7 @@ def _tree(op, mat: np.ndarray) -> np.ndarray:
 
 
 def _horner(u: np.ndarray, table) -> np.ndarray:
-    """u times the series of `table` at u: (n,) for one series' coefficients,
-    (rows, n) for a (7, rows, 1) table."""
+    """u times each series of the (7, rows, 1) `table` at u, as (rows, n)."""
     acc = table[-1] * u
     for c in table[-2::-1]:
         np.subtract(c, acc, out=acc)
@@ -222,23 +219,6 @@ def _digamma_trigamma(flat):
     return dg, tri
 
 
-def _digamma(flat):
-    y, low, inv, _, series = _shift(flat, _PSI)
-    out = _digamma_at(np.log(y), inv, series)
-    if low.size:
-        out[low] -= _tree(np.add, _recip_steps(flat, low))
-    return (out,)
-
-
-def _trigamma(flat):
-    _, low, inv, u, series = _shift(flat, _PSI1)
-    out = _trigamma_at(inv, u, series)
-    if low.size:
-        recip = _recip_steps(flat, low)
-        out[low] += _tree(np.add, np.multiply(recip, recip, out=recip))
-    return (out,)
-
-
 def _log_rising(flat, p: int):
     """(ln (x)_p, psi(x+p) - psi(x)) over the k-major (p, m) matrix of x + k."""
     pts = flat + np.arange(p)[:, None]
@@ -295,12 +275,12 @@ def log_gamma(x):
 
 def digamma(x):
     """psi(x) = d/dx ln Gamma(x) for x > 0."""
-    return _apply(_digamma, x)[0]
+    return log_gamma_digamma(x)[1]
 
 
 def trigamma(x):
     """psi'(x), the polygamma function of order 1, for x > 0."""
-    return _apply(_trigamma, x)[0]
+    return trigamma_tetragamma(x)[0]
 
 
 def tetragamma(x):

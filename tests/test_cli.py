@@ -369,13 +369,17 @@ def test_cli_missing_input_file_exits_2(tmp_path, capsys, which, name, empty):
     empty = empty and which != "--config"
     missing = "" if empty else tmp_path / "absent" / name
     ip, lp = write_idx(tmp_path, np.zeros((4, 2, 2), dtype=np.uint8), [0, 1, 0, 1])
+    csv_path = tmp_path / "d.csv"
+    csv_path.write_text("x,label\n0,0\n1,1\n")
+    # the keys of the other kind name files that exist
     argv = {
         "--config": ["--config", str(missing)],
-        "data.csv": ["--set", "data.kind=csv", "--set", f"data.csv={missing}"],
+        "data.csv": ["--set", "data.kind=csv", "--set", f"data.csv={missing}",
+                     "--set", f"data.idx_images={ip}", "--set", f"data.idx_labels={lp}"],
         "data.idx_images": ["--set", "data.kind=idx", "--set", f"data.idx_images={missing}",
-                            "--set", f"data.idx_labels={lp}"],
+                            "--set", f"data.idx_labels={lp}", "--set", f"data.csv={csv_path}"],
         "data.idx_labels": ["--set", "data.kind=idx", "--set", f"data.idx_images={ip}",
-                            "--set", f"data.idx_labels={missing}"],
+                            "--set", f"data.idx_labels={missing}", "--set", f"data.csv={csv_path}"],
     }[which]
     out = tmp_path / "run"
     assert run(["train", "--out", str(out)] + TINY + argv) == 2
@@ -393,6 +397,24 @@ def test_cli_verify_reads_no_data_path(tmp_path, kind, key):
                 "--set", "verify.n_triples=50", "--set", f"data.kind={kind}",
                 "--set", f"{key}="]) == 0
     assert (out / "verify_evidence.json").exists()
+
+
+@pytest.mark.parametrize("command, kind", [
+    ("train", "blobs"), ("verify", "blobs"), ("verify", "csv"), ("verify", "idx")])
+def test_cli_opens_no_data_file_it_does_not_read(tmp_path, command, kind):
+    # every data key names an absent file: a blobs run reads none of them,
+    # and verify reads no data whatever data.kind is
+    absent = tmp_path / "absent"
+    out = tmp_path / "run"
+    argv = [command, "--out", str(out), "--set", f"data.kind={kind}",
+            "--set", f"data.csv={absent / 'd.csv'}",
+            "--set", f"data.idx_images={absent / 'i.idx'}",
+            "--set", f"data.idx_labels={absent / 'l.idx'}",
+            "--set", "verify.trials=5", "--set", "verify.n_triples=50"] + TINY
+    assert run(argv) == 0
+    meta = json.loads((out / "run_meta.json").read_text())
+    cfg = _load_config(build_parser().parse_args(argv))
+    assert meta["inputs_sha256"] == reference_input_hash(cfg, command != "verify")
 
 
 def _checkpoint_args(tmp_path, command):
@@ -532,13 +554,14 @@ def test_cli_non_utf8_input_exits_2(tmp_path, capsys, which, body, line):
 
 # ----------------------------------------------------------- inputs_sha256
 
-def reference_input_hash(cfg) -> str:
-    """inputs_sha256 as first defined: the resolved config text, then the
-    bytes of each data file the config names, read anew, in key order."""
+def reference_input_hash(cfg, reads_data=True) -> str:
+    """inputs_sha256: the resolved config text, then, for a command that
+    reads data, the bytes of each data file its data.kind reads, read anew,
+    in key order."""
     h = hashlib.sha256(cfg.resolved_text().encode())
-    for key in ("data.csv", "data.idx_images", "data.idx_labels"):
-        if cfg[key]:
-            h.update(Path(cfg[key]).read_bytes())
+    files = {"csv": ("data.csv",), "idx": ("data.idx_images", "data.idx_labels")}
+    for key in files.get(cfg["data.kind"], ()) if reads_data else ():
+        h.update(Path(cfg[key]).read_bytes())
     return h.hexdigest()
 
 
@@ -550,8 +573,8 @@ def test_cli_inputs_sha256_matches_reference(tmp_path, kind):
     rng = np.random.default_rng(2)
     ip, lp = write_idx(tmp_path, rng.integers(0, 256, size=(60, 3, 3), dtype=np.uint8),
                        list(np.arange(60) % 3))
-    # every data key names a file, so the hash also covers files the
-    # data.kind does not read
+    # every data key names a file; the hash covers only those the data.kind
+    # reads
     out = tmp_path / "run"
     argv = ["train", "--out", str(out), "--set", f"data.kind={kind}",
             "--set", f"data.csv={csv_path}", "--set", f"data.idx_images={ip}",

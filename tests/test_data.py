@@ -308,11 +308,10 @@ def reference_split(dataset, fractions, rng):
             parts[i].append(perm[start:stop])
             start = stop
     out = []
-    for i, p in enumerate(parts):
+    for p in parts:
         rows = np.sort(np.concatenate(p))
         out.append(replace(dataset, features=dataset.features[rows],
-                           labels=None if dataset.labels is None else dataset.labels[rows],
-                           split_tag=f"part{i}"))
+                           labels=None if dataset.labels is None else dataset.labels[rows]))
     return out
 
 
@@ -336,8 +335,7 @@ def assert_identical(got, want):
     assert (got.labels is None) == (want.labels is None)
     if want.labels is not None:
         assert got.labels.tobytes() == want.labels.tobytes()
-    assert (got.provenance, got.split_tag, got.feature_range) == (
-        want.provenance, want.split_tag, want.feature_range)
+    assert (got.provenance, got.feature_range) == (want.provenance, want.feature_range)
 
 
 def wide(labeled=True, n=400, d=30, seed=10):

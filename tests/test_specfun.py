@@ -22,7 +22,8 @@ EULER_GAMMA = 0.5772156649015328606
 # each output of the three paired kernels, as a one-output function
 # (`log_gamma` and `tetragamma` are themselves the first output of
 # `log_gamma_digamma` and the second of `trigamma_tetragamma`, so they have
-# no view of their own)
+# no view of their own; `digamma_of_pair` and `trigamma_of_pair` are the same
+# expressions as `digamma` and `trigamma`)
 
 def digamma_of_pair(x):
     return log_gamma_digamma(x)[1]
@@ -48,11 +49,13 @@ def psi_step_4(x):
     return log_rising(x, 4)[1]
 
 
-# (paired output, the single-output body it must equal bit for bit)
-_PAIRED = [(digamma_of_pair, digamma), (trigamma_of_pair, trigamma),
-           (digamma_of_psi_pair, digamma), (trigamma_of_psi_pair, trigamma)]
+# (output of digamma_trigamma, the same function from the other paired
+# kernels, which it must equal bit for bit)
+_PAIRED = [(digamma_of_psi_pair, digamma), (trigamma_of_psi_pair, trigamma)]
+# (paired output, the function whose oracle row it takes)
+_OUTPUTS = [(digamma_of_pair, digamma), (trigamma_of_pair, trigamma)] + _PAIRED
 _ALL_VIEWS = ([log_gamma, digamma, trigamma, tetragamma]
-              + [p for p, _ in _PAIRED] + [log_rising_4, psi_step_4])
+              + [p for p, _ in _OUTPUTS] + [log_rising_4, psi_step_4])
 
 
 # ---------------------------------------------------------------- log_gamma
@@ -83,8 +86,7 @@ def test_log_gamma_recurrence(x):
 # ------------------------------------------------------------------ digamma
 
 def test_digamma_at_one_is_minus_euler_gamma():
-    for fn in (digamma, digamma_of_pair):
-        assert fn(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-13)
+    assert digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-13)
 
 
 def test_digamma_at_half():
@@ -101,8 +103,7 @@ def test_digamma_ten_and_a_half_via_recurrence_chain():
 
 def test_digamma_matches_scipy_over_wide_range():
     x = np.logspace(-10, 8, 400)
-    for fn in (digamma, digamma_of_pair):
-        assert np.allclose(fn(x), scipy.special.psi(x), rtol=1e-12, atol=1e-12)
+    assert np.allclose(digamma(x), scipy.special.psi(x), rtol=1e-12, atol=1e-12)
 
 
 @given(st.floats(min_value=1e-2, max_value=1e6))
@@ -114,8 +115,7 @@ def test_digamma_recurrence(x):
 # ----------------------------------------------------------------- trigamma
 
 def test_trigamma_at_one_is_pi_squared_over_six():
-    for fn in (trigamma, trigamma_of_pair):
-        assert fn(1.0) == pytest.approx(math.pi ** 2 / 6.0, abs=1e-13)
+    assert trigamma(1.0) == pytest.approx(math.pi ** 2 / 6.0, abs=1e-13)
 
 
 def test_trigamma_at_four():
@@ -127,8 +127,7 @@ def test_trigamma_at_four():
 def test_trigamma_matches_scipy_over_wide_range():
     x = np.logspace(-10, 8, 400)
     want = scipy.special.polygamma(1, x)
-    for fn in (trigamma, trigamma_of_pair):
-        assert np.allclose(fn(x), want, rtol=1e-12, atol=1e-300)
+    assert np.allclose(trigamma(x), want, rtol=1e-12, atol=1e-300)
 
 
 @given(st.floats(min_value=1e-2, max_value=1e6))
@@ -207,7 +206,7 @@ _PSI_FAMILY = [
     (log_gamma, scipy.special.gammaln, 1e-12, 1e-12, np.log, 1e-10, 1e-10),
 ]
 _ORACLE_ROWS = {row[0]: row[1:] for row in _PSI_FAMILY}
-_PSI_FAMILY += [(paired,) + _ORACLE_ROWS[single] for paired, single in _PAIRED]
+_PSI_FAMILY += [(paired,) + _ORACLE_ROWS[single] for paired, single in _OUTPUTS]
 # the smallest argument, the last shifted steps, both sides of the cutoff
 # (10), and far above it
 _SHIFT_EDGES = np.array([MIN_ARG, 9.0, 10.0 - 1e-15, 10.0, 1e6])
