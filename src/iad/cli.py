@@ -254,11 +254,16 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The ``iad`` parser: only the subparser of the command argv[0] names,
+    or all of them (help, a missing or unknown command). The metavar keeps
+    every command in the usage line of the top-level parser's errors."""
     parser = argparse.ArgumentParser(prog="iad",
                                      description="Information-aware Dirichlet networks")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    full = not (argv and argv[0] in _COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if full else "{" + ",".join(_COMMANDS) + "}")
+    for name in _COMMANDS if full else argv[:1]:
         p = sub.add_parser(name)
         p.add_argument("--config", help="experiment config file (key = value lines)")
         p.add_argument("--seed", type=int, help="root seed override")
@@ -281,7 +286,8 @@ def main(argv=None) -> int:
     not read: the train/test split is made before the run directory is
     written, training's validation split after."""
     _setup_logging()
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         cfg = _load_config(args)
         net = _load_net(args) if args.command in _NEEDS_CHECKPOINT else None

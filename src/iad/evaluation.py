@@ -178,16 +178,15 @@ def sweep_row(eps: float, reports: UncertaintyReports) -> SweepRow:
 
 
 def reports_to_csv(reports: UncertaintyReports, path) -> None:
+    """One string of csv.writer's bytes: no field holds a comma, quote or newline."""
     correct = ([""] * reports.pred_class.size if reports.correct is None
                else reports.correct.astype(int).tolist())
     # tolist() gives Python floats, whose repr is the shortest round-trip form
-    floats = [map(repr, col.tolist()) for col in (
-        reports.entropy, reports.mutual_info, reports.max_prob, reports.alpha0)]
+    rows = zip(reports.pred_class.tolist(), correct, *(col.tolist() for col in (
+        reports.entropy, reports.mutual_info, reports.max_prob, reports.alpha0)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["pred_class", "correct", "entropy", "mutual_info",
-                         "max_prob", "alpha0"])
-        writer.writerows(zip(reports.pred_class.tolist(), correct, *floats))
+        fh.write("pred_class,correct,entropy,mutual_info,max_prob,alpha0\n" + "".join(
+            f"{k},{ok},{h!r},{mi!r},{p!r},{a0!r}\n" for k, ok, h, mi, p, a0 in rows))
 
 
 def summary_to_json(summary: DistributionSummary, path) -> None:

@@ -7,12 +7,16 @@ likelihood, Bayes-risk cross-entropy, evidential mean-square, reverse-KL
 prior target).
 
 Every function takes an (N, K) alpha matrix and an (N,) class vector and
-works row by row. F and R each have one value+gradient kernel
-(`iad_value_grad_batch`, `info_value_grad_batch`), which the training step
-calls; the gradient functions are views of them. F's value and its kernel
+works row by row. Each loss has one value+gradient kernel
+(`*_value_grad_batch`), which the training step calls: it checks its
+arguments once and shares alpha_0 and its special-function arguments between
+value and gradient. The value-only functions serve the validation pass, and
+the gradient functions are views of the kernels. F's value and its kernel
 each make one `log_rising` call, (ln (a)_p, psi(a+p) - psi(a)), over the
 stacked (alpha_0, s, alpha). R's kernel makes one paired (psi', psi'') call
-and its value one psi' call over the same arguments.
+and its value one psi' call over the same arguments. The Bayes-risk kernel
+makes one paired (psi, psi') call; the reverse-KL kernel one (ln Gamma, psi)
+and one psi' call.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import (DomainError, digamma, log_gamma_digamma, log_rising, trigamma,
-                      trigamma_tetragamma)
+from .specfun import (DomainError, digamma, digamma_trigamma, log_gamma_digamma, log_rising,
+                      trigamma, trigamma_tetragamma)
 
 __all__ = [
     "LossConfig",
@@ -35,12 +39,16 @@ __all__ = [
     "info_value_grad_batch",
     "info_regularizer_grad_alpha_batch",
     "nll_marginal_loss_batch",
+    "nll_marginal_value_grad_batch",
     "nll_marginal_grad_alpha_batch",
     "bayes_ce_loss_batch",
+    "bayes_ce_value_grad_batch",
     "bayes_ce_grad_alpha_batch",
     "edl_mse_loss_batch",
+    "edl_mse_value_grad_batch",
     "edl_mse_grad_alpha_batch",
     "rkl_prior_loss_batch",
+    "rkl_prior_value_grad_batch",
     "rkl_prior_grad_alpha_batch",
 ]
 
@@ -219,18 +227,20 @@ def info_regularizer_grad_alpha_batch(alpha, c=None) -> np.ndarray:
 def nll_marginal_loss_batch(alpha, c) -> np.ndarray:
     """Negative log-marginal likelihood -ln(alpha_c / alpha_0)."""
     alpha, c = _check_batch(alpha, c)
-    a0 = alpha.sum(axis=1)
-    ac = np.take_along_axis(alpha, c[:, None], axis=1)[:, 0]
-    return -np.log(ac / a0)
+    return -np.log(alpha[np.arange(c.size), c] / alpha.sum(axis=1))
+
+
+def nll_marginal_value_grad_batch(alpha, c) -> tuple[np.ndarray, np.ndarray]:
+    """(-ln(alpha_c / alpha_0), its gradient) for each row."""
+    alpha, c = _check_batch(alpha, c)
+    a0, ac = alpha.sum(axis=1), alpha[np.arange(c.size), c]
+    grad = np.repeat((1.0 / a0)[:, None], alpha.shape[1], axis=1)
+    grad[np.arange(c.size), c] -= 1.0 / ac
+    return -np.log(ac / a0), grad
 
 
 def nll_marginal_grad_alpha_batch(alpha, c) -> np.ndarray:
-    alpha, c = _check_batch(alpha, c)
-    a0 = alpha.sum(axis=1)
-    ac = np.take_along_axis(alpha, c[:, None], axis=1)[:, 0]
-    grad = np.broadcast_to((1.0 / a0)[:, None], alpha.shape).copy()
-    grad[np.arange(alpha.shape[0]), c] -= 1.0 / ac
-    return grad
+    return nll_marginal_value_grad_batch(alpha, c)[1]
 
 
 def _bayes_ce_args(alpha, c):
@@ -246,70 +256,87 @@ def bayes_ce_loss_batch(alpha, c) -> np.ndarray:
     return dg[:c.size] - dg[c.size:]
 
 
-def bayes_ce_grad_alpha_batch(alpha, c) -> np.ndarray:
+def bayes_ce_value_grad_batch(alpha, c) -> tuple[np.ndarray, np.ndarray]:
+    """(psi(alpha_0) - psi(alpha_c), its gradient) for each row: one
+    digamma_trigamma call."""
     alpha, c, args = _bayes_ce_args(alpha, c)
     n = c.size
-    tg = trigamma(args)
-    grad = np.broadcast_to(tg[:n, None], alpha.shape).copy()
+    dg, tg = digamma_trigamma(args)
+    grad = np.repeat(tg[:n, None], alpha.shape[1], axis=1)
     grad[np.arange(n), c] -= tg[n:]
-    return grad
+    return dg[:n] - dg[n:], grad
+
+
+def bayes_ce_grad_alpha_batch(alpha, c) -> np.ndarray:
+    return bayes_ce_value_grad_batch(alpha, c)[1]
+
+
+def _edl(alpha, c):
+    """(alpha_0 as (N, 1), the mean m, the error y - m against the one-hot
+    target y, m (1 - m), the evidential mean-square loss)."""
+    alpha, c = _check_batch(alpha, c)
+    a0 = alpha.sum(axis=1)[:, None]
+    m = alpha / a0
+    err = np.zeros_like(alpha)
+    err[np.arange(c.size), c] = 1.0
+    err -= m
+    m_var = m * (1.0 - m)
+    return a0, m, err, m_var, (err ** 2 + m_var / (a0 + 1.0)).sum(axis=1)
 
 
 def edl_mse_loss_batch(alpha, c) -> np.ndarray:
     """Evidential mean-square loss: squared bias plus marginal Beta variances."""
-    alpha, c = _check_batch(alpha, c)
-    a0 = alpha.sum(axis=1)[:, None]
-    m = alpha / a0
-    y = np.zeros_like(alpha)
-    y[np.arange(alpha.shape[0]), c] = 1.0
-    var = m * (1.0 - m) / (a0 + 1.0)
-    return np.sum((y - m) ** 2 + var, axis=1)
+    return _edl(alpha, c)[-1]
+
+
+def edl_mse_value_grad_batch(alpha, c) -> tuple[np.ndarray, np.ndarray]:
+    """(evidential mean-square loss, its gradient) for each row."""
+    a0, m, err, m_var, value = _edl(alpha, c)
+    # dL/dm_k folded with dm_k/dalpha_j = (delta_kj - m_k)/a0, plus the
+    # explicit 1/(a0+1) dependence of the variance term.
+    inner = -2.0 * err + (1.0 - 2.0 * m) / (a0 + 1.0)  # (N, K) = dL/dm_k
+    grad = ((inner - (inner * m).sum(axis=1)[:, None]) / a0
+            - m_var.sum(axis=1)[:, None] / (a0 + 1.0) ** 2)
+    return value, grad
 
 
 def edl_mse_grad_alpha_batch(alpha, c) -> np.ndarray:
-    alpha, c = _check_batch(alpha, c)
-    n = alpha.shape[0]
-    a0 = alpha.sum(axis=1)[:, None]
-    m = alpha / a0
-    y = np.zeros_like(alpha)
-    y[np.arange(n), c] = 1.0
-    # dL/dm_k folded with dm_k/dalpha_j = (delta_kj - m_k)/a0, plus the
-    # explicit 1/(a0+1) dependence of the variance term.
-    inner = -2.0 * (y - m) + (1.0 - 2.0 * m) / (a0 + 1.0)  # (N, K) = dL/dm_k
-    var_sum = np.sum(m * (1.0 - m), axis=1)[:, None]
-    grad = (inner - np.sum(inner * m, axis=1)[:, None]) / a0 - var_sum / (a0 + 1.0) ** 2
-    return grad
+    return edl_mse_value_grad_batch(alpha, c)[1]
 
 
-def _rkl_diff(alpha, c, beta: float):
-    """Checked alpha and alpha - target, for the one-hot prior target
-    (beta + 1 at c, 1 elsewhere) with 0 < beta < inf."""
+def _rkl(alpha, c, beta: float):
+    """(alpha - target, the stacked (alpha, alpha_0), KL to the target) for
+    the one-hot prior target (beta + 1 at c, 1 elsewhere, 0 < beta < inf),
+    from one log_gamma_digamma call over (alpha, alpha_0, beta + 1, beta + K):
+    ln B(target) = ln Gamma(beta + 1) - ln Gamma(beta + K), as ln Gamma(1) = 0."""
     alpha, c = _check_batch(alpha, c)
     if not 0.0 < beta < math.inf:
         raise ValueError(f"beta must be finite and > 0, got {beta!r}")
-    target = np.ones_like(alpha)
-    target[np.arange(c.size), c] = beta + 1.0
-    return alpha, alpha - target
+    n, k = alpha.shape
+    rows = np.arange(n)
+    diff = alpha - 1.0
+    diff[rows, c] = alpha[rows, c] - (beta + 1.0)
+    args = np.concatenate([alpha.ravel(), alpha.sum(axis=1), [beta + 1.0, beta + k]])
+    lg, dg = log_gamma_digamma(args)
+    lg_a, lg_a0 = _split(lg[:-2], n, k)
+    dg_a, dg_a0 = _split(dg[:-2], n, k)
+    log_b_a = lg_a.sum(axis=1) - lg_a0[:, 0]
+    log_b_t = lg[-2] - lg[-1]
+    return diff, args[:-2], log_b_t - log_b_a + (diff * (dg_a - dg_a0)).sum(axis=1)
 
 
 def rkl_prior_loss_batch(alpha, c, beta: float) -> np.ndarray:
-    """Forward KL from the model Dirichlet to the one-hot prior target
-    (beta + 1 at c, 1 elsewhere), from one log_gamma_digamma call over
-    (alpha, alpha_0, beta + 1, beta + K). ln B(target) = ln Gamma(beta + 1) -
-    ln Gamma(beta + K), as ln Gamma(1) = 0."""
-    alpha, diff = _rkl_diff(alpha, c, beta)
-    n, k = alpha.shape
-    lg, dg = log_gamma_digamma(np.concatenate([
-        alpha.ravel(), alpha.sum(axis=1), [beta + 1.0, beta + k]]))
-    lg_a, lg_a0 = _split(lg[:-2], n, k)
-    dg_a, dg_a0 = _split(dg[:-2], n, k)
-    log_b_a = np.sum(lg_a, axis=1) - lg_a0[:, 0]
-    log_b_t = lg[-2] - lg[-1]
-    return log_b_t - log_b_a + np.sum(diff * (dg_a - dg_a0), axis=1)
+    """Forward KL from the model Dirichlet to the one-hot prior target."""
+    return _rkl(alpha, c, beta)[-1]
+
+
+def rkl_prior_value_grad_batch(alpha, c, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """(KL to the prior target, its gradient) for each row: the value's
+    log_gamma_digamma call and one trigamma call over (alpha, alpha_0)."""
+    diff, args, value = _rkl(alpha, c, beta)
+    tri, tri0 = _split(trigamma(args), *diff.shape)
+    return value, diff * tri - tri0 * diff.sum(axis=1)[:, None]
 
 
 def rkl_prior_grad_alpha_batch(alpha, c, beta: float) -> np.ndarray:
-    alpha, diff = _rkl_diff(alpha, c, beta)
-    tri, tri0 = _split(trigamma(np.concatenate([alpha.ravel(), alpha.sum(axis=1)])),
-                       *alpha.shape)
-    return diff * tri - tri0 * diff.sum(axis=1)[:, None]
+    return rkl_prior_value_grad_batch(alpha, c, beta)[1]

@@ -146,7 +146,7 @@ def forward(net: NetworkParams, x: np.ndarray) -> ForwardTrace:
     a = np.atleast_2d(x)
     if a.shape[1] != net.weights[0].shape[0]:
         raise ValueError("input dimension does not match the first layer")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("non-finite input")
     inputs, preacts = [], []
     last = len(net.weights) - 1
@@ -166,7 +166,7 @@ def _backprop(net: NetworkParams, trace: ForwardTrace, dloss_dalpha: np.ndarray,
     d = np.atleast_2d(np.asarray(dloss_dalpha, dtype=np.float64))
     if d.shape != trace.alpha.shape:
         raise ValueError("dloss_dalpha shape does not match the trace output")
-    if np.any(np.abs(d) > _GRAD_ALPHA_CLIP):
+    if (np.abs(d) > _GRAD_ALPHA_CLIP).any():
         log.warning("clipping dloss/dalpha components beyond %g", _GRAD_ALPHA_CLIP)
         d = np.clip(d, -_GRAD_ALPHA_CLIP, _GRAD_ALPHA_CLIP)
     # d alpha / d z = sigmoid(z) for the softplus head
@@ -185,12 +185,9 @@ def _backprop(net: NetworkParams, trace: ForwardTrace, dloss_dalpha: np.ndarray,
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + e^-z), overflow-free: e^-|z| is at most 1 on either branch."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def backward(net: NetworkParams, trace: ForwardTrace, dloss_dalpha: np.ndarray,

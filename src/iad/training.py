@@ -164,38 +164,19 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
         p -= s
 
 
-# loss selector -> (value(alpha, c, cfg) -> (N,),
-#                   value_grad(alpha, c, cfg) -> ((N,), (N, K)), regularized: bool)
+# loss selector -> (value(alpha, c, cfg) -> (N,), value_grad(alpha, c, cfg) ->
+# ((N,), (N, K)), regularized: bool); kernels are looked up in `losses` per call
 LOSSES = {
-    "iad": (
-        lambda a, c, cfg: losses.iad_loss_batch(a, c, cfg.p_norm),
-        lambda a, c, cfg: losses.iad_value_grad_batch(a, c, cfg.p_norm),
-        True,
-    ),
-    "edl": (
-        lambda a, c, cfg: losses.edl_mse_loss_batch(a, c),
-        lambda a, c, cfg: (losses.edl_mse_loss_batch(a, c),
-                           losses.edl_mse_grad_alpha_batch(a, c)),
-        False,
-    ),
-    "nll": (
-        lambda a, c, cfg: losses.nll_marginal_loss_batch(a, c),
-        lambda a, c, cfg: (losses.nll_marginal_loss_batch(a, c),
-                           losses.nll_marginal_grad_alpha_batch(a, c)),
-        False,
-    ),
-    "bayes_ce": (
-        lambda a, c, cfg: losses.bayes_ce_loss_batch(a, c),
-        lambda a, c, cfg: (losses.bayes_ce_loss_batch(a, c),
-                           losses.bayes_ce_grad_alpha_batch(a, c)),
-        False,
-    ),
-    "rkl": (
-        lambda a, c, cfg: losses.rkl_prior_loss_batch(a, c, cfg.kl_beta),
-        lambda a, c, cfg: (losses.rkl_prior_loss_batch(a, c, cfg.kl_beta),
-                           losses.rkl_prior_grad_alpha_batch(a, c, cfg.kl_beta)),
-        False,
-    ),
+    "iad": (lambda a, c, cfg: losses.iad_loss_batch(a, c, cfg.p_norm),
+            lambda a, c, cfg: losses.iad_value_grad_batch(a, c, cfg.p_norm), True),
+    "edl": (lambda a, c, cfg: losses.edl_mse_loss_batch(a, c),
+            lambda a, c, cfg: losses.edl_mse_value_grad_batch(a, c), False),
+    "nll": (lambda a, c, cfg: losses.nll_marginal_loss_batch(a, c),
+            lambda a, c, cfg: losses.nll_marginal_value_grad_batch(a, c), False),
+    "bayes_ce": (lambda a, c, cfg: losses.bayes_ce_loss_batch(a, c),
+                 lambda a, c, cfg: losses.bayes_ce_value_grad_batch(a, c), False),
+    "rkl": (lambda a, c, cfg: losses.rkl_prior_loss_batch(a, c, cfg.kl_beta),
+            lambda a, c, cfg: losses.rkl_prior_value_grad_batch(a, c, cfg.kl_beta), False),
 }
 
 
@@ -286,13 +267,13 @@ def train(dataset: Dataset, arch: list[int], cfg: TrainConfig, loss: str = "iad"
                 xb = np.concatenate(
                     [xb, rng_noise.uniform(*box, size=(idx.size, train_ds.d))])
             trace = network.forward(net, xb)
-            if np.any(trace.alpha.sum(axis=1) > _ALPHA0_CAP):
+            if (trace.alpha.sum(axis=1) > _ALPHA0_CAP).any():
                 raise TrainingDiverged(f"alpha_0 exceeded {_ALPHA0_CAP:g} at epoch {epoch}")
             vals, dalpha = _objective(trace.alpha, cb, cfg, lam, loss)
             # the noise rows are as many as the labeled ones, so dividing the
             # sum by idx.size sums the two row means
-            batch_loss = float(np.sum(vals)) / idx.size
-            if not np.isfinite(batch_loss):
+            batch_loss = float(vals.sum()) / idx.size
+            if not math.isfinite(batch_loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
             network.backward(net, trace, dalpha / idx.size, out=grad)
             adam_step([net.flat], [grad], state, cfg)
@@ -300,7 +281,7 @@ def train(dataset: Dataset, arch: list[int], cfg: TrainConfig, loss: str = "iad"
         epoch_loss /= train_ds.n
 
         val_loss, val_acc = _evaluate_split(net, val_ds, cfg, monitor_lam, loss)
-        if not np.isfinite(val_loss):
+        if not math.isfinite(val_loss):
             raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")
         record.rows.append(EpochRow(epoch, epoch_loss, val_loss, val_acc, lam,
                                     time.perf_counter() - t_start))

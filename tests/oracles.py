@@ -1,6 +1,8 @@
 """Dirichlet and Beta mathematics that the library does not need but the
 tests check it against: density, predictive mean, Fisher information,
-sampling, KL divergence, the local Renyi approximation and Beta moments.
+sampling, KL divergence, the local Renyi approximation and Beta moments;
+and the masked form of the logistic sigmoid that the network's one-pass
+form must equal bit for bit.
 
 Criterion 2's Monte Carlo draws from `sample`, and the reverse-KL loss is
 checked against `kl_divergence`.
@@ -105,3 +107,14 @@ def beta_moment(a, b, q):
     lg = log_gamma(np.stack([aa + qq, aa + bb, aa, aa + bb + qq]))
     out = np.exp(lg[0] + lg[1] - lg[2] - lg[3])
     return float(out[0]) if sa and sb and sq else out
+
+
+def sigmoid_masked(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-z) at z >= 0 and e^z / (1 + e^z) elsewhere, each branch
+    over its own masked elements."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out

@@ -291,6 +291,44 @@ def test_cli_usage_error_exits_2_before_writing(tmp_path, capsys, make_args):
     assert sorted(p.name for p in tmp_path.rglob("*")) == before
 
 
+_COMMAND_NAMES = ["train", "eval", "ood", "attack", "verify", "compare"]
+# help, a missing command, an unknown command and unknown or bad options:
+# main builds only the named command's subparser, and each must print what
+# the full parser prints
+_PARSER_TEXT_CASES = ([["--help"], [], ["bogus"], ["--bogus"], ["--seed", "3", "train"]]
+                      + [[c, "--help"] for c in _COMMAND_NAMES]
+                      + [[c, "--bogus"] for c in _COMMAND_NAMES]
+                      + [["eval", "--seed", "x"], ["train", "extra"], ["ood", "--set"]])
+
+
+@pytest.mark.parametrize("argv", _PARSER_TEXT_CASES, ids=lambda a: " ".join(a) or "none")
+def test_cli_parser_text_equals_full_parser(capsys, argv):
+    def outcome(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        return (exc.value.code,) + capsys.readouterr()
+
+    full = outcome(lambda a: build_parser().parse_args(a))
+    assert outcome(main) == full
+    text = full[1] + full[2]
+    assert text.startswith("usage: iad")
+    if argv[1:2] == ["--bogus"]:
+        # reported by the top-level parser, whose usage line lists every command
+        assert "{train,eval,ood,attack,verify,compare}" in text.splitlines()[0]
+
+
+def test_build_parser_builds_only_the_named_command():
+    def commands(parser):
+        (sub,) = [a for a in parser._actions if a.dest == "command"]
+        return list(sub.choices)
+
+    assert commands(build_parser()) == _COMMAND_NAMES
+    assert commands(build_parser(["--help"])) == _COMMAND_NAMES
+    assert commands(build_parser(["bogus", "train"])) == _COMMAND_NAMES
+    for name in _COMMAND_NAMES:
+        assert commands(build_parser([name, "--seed", "1"])) == [name]
+
+
 @pytest.mark.parametrize("override", [
     "train.adam_beta1=1.5", "train.adam_beta2=1.0", "train.adam_eps=-1.0",
     "train.max_epochs=0", "train.learning_rate=NaN", "train.learning_rate=Infinity"])

@@ -12,15 +12,17 @@ from hypothesis import strategies as st
 from iad import network
 from iad.dirichlet import DirichletParams
 from iad.losses import (LossConfig, bayes_ce_grad_alpha_batch,
-                        bayes_ce_loss_batch, edl_mse_grad_alpha_batch,
-                        edl_mse_loss_batch, iad_loss_batch,
+                        bayes_ce_loss_batch, bayes_ce_value_grad_batch,
+                        edl_mse_grad_alpha_batch, edl_mse_loss_batch,
+                        edl_mse_value_grad_batch, iad_loss_batch,
                         iad_loss_grad_alpha_batch, iad_value_grad_batch,
                         info_regularizer_batch,
                         info_regularizer_grad_alpha_batch,
                         info_value_grad_batch,
                         nll_marginal_grad_alpha_batch,
-                        nll_marginal_loss_batch, rkl_prior_grad_alpha_batch,
-                        rkl_prior_loss_batch)
+                        nll_marginal_loss_batch, nll_marginal_value_grad_batch,
+                        rkl_prior_grad_alpha_batch, rkl_prior_loss_batch,
+                        rkl_prior_value_grad_batch)
 from iad.specfun import DomainError, digamma, log_rising, tetragamma, trigamma
 from iad.training import TrainConfig, _objective
 from oracles import kl_divergence, sample
@@ -456,7 +458,8 @@ def test_rkl_prior_matches_dirichlet_kl_divergence():
         assert got[i] == pytest.approx(want, rel=1e-12)
 
 
-@pytest.mark.parametrize("fn", [rkl_prior_loss_batch, rkl_prior_grad_alpha_batch])
+@pytest.mark.parametrize("fn", [rkl_prior_loss_batch, rkl_prior_grad_alpha_batch,
+                                rkl_prior_value_grad_batch])
 @pytest.mark.parametrize("beta", [-5.0, 0.0, float("nan"), float("inf")])
 def test_rkl_prior_rejects_out_of_range_beta(fn, beta):
     with pytest.raises(ValueError, match="beta") as err:
@@ -464,21 +467,48 @@ def test_rkl_prior_rejects_out_of_range_beta(fn, beta):
     assert type(err.value) is ValueError
 
 
-@pytest.mark.parametrize("value_fn,grad_fn,extra", [
-    (nll_marginal_loss_batch, nll_marginal_grad_alpha_batch, ()),
-    (bayes_ce_loss_batch, bayes_ce_grad_alpha_batch, ()),
-    (edl_mse_loss_batch, edl_mse_grad_alpha_batch, ()),
-    (rkl_prior_loss_batch, rkl_prior_grad_alpha_batch, (10.0,)),
-])
-def test_baseline_grads_match_finite_differences(value_fn, grad_fn, extra):
+_BASELINES = [
+    (nll_marginal_loss_batch, nll_marginal_value_grad_batch, ()),
+    (bayes_ce_loss_batch, bayes_ce_value_grad_batch, ()),
+    (edl_mse_loss_batch, edl_mse_value_grad_batch, ()),
+    (rkl_prior_loss_batch, rkl_prior_value_grad_batch, (10.0,)),
+]
+
+
+@pytest.mark.parametrize("value_fn,value_grad,extra", _BASELINES)
+def test_baseline_grads_match_finite_differences(value_fn, value_grad, extra):
     rng = np.random.default_rng(13)
     for _ in range(30):
         alpha = rng.uniform(1.05, 40.0, size=4)
         c = np.array([int(rng.integers(0, 4))])
-        got = grad_fn(alpha[None, :], c, *extra)[0]
+        got = value_grad(alpha[None, :], c, *extra)[1][0]
         want = fd_gradient(
             lambda a: float(value_fn(a[None, :], c, *extra)[0]), alpha)
         assert np.allclose(got, want, rtol=1e-5, atol=1e-9)
+
+
+@pytest.mark.parametrize("value_fn,value_grad,extra", _BASELINES)
+@pytest.mark.parametrize("n,k", [(1, 2), (32, 3), (256, 10)])
+def test_baseline_kernel_value_equals_value_function_bit_for_bit(value_fn, value_grad,
+                                                                 extra, n, k):
+    # the training step takes its loss from the kernel, the validation pass
+    # from the value function
+    rng = np.random.default_rng(17)
+    alpha = 1.0 + rng.exponential(3.0, size=(n, k))
+    c = rng.integers(k, size=n)
+    vals, grads = value_grad(alpha, c, *extra)
+    assert vals.shape == (n,) and grads.shape == (n, k)
+    assert np.array_equal(vals, value_fn(alpha, c, *extra))
+
+
+def test_bayes_ce_kernel_gradient_equals_trigamma_form_bit_for_bit():
+    # its one digamma_trigamma call gives the psi' of a separate trigamma call
+    rng = np.random.default_rng(19)
+    alpha = 1.0 + rng.exponential(3.0, size=(64, 4))
+    c = rng.integers(4, size=64)
+    want = np.repeat(trigamma(alpha.sum(axis=1))[:, None], 4, axis=1)
+    want[np.arange(64), c] -= trigamma(alpha[np.arange(64), c])
+    assert np.array_equal(bayes_ce_value_grad_batch(alpha, c)[1], want)
 
 
 # ------------------------------------------------------------- special cases
@@ -511,12 +541,16 @@ TAKES_C = {
     "info_regularizer_grad_alpha_batch":
         lambda c: info_regularizer_grad_alpha_batch(_ALPHA, c),
     "nll_marginal_loss_batch": lambda c: nll_marginal_loss_batch(_ALPHA, c),
+    "nll_marginal_value_grad_batch": lambda c: nll_marginal_value_grad_batch(_ALPHA, c),
     "nll_marginal_grad_alpha_batch": lambda c: nll_marginal_grad_alpha_batch(_ALPHA, c),
     "bayes_ce_loss_batch": lambda c: bayes_ce_loss_batch(_ALPHA, c),
+    "bayes_ce_value_grad_batch": lambda c: bayes_ce_value_grad_batch(_ALPHA, c),
     "bayes_ce_grad_alpha_batch": lambda c: bayes_ce_grad_alpha_batch(_ALPHA, c),
     "edl_mse_loss_batch": lambda c: edl_mse_loss_batch(_ALPHA, c),
+    "edl_mse_value_grad_batch": lambda c: edl_mse_value_grad_batch(_ALPHA, c),
     "edl_mse_grad_alpha_batch": lambda c: edl_mse_grad_alpha_batch(_ALPHA, c),
     "rkl_prior_loss_batch": lambda c: rkl_prior_loss_batch(_ALPHA, c, 10.0),
+    "rkl_prior_value_grad_batch": lambda c: rkl_prior_value_grad_batch(_ALPHA, c, 10.0),
     "rkl_prior_grad_alpha_batch": lambda c: rkl_prior_grad_alpha_batch(_ALPHA, c, 10.0),
     "network.input_gradient":
         lambda c: network.input_gradient(_NET, np.array([[0.4, 0.6]]), c, LossConfig()),

@@ -15,6 +15,7 @@ from iad.losses import LossConfig
 from iad.network import (NetworkParams, backward, forward, init,
                          input_gradient, load_checkpoint, save_checkpoint,
                          softplus)
+from oracles import sigmoid_masked
 
 
 def tiny_net(sizes, seed=0):
@@ -44,6 +45,16 @@ def test_softplus_stable_at_extremes():
     assert softplus(np.array([-745.0]))[0] < 1e-300
     assert softplus(np.array([50.0]))[0] == pytest.approx(50.0, abs=1e-20)
     assert softplus(np.array([1000.0]))[0] == 1000.0
+
+
+def test_sigmoid_equals_masked_form_bit_for_bit():
+    edges = np.array([0.0, 1e-300, 30.0, 709.0, 746.0])
+    z = np.concatenate([edges, -edges, np.random.default_rng(3).normal(0.0, 20.0, 3000)])
+    got = network._sigmoid(z.reshape(-1, 2))
+    assert got.shape == (z.size // 2, 2)
+    assert np.array_equal(got.ravel(), sigmoid_masked(z))
+    assert np.signbit(z[5]) and got.ravel()[5] == 0.5  # -0.0 takes the z >= 0 branch
+    assert got.ravel()[9] == 0.0 and got.ravel()[4] == 1.0  # e^-746 underflows
 
 
 def test_forward_alpha_floor():

@@ -13,25 +13,16 @@ from hypothesis import strategies as st
 
 from iad.specfun import (BLOCK, DomainError, MIN_ARG, RISING_MAX_P, digamma,
                          digamma_trigamma, log_gamma, log_gamma_digamma,
-                         log_rising, tetragamma, trigamma, trigamma_tetragamma)
+                         log_rising, tetragamma, trigamma)
 from oracles import beta_moment
 
 EULER_GAMMA = 0.5772156649015328606
 
 
-# each output of the three paired kernels, as a one-output function
-# (`log_gamma` and `tetragamma` are themselves the first output of
-# `log_gamma_digamma` and the second of `trigamma_tetragamma`, so they have
-# no view of their own; `digamma_of_pair` and `trigamma_of_pair` are the same
-# expressions as `digamma` and `trigamma`)
-
-def digamma_of_pair(x):
-    return log_gamma_digamma(x)[1]
-
-
-def trigamma_of_pair(x):
-    return trigamma_tetragamma(x)[0]
-
+# each output of `digamma_trigamma`, as a one-output function (the other two
+# paired kernels need no views: `log_gamma` and `digamma` are the outputs of
+# `log_gamma_digamma`, `trigamma` and `tetragamma` those of
+# `trigamma_tetragamma`)
 
 def digamma_of_psi_pair(x):
     return digamma_trigamma(x)[0]
@@ -52,10 +43,8 @@ def psi_step_4(x):
 # (output of digamma_trigamma, the same function from the other paired
 # kernels, which it must equal bit for bit)
 _PAIRED = [(digamma_of_psi_pair, digamma), (trigamma_of_psi_pair, trigamma)]
-# (paired output, the function whose oracle row it takes)
-_OUTPUTS = [(digamma_of_pair, digamma), (trigamma_of_pair, trigamma)] + _PAIRED
 _ALL_VIEWS = ([log_gamma, digamma, trigamma, tetragamma]
-              + [p for p, _ in _OUTPUTS] + [log_rising_4, psi_step_4])
+              + [p for p, _ in _PAIRED] + [log_rising_4, psi_step_4])
 
 
 # ---------------------------------------------------------------- log_gamma
@@ -206,7 +195,7 @@ _PSI_FAMILY = [
     (log_gamma, scipy.special.gammaln, 1e-12, 1e-12, np.log, 1e-10, 1e-10),
 ]
 _ORACLE_ROWS = {row[0]: row[1:] for row in _PSI_FAMILY}
-_PSI_FAMILY += [(paired,) + _ORACLE_ROWS[single] for paired, single in _OUTPUTS]
+_PSI_FAMILY += [(paired,) + _ORACLE_ROWS[single] for paired, single in _PAIRED]
 # the smallest argument, the last shifted steps, both sides of the cutoff
 # (10), and far above it
 _SHIFT_EDGES = np.array([MIN_ARG, 9.0, 10.0 - 1e-15, 10.0, 1e6])
