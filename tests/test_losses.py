@@ -467,30 +467,35 @@ def test_rkl_prior_rejects_out_of_range_beta(fn, beta):
     assert type(err.value) is ValueError
 
 
+# (value function, gradient view, value+grad kernel, extra arguments); each
+# gradient view is the [1] of its kernel
 _BASELINES = [
-    (nll_marginal_loss_batch, nll_marginal_value_grad_batch, ()),
-    (bayes_ce_loss_batch, bayes_ce_value_grad_batch, ()),
-    (edl_mse_loss_batch, edl_mse_value_grad_batch, ()),
-    (rkl_prior_loss_batch, rkl_prior_value_grad_batch, (10.0,)),
+    (nll_marginal_loss_batch, nll_marginal_grad_alpha_batch,
+     nll_marginal_value_grad_batch, ()),
+    (bayes_ce_loss_batch, bayes_ce_grad_alpha_batch, bayes_ce_value_grad_batch, ()),
+    (edl_mse_loss_batch, edl_mse_grad_alpha_batch, edl_mse_value_grad_batch, ()),
+    (rkl_prior_loss_batch, rkl_prior_grad_alpha_batch, rkl_prior_value_grad_batch,
+     (10.0,)),
 ]
 
 
-@pytest.mark.parametrize("value_fn,value_grad,extra", _BASELINES)
-def test_baseline_grads_match_finite_differences(value_fn, value_grad, extra):
+@pytest.mark.parametrize("value_fn,grad_fn,extra",
+                         [(v, g, e) for v, g, _, e in _BASELINES])
+def test_baseline_grads_match_finite_differences(value_fn, grad_fn, extra):
     rng = np.random.default_rng(13)
     for _ in range(30):
         alpha = rng.uniform(1.05, 40.0, size=4)
         c = np.array([int(rng.integers(0, 4))])
-        got = value_grad(alpha[None, :], c, *extra)[1][0]
+        got = grad_fn(alpha[None, :], c, *extra)[0]
         want = fd_gradient(
             lambda a: float(value_fn(a[None, :], c, *extra)[0]), alpha)
         assert np.allclose(got, want, rtol=1e-5, atol=1e-9)
 
 
-@pytest.mark.parametrize("value_fn,value_grad,extra", _BASELINES)
+@pytest.mark.parametrize("value_fn,grad_fn,value_grad,extra", _BASELINES)
 @pytest.mark.parametrize("n,k", [(1, 2), (32, 3), (256, 10)])
-def test_baseline_kernel_value_equals_value_function_bit_for_bit(value_fn, value_grad,
-                                                                 extra, n, k):
+def test_baseline_kernel_equals_value_function_and_grad_view_bit_for_bit(
+        value_fn, grad_fn, value_grad, extra, n, k):
     # the training step takes its loss from the kernel, the validation pass
     # from the value function
     rng = np.random.default_rng(17)
@@ -499,6 +504,7 @@ def test_baseline_kernel_value_equals_value_function_bit_for_bit(value_fn, value
     vals, grads = value_grad(alpha, c, *extra)
     assert vals.shape == (n,) and grads.shape == (n, k)
     assert np.array_equal(vals, value_fn(alpha, c, *extra))
+    assert np.array_equal(grads, grad_fn(alpha, c, *extra))
 
 
 def test_bayes_ce_kernel_gradient_equals_trigamma_form_bit_for_bit():
