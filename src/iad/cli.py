@@ -2,19 +2,21 @@
 
 Every command writes all artifacts into one run directory together with the
 resolved config, the root seed and a content hash of the inputs, so a run is
-reproducible from the directory alone.
+reproducible from the directory alone. This module writes every artifact of
+the run directory but the checkpoint, which network writes and reads: every
+CSV through _write_csv and every JSON document through _write_json.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import logging
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple
+from itertools import starmap
 from pathlib import Path
 
 import numpy as np
@@ -83,11 +85,25 @@ def _input_hash(cfg: ExperimentConfig, raw: dict[str, bytes]) -> str:
     return h.hexdigest()
 
 
+def _write_json(path: Path, doc) -> None:
+    """Every JSON artifact: two-space indent, sorted keys, a final newline."""
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8",
+                    newline="")
+
+
+def _write_csv(path: Path, header: str, line: str, rows) -> None:
+    """Every CSV artifact: the header, then line.format(*row) per row, each
+    ended by a newline, in one write. No field holds a comma, quote or
+    newline, so these are the bytes of csv.writer(lineterminator="\n");
+    floats go through {!r}, the shortest repr that reads back to the same
+    float."""
+    path.write_text(header + "\n" + "".join(starmap((line + "\n").format, rows)),
+                    encoding="utf-8", newline="")
+
+
 def _write_run_metadata(out: Path, cfg: ExperimentConfig, inputs_sha256: str) -> None:
     (out / "config_resolved.txt").write_text(cfg.resolved_text(), encoding="utf-8")
-    meta = {"seed": cfg["seed"], "inputs_sha256": inputs_sha256}
-    (out / "run_meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(out / "run_meta.json", {"seed": cfg["seed"], "inputs_sha256": inputs_sha256})
 
 
 def _rng_streams(cfg: ExperimentConfig) -> dict[str, np.random.Generator]:
@@ -157,7 +173,8 @@ def cmd_train(cfg: ExperimentConfig, out: Path, datasets, net) -> int:
     net, record = training.train(train_ds, cfg["arch"], cfg.train_config(),
                                  loss=cfg["loss"])
     network.save_checkpoint(net, out / "checkpoint.json")
-    record.to_csv(out / "train_record.csv")
+    _write_csv(out / "train_record.csv", "epoch,train_loss,val_loss,val_acc,lambda_t,seconds",
+               "{},{!r},{!r},{!r},{!r},{:.3f}", map(astuple, record.rows))
     log.info("best epoch %d", record.best_epoch)
     return 0
 
@@ -165,13 +182,18 @@ def cmd_train(cfg: ExperimentConfig, out: Path, datasets, net) -> int:
 def cmd_eval(cfg: ExperimentConfig, out: Path, datasets, net) -> int:
     _, test_ds = datasets
     reports = evaluation.evaluate(net, test_ds)
-    evaluation.reports_to_csv(reports, out / "reports.csv")
+    # tolist() gives Python ints and floats, so {!r} writes a float's shortest repr
+    _write_csv(out / "reports.csv", "pred_class,correct,entropy,mutual_info,max_prob,alpha0",
+               "{},{},{!r},{!r},{!r},{!r}",
+               zip(*(col.tolist() for col in (
+                   reports.pred_class, reports.correct.astype(int), reports.entropy,
+                   reports.mutual_info, reports.max_prob, reports.alpha0))))
     threshold = cfg["eval.threshold_fraction"] * np.log(test_ds.k)
     for name, keep in (("successes", reports.correct), ("errors", ~reports.correct)):
         vals = reports.entropy[keep]
         if vals.size:
-            evaluation.summary_to_json(evaluation.summarize(vals, threshold),
-                                       out / f"summary_{name}.json")
+            _write_json(out / f"summary_{name}.json",
+                        asdict(evaluation.summarize(vals, threshold)))
     return 0
 
 
@@ -181,8 +203,8 @@ def cmd_ood(cfg: ExperimentConfig, out: Path, datasets, net) -> int:
     ood_ds = data.make_ood_ring(train_ds, cfg["ood.radius_factor"], cfg["ood.n"],
                                 rngs["ood"])
     ent, mi = evaluation.ood_evaluate(net, ood_ds, cfg["eval.threshold_fraction"])
-    evaluation.summary_to_json(ent, out / "ood_entropy.json")
-    evaluation.summary_to_json(mi, out / "ood_mutual_info.json")
+    _write_json(out / "ood_entropy.json", asdict(ent))
+    _write_json(out / "ood_mutual_info.json", asdict(mi))
     return 0
 
 
@@ -190,8 +212,8 @@ def cmd_attack(cfg: ExperimentConfig, out: Path, datasets, net) -> int:
     _, test_ds = datasets
     swept = evaluation.attack_reports(net, test_ds, cfg["attack.epsilons"],
                                       LossConfig(p_norm=cfg["train.p_norm"]))
-    evaluation.sweep_to_csv([evaluation.sweep_row(eps, r) for eps, r in swept],
-                            out / "attack_sweep.csv")
+    _write_csv(out / "attack_sweep.csv", "epsilon,accuracy,mean_entropy,mean_mutual_info",
+               "{!r},{!r},{!r},{!r}", (astuple(evaluation.sweep_row(eps, r)) for eps, r in swept))
     threshold = cfg["eval.threshold_fraction"] * np.log(test_ds.k)
     summaries = {
         repr(eps): {
@@ -200,22 +222,21 @@ def cmd_attack(cfg: ExperimentConfig, out: Path, datasets, net) -> int:
         }
         for eps, r in swept
     }
-    (out / "attack_summaries.json").write_text(
-        json.dumps(summaries, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(out / "attack_summaries.json", summaries)
     return 0
 
 
 def cmd_verify(cfg: ExperimentConfig, out: Path, datasets, net) -> int:
     verdicts = verify.run_all(seed=cfg["seed"], trials=cfg["verify.trials"],
                               n_triples=cfg["verify.n_triples"])
-    verify.verdicts_to_json(verdicts, out / "verify_evidence.json")
+    _write_json(out / "verify_evidence.json", {v.name: asdict(v) for v in verdicts})
     rng = np.random.default_rng(cfg["seed"])
     alpha = rng.uniform(5.0, 50.0, size=10)
     alpha[0] = 1.5  # correct class kept small, as in the dip illustration
     sweep = verify.theorem2_figure_sweep(alpha, 0, 2.0, verify.default_grid())
-    verify.figure_sweep_to_csv(sweep, out / "theorem2_figure.csv")
-    (out / "theorem2_figure.json").write_text(
-        json.dumps(sweep, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_csv(out / "theorem2_figure.csv", "alpha_j,loss_exact,loss_approx", "{!r},{!r},{!r}",
+               zip(sweep["grid"], sweep["exact"], sweep["approx"]))
+    _write_json(out / "theorem2_figure.json", sweep)
     failed = [v.name for v in verdicts if not v.passed]
     for v in verdicts:
         print(f"{v.name}: {'PASS' if v.passed else 'FAIL'}")
@@ -235,12 +256,10 @@ def cmd_compare(cfg: ExperimentConfig, out: Path, datasets, net) -> int:
         stats = [np.mean(reports.correct)] + [
             np.median(reports.entropy[keep]) if keep.any() else np.nan
             for keep in (reports.correct, ~reports.correct)]
-        rows.append([sel] + [repr(float(v)) for v in stats])
-    with open(out / "compare.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["loss", "accuracy", "median_entropy_successes",
-                         "median_entropy_errors"])
-        writer.writerows(rows)
+        rows.append([sel] + [float(v) for v in stats])
+    _write_csv(out / "compare.csv",
+               "loss,accuracy,median_entropy_successes,median_entropy_errors",
+               "{},{!r},{!r},{!r}", rows)
     return 0
 
 

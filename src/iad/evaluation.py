@@ -3,9 +3,7 @@ evaluation and FGSM attack sweeps."""
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,10 +21,7 @@ __all__ = [
     "fgsm_attack",
     "ood_evaluate",
     "attack_reports",
-    "reports_to_csv",
-    "summary_to_json",
     "sweep_row",
-    "sweep_to_csv",
 ]
 
 
@@ -171,34 +166,3 @@ def sweep_row(eps: float, reports: UncertaintyReports) -> SweepRow:
         mean_entropy=float(np.mean(reports.entropy)),
         mean_mutual_info=float(np.mean(reports.mutual_info)),
     )
-
-
-# ---------------------------------------------------------------------------
-# artifact emission
-
-
-def reports_to_csv(reports: UncertaintyReports, path) -> None:
-    """One string of csv.writer's bytes: no field holds a comma, quote or newline."""
-    correct = ([""] * reports.pred_class.size if reports.correct is None
-               else reports.correct.astype(int).tolist())
-    # tolist() gives Python floats, whose repr is the shortest round-trip form
-    rows = zip(reports.pred_class.tolist(), correct, *(col.tolist() for col in (
-        reports.entropy, reports.mutual_info, reports.max_prob, reports.alpha0)))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("pred_class,correct,entropy,mutual_info,max_prob,alpha0\n" + "".join(
-            f"{k},{ok},{h!r},{mi!r},{p!r},{a0!r}\n" for k, ok, h, mi, p, a0 in rows))
-
-
-def summary_to_json(summary: DistributionSummary, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(asdict(summary), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def sweep_to_csv(rows: list[SweepRow], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epsilon", "accuracy", "mean_entropy", "mean_mutual_info"])
-        for r in rows:
-            writer.writerow([repr(r.epsilon), repr(r.accuracy),
-                             repr(r.mean_entropy), repr(r.mean_mutual_info)])

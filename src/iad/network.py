@@ -271,7 +271,7 @@ def load_checkpoint(path) -> NetworkParams:
     if not isinstance(doc, dict) or doc.get("format") != _CHECKPOINT_FORMAT:
         raise CheckpointFormatError(f"{path}: not an iad checkpoint")
     version = doc.get("version")
-    if version not in (1, _CHECKPOINT_VERSION):
+    if type(version) is not int or version not in (1, _CHECKPOINT_VERSION):
         raise CheckpointFormatError(f"{path}: unsupported checkpoint version {version!r}")
     if doc.get("activation") != "relu":
         raise CheckpointFormatError(f"{path}: unsupported activation {doc.get('activation')!r}")

@@ -3,7 +3,6 @@ annealing and early stopping."""
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import time
@@ -98,15 +97,6 @@ class TrainRecord:
     rows: list[EpochRow] = field(default_factory=list)
     best_epoch: int = -1
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["epoch", "train_loss", "val_loss", "val_acc",
-                             "lambda_t", "seconds"])
-            for r in self.rows:
-                writer.writerow([r.epoch, repr(r.train_loss), repr(r.val_loss),
-                                 repr(r.val_acc), repr(r.lambda_t), f"{r.seconds:.3f}"])
-
 
 def anneal_lambda(cfg: TrainConfig, epoch: int) -> float:
     """lambda_t = lambda * min((t - T0)/T, 1) for t > T0, else 0."""
@@ -184,11 +174,10 @@ def _objective(alpha, c, cfg: TrainConfig, lam: float, loss: str):
     """Per-row objective values and alpha-gradients. The first len(c) rows are
     labeled; any rows after them are off-support noise, where every outcome is
     incorrect, so they carry only lam * ood_weight * R(alpha, c=None)."""
-    _, value_grad, regularized = LOSSES[loss]
     n = c.size
     lab, noise = alpha[:n], alpha[n:]
-    vals, grads = value_grad(lab, c, cfg)
-    if regularized and lam > 0.0:
+    vals, grads = LOSSES[loss][1](lab, c, cfg)
+    if lam > 0.0:
         r, dr = losses.info_value_grad_batch(lab, c)
         vals = vals + lam * r
         grads = grads + lam * dr
@@ -203,9 +192,8 @@ def _objective(alpha, c, cfg: TrainConfig, lam: float, loss: str):
 def _evaluate_split(net, ds: Dataset, cfg: TrainConfig, lam: float, loss: str):
     trace = network.forward(net, ds.features)
     c = ds.label_indices
-    value_fn, _, regularized = LOSSES[loss]
-    vals = value_fn(trace.alpha, c, cfg)
-    if regularized and lam > 0.0:
+    vals = LOSSES[loss][0](trace.alpha, c, cfg)
+    if lam > 0.0:
         vals = vals + lam * losses.info_regularizer_batch(trace.alpha, c)
     acc = float(np.mean(np.argmax(trace.alpha, axis=1) == c))
     return float(np.mean(vals)), acc
@@ -243,13 +231,16 @@ def train(dataset: Dataset, arch: list[int], cfg: TrainConfig, loss: str = "iad"
     grad = np.empty_like(net.flat)
     state = AdamState.zeros_like([net.flat])
 
-    monitor_lam = cfg.lambda_max if LOSSES[loss][2] else 0.0
+    # an unregularized loss keeps lam and monitor_lam at 0.0, which leaves out
+    # R and the off-support noise rows
+    regularized = LOSSES[loss][2]
+    monitor_lam = cfg.lambda_max if regularized else 0.0
     record = TrainRecord()
     best_val = np.inf
     best_params = net.copy()
     best_epoch = 0
     feats, labels = train_ds.features, train_ds.label_indices
-    off_support = cfg.ood_weight > 0.0 and LOSSES[loss][2]
+    off_support = cfg.ood_weight > 0.0
     if off_support:
         rng_noise = np.random.default_rng(seeds[3])
         center, rmax = support_extent(train_ds)
@@ -257,7 +248,7 @@ def train(dataset: Dataset, arch: list[int], cfg: TrainConfig, loss: str = "iad"
 
     for epoch in range(1, cfg.max_epochs + 1):
         t_start = time.perf_counter()
-        lam = anneal_lambda(cfg, epoch) if LOSSES[loss][2] else 0.0
+        lam = anneal_lambda(cfg, epoch) if regularized else 0.0
         order = rng_shuffle.permutation(train_ds.n)
         epoch_loss = 0.0
         for start in range(0, train_ds.n, cfg.batch_size):

@@ -3,9 +3,7 @@ loss-shape theorems, plus the dip-then-rise illustration sweep."""
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,8 +20,6 @@ __all__ = [
     "theorem2_figure_sweep",
     "run_all",
     "default_grid",
-    "verdicts_to_json",
-    "figure_sweep_to_csv",
 ]
 
 # Differences must beat this in the predicted direction to count as strict.
@@ -49,9 +45,6 @@ class Verdict:
     seed: int
     checks: int
     detail: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def default_grid(lo: float = 1.01, hi: float = 1e3, n: int = 50) -> np.ndarray:
@@ -244,17 +237,3 @@ def run_all(seed: int = 0, trials: int = 100, n_triples: int = 1000) -> list[Ver
         verify_theorem2(trials, seed=seed),
         verify_theorem3(trials, seed=seed),
     ]
-
-
-def verdicts_to_json(verdicts: list[Verdict], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump({v.name: v.to_dict() for v in verdicts}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def figure_sweep_to_csv(sweep: dict, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["alpha_j", "loss_exact", "loss_approx"])
-        for g, e, ap in zip(sweep["grid"], sweep["exact"], sweep["approx"]):
-            writer.writerow([repr(g), repr(e), repr(ap)])

@@ -1,14 +1,18 @@
 """Dirichlet and Beta mathematics that the library does not need but the
 tests check it against: density, predictive mean, Fisher information,
 sampling, KL divergence, the local Renyi approximation and Beta moments;
-and the masked form of the logistic sigmoid that the network's one-pass
-form must equal bit for bit.
+the masked form of the logistic sigmoid that the network's one-pass form
+must equal bit for bit; and the csv.writer and json.dump forms whose bytes
+the CLI's artifact writers must equal.
 
 Criterion 2's Monte Carlo draws from `sample`, and the reverse-KL loss is
 checked against `kl_divergence`.
 """
 
 from __future__ import annotations
+
+import csv
+import json
 
 import numpy as np
 
@@ -118,3 +122,19 @@ def sigmoid_masked(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def csv_writer_file(path, header: list[str], rows) -> None:
+    """The header and rows through csv.writer with newline line ends, each
+    field as given (floats as their repr strings)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def json_dump_file(path, doc) -> None:
+    """json.dump with two-space indent and sorted keys, then a newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import csv_writer_file, json_dump_file
 from test_data import assert_identical, reference_scale_unit, reference_split, write_idx
 
-from iad import data, network
-from iad.cli import _load_config, _read_inputs, _rng_streams, build_datasets, build_parser, main
+from iad import data, evaluation, network
+from iad.cli import (_load_config, _read_inputs, _rng_streams, _write_csv, _write_json,
+                     build_datasets, build_parser, main)
 from iad.config import DEFAULTS, ConfigError, ExperimentConfig
 
 TINY = ["--set", "data.per_class=40", "--set", "train.max_epochs=3",
@@ -86,6 +88,9 @@ def test_cli_train_writes_artifacts(tmp_path):
     meta = json.loads((out / "run_meta.json").read_text())
     assert meta["seed"] == 0
     assert len(meta["inputs_sha256"]) == 64
+    lines = (out / "train_record.csv").read_text().splitlines()
+    assert lines[0] == "epoch,train_loss,val_loss,val_acc,lambda_t,seconds"
+    assert len(lines) == 4  # one row per epoch of TINY's three
 
 
 def test_cli_refuses_nonempty_out_without_force(tmp_path):
@@ -108,10 +113,20 @@ def test_cli_eval_and_ood_and_attack(tmp_path):
     ckpt = str(train_out / "checkpoint.json")
 
     eval_out = tmp_path / "e"
-    assert run(["eval", "--out", str(eval_out), "--seed", "1",
-                "--checkpoint", ckpt] + TINY) == 0
-    assert (eval_out / "reports.csv").exists()
-    assert (eval_out / "summary_successes.json").exists()
+    eval_argv = ["eval", "--out", str(eval_out), "--seed", "1", "--checkpoint", ckpt] + TINY
+    assert run(eval_argv) == 0
+    cfg = _load_config(build_parser(eval_argv).parse_args(eval_argv))
+    _, test_ds = build_datasets(cfg, _read_inputs(cfg), (1,))
+    reports = evaluation.evaluate(network.load_checkpoint(ckpt), test_ds)
+    lines = (eval_out / "reports.csv").read_text().splitlines()
+    assert lines[0] == "pred_class,correct,entropy,mutual_info,max_prob,alpha0"
+    assert len(lines) == test_ds.n + 1
+    got = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    want = np.stack([reports.pred_class, reports.correct, reports.entropy,
+                     reports.mutual_info, reports.max_prob, reports.alpha0], axis=1)
+    assert np.array_equal(got, want)
+    successes = json.loads((eval_out / "summary_successes.json").read_text())
+    assert successes["count"] == np.count_nonzero(reports.correct)
 
     ood_out = tmp_path / "o"
     assert run(["ood", "--out", str(ood_out), "--seed", "1",
@@ -133,8 +148,12 @@ def test_cli_verify_small(tmp_path):
                 "--set", "verify.trials=5",
                 "--set", "verify.n_triples=50"]) == 0
     evidence = json.loads((out / "verify_evidence.json").read_text())
+    assert set(evidence) == {"lemma1", "lemma2", "theorem1", "theorem2", "theorem3"}
     assert all(v["passed"] for v in evidence.values())
-    assert (out / "theorem2_figure.csv").exists()
+    figure = json.loads((out / "theorem2_figure.json").read_text())
+    lines = (out / "theorem2_figure.csv").read_text().splitlines()
+    assert lines[0] == "alpha_j,loss_exact,loss_approx"
+    assert len(lines) == len(figure["grid"]) + 1
 
 
 def test_cli_compare_writes_table(tmp_path):
@@ -146,6 +165,30 @@ def test_cli_compare_writes_table(tmp_path):
     assert len(lines) == 3
     assert (out / "checkpoint_iad.json").exists()
     assert (out / "checkpoint_edl.json").exists()
+
+
+# floats that csv.writer and json.dump spell in every form repr has: nan,
+# infinities, a signed zero, the smallest subnormal, exponent notation
+_AWKWARD_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16,
+                   1e-7, 0.1, 2.0 / 3.0, -1.5]
+
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    rows = [(loss, i - 3, x, y, 1234.5 * i + y) for i, (loss, x, y) in enumerate(zip(
+        ["iad", "edl", "nll", "bayes_ce", "rkl"] * 2, _AWKWARD_FLOATS,
+        reversed(_AWKWARD_FLOATS)))]
+    _write_csv(tmp_path / "got.csv", "loss,n,x,y,seconds", "{},{},{!r},{!r},{:.3f}", rows)
+    csv_writer_file(tmp_path / "want.csv", ["loss", "n", "x", "y", "seconds"],
+                    [[loss, n, repr(x), repr(y), f"{s:.3f}"] for loss, n, x, y, s in rows])
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_write_json_matches_json_dump(tmp_path):
+    doc = {"floats": _AWKWARD_FLOATS, "ints": [0, -1, 2**53 + 1], "loss": "bayes_ce",
+           "nested": {"b": {"passed": True, "knee": None}, "a": [1.5, "rkl"]}, "empty": {}}
+    _write_json(tmp_path / "got.json", doc)
+    json_dump_file(tmp_path / "want.json", doc)
+    assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
 
 def test_cli_bad_config_key_exits_with_error(tmp_path, capsys):
@@ -228,6 +271,18 @@ def _ckpt_without_weights(tmp_path):
     return ["eval", "--checkpoint", str(path)]
 
 
+def _ckpt_version_true(tmp_path):
+    # a well-formed version 1 payload, so only the version's type is wrong
+    path = tmp_path / "ckpt.json"
+    net = network.init([2, 8, 3], np.random.default_rng(0))
+    network.save_checkpoint(net, path)
+    doc = json.loads(path.read_text())
+    doc.update(version=True, weights=[w.tolist() for w in net.weights],
+               biases=[b.tolist() for b in net.biases])
+    path.write_text(json.dumps(doc))
+    return ["eval", "--checkpoint", str(path)]
+
+
 def _csv_with_negative_label(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x0,x1,label\n0.1,0.2,0\n0.3,0.4,-1\n")
@@ -243,7 +298,8 @@ def _idx_without_header(tmp_path):
 
 
 @pytest.mark.parametrize("make_args", [
-    _ckpt_without_weights, _csv_with_negative_label, _idx_without_header])
+    _ckpt_without_weights, _ckpt_version_true, _csv_with_negative_label,
+    _idx_without_header])
 def test_cli_malformed_input_file_exits_2(tmp_path, capsys, make_args):
     argv = make_args(tmp_path) + ["--out", str(tmp_path / "run")] + TINY
     assert run(argv) == 2

@@ -8,8 +8,7 @@ import pytest
 
 from iad import data, network
 from iad.evaluation import (attack_reports, evaluate, fgsm_attack,
-                            ood_evaluate, reports_to_csv, summarize,
-                            summary_to_json, sweep_row, sweep_to_csv)
+                            ood_evaluate, summarize, sweep_row)
 from iad.losses import LossConfig
 
 
@@ -227,26 +226,3 @@ def test_attack_reports_rejects_unsorted_epsilons_and_unlabeled_data(desk_model)
     with pytest.raises(ValueError, match="labeled"):
         attack_reports(net, data.Dataset(test_ds.features, None), [0.0], LossConfig())
 
-
-# --------------------------------------------------------------- serializers
-
-def test_report_and_summary_serialization(tmp_path, desk_model):
-    net, _, _, test_ds = desk_model
-    reports = evaluate(net, test_ds)
-    reports_to_csv(reports, tmp_path / "reports.csv")
-    lines = (tmp_path / "reports.csv").read_text().splitlines()
-    assert len(lines) == test_ds.n + 1
-    pred, ok, *floats = lines[1].split(",")
-    assert (int(pred), int(ok)) == (reports.pred_class[0], reports.correct[0])
-    assert [float(v) for v in floats] == [reports.entropy[0], reports.mutual_info[0],
-                                          reports.max_prob[0], reports.alpha0[0]]
-
-    summary_to_json(summarize([1.0, 2.0], 1.5), tmp_path / "s.json")
-    import json
-    loaded = json.loads((tmp_path / "s.json").read_text())
-    assert loaded["count"] == 2
-
-    rows = [sweep_row(e, r) for e, r in attack_reports(net, test_ds, [0.0, 0.1],
-                                                         LossConfig())]
-    sweep_to_csv(rows, tmp_path / "sweep.csv")
-    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 3

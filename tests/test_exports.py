@@ -1,6 +1,8 @@
 """The public API: each module's __all__ names exactly its public functions
-and classes, and the README's Quick start runs as written."""
+and classes, the library modules leave the run directory's file formats to
+the CLI, and the README's Quick start runs as written."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -26,6 +28,18 @@ def test_all_lists_every_public_definition(mod):
                and obj.__module__ == mod.__name__}
     unlisted = sorted(defined - set(mod.__all__))
     assert unlisted == [], f"{mod.__name__} defines public {unlisted} outside __all__"
+
+
+@pytest.mark.parametrize("name", ["specfun", "dirichlet", "losses", "training",
+                                  "evaluation", "verify"])
+def test_library_module_imports_no_artifact_format(name):
+    """cli writes every CSV and JSON artifact; these modules return values."""
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"iad.{name}")))
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module and not node.level}
+    assert not imported & {"csv", "json"}
 
 
 def test_readme_quick_start_runs(capsys):

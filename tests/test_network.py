@@ -405,6 +405,8 @@ _MALFORMED = {
     "payload too short": json.dumps(_v2_doc(biases=[_ZERO_BIAS, "AAAAAAAAAAA="])),
     "layer_sizes disagree": json.dumps(_v2_doc(layer_sizes=[2, 3, 3])),
     "non-finite payload": json.dumps(_v2_doc(biases=[_ZERO_BIAS, _NAN_BIAS])),
+    "version true": json.dumps(_v2_doc(version=True)),
+    "version float": json.dumps(_v2_doc(version=2.0)),
     "v1 ragged": json.dumps(_v2_doc(version=1, weights=[[[1.0], [1.0, 2.0]], [[1.0]]])),
     "v1 string entry": json.dumps(_v2_doc(version=1)),
     "v1 wrong shape": json.dumps(_v2_doc(
@@ -417,8 +419,10 @@ _MALFORMED = {
 def test_checkpoint_malformed_raises_named_error(tmp_path, name):
     path = tmp_path / "ckpt.json"
     path.write_text(_MALFORMED[name])
-    with pytest.raises(network.CheckpointFormatError, match="ckpt.json"):
+    with pytest.raises(network.CheckpointFormatError, match="ckpt.json") as exc:
         load_checkpoint(path)
+    if name.startswith("version"):
+        assert "unsupported checkpoint version" in str(exc.value)
 
 
 @settings(max_examples=300, deadline=None,

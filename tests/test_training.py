@@ -331,17 +331,6 @@ def test_train_all_losses_run():
         assert np.all(np.isfinite([r.train_loss for r in record.rows]))
 
 
-def test_train_record_csv_roundtrip(tmp_path):
-    ds = two_class_blobs(n=100)
-    _, record = train(ds, [8], TrainConfig(seed=9, max_epochs=4, t0=1,
-                                           t_rate=2), loss="iad")
-    path = tmp_path / "record.csv"
-    record.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "epoch,train_loss,val_loss,val_acc,lambda_t,seconds"
-    assert len(lines) == 5
-
-
 def test_regularizer_lowers_off_class_concentration(regularizer_models):
     reg_net, plain_net, train_ds, _ = regularizer_models
     c = train_ds.label_indices

@@ -1,8 +1,8 @@
 """Executable certification of the monotonicity lemmas and theorems, plus the
 dip-then-rise illustration sweep."""
 
-import json
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,10 +10,9 @@ import pytest
 from iad import verify
 from iad.losses import iad_loss_batch, info_regularizer_batch
 from iad.specfun import digamma, trigamma
-from iad.verify import (STRICT_TOL, Verdict, default_grid, figure_sweep_to_csv,
-                        run_all, theorem2_figure_sweep, verdicts_to_json,
-                        verify_lemma1, verify_lemma2, verify_theorem1,
-                        verify_theorem2, verify_theorem3)
+from iad.verify import (STRICT_TOL, Verdict, default_grid, run_all,
+                        theorem2_figure_sweep, verify_lemma1, verify_lemma2,
+                        verify_theorem1, verify_theorem2, verify_theorem3)
 
 
 def test_lemma1_passes_over_random_triples():
@@ -28,7 +27,7 @@ def test_lemma2_passes_over_random_triples():
 
 
 def test_lemmas_deterministic_per_seed():
-    assert verify_lemma1(seed=3).to_dict() == verify_lemma1(seed=3).to_dict()
+    assert asdict(verify_lemma1(seed=3)) == asdict(verify_lemma1(seed=3))
 
 
 @pytest.mark.parametrize("n_triples", [0, -5])
@@ -110,22 +109,6 @@ def test_figure_sweep_approximation_tracks_exact_at_large_alpha():
     assert abs(approx[-1] / exact[-1] - 1.0) < 0.05
 
 
-def test_emission_roundtrip(tmp_path):
-    verdicts = run_all(seed=1, trials=5, n_triples=50)
-    verdicts_to_json(verdicts, tmp_path / "v.json")
-    loaded = json.loads((tmp_path / "v.json").read_text())
-    assert set(loaded) == {"lemma1", "lemma2", "theorem1", "theorem2",
-                           "theorem3"}
-    assert all(item["passed"] for item in loaded.values())
-
-    alpha = np.full(10, 10.0)
-    alpha[0] = 1.5
-    sweep = theorem2_figure_sweep(alpha, 0, 2.0, default_grid())
-    figure_sweep_to_csv(sweep, tmp_path / "f.csv")
-    lines = (tmp_path / "f.csv").read_text().splitlines()
-    assert len(lines) == len(sweep["grid"]) + 1
-
-
 # ------------------------------------------- batched sweeps against per-trial
 
 def reference_sweeps(trials, seed, loss_fn, vary_correct, check):
@@ -169,7 +152,7 @@ def reference_theorem(name, trials, seed, p_norm=4.0) -> dict:
     else:
         bad, _ = reference_sweeps(trials, seed, info_regularizer_batch, False, "increasing")
         detail = {"failures": bad}
-    return Verdict(name, not bad, seed, trials, detail).to_dict()
+    return asdict(Verdict(name, not bad, seed, trials, detail))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -177,14 +160,14 @@ def reference_theorem(name, trials, seed, p_norm=4.0) -> dict:
 def test_batched_theorems_equal_per_trial_reference(seed, trials):
     for name, fn in (("theorem1", verify_theorem1), ("theorem2", verify_theorem2),
                      ("theorem3", verify_theorem3)):
-        assert fn(trials, seed=seed).to_dict() == reference_theorem(name, trials, seed)
+        assert asdict(fn(trials, seed=seed)) == reference_theorem(name, trials, seed)
 
 
 def test_batched_theorems_split_over_calls_equal_per_trial_reference(monkeypatch):
     monkeypatch.setattr(verify, "_BASES_PER_CALL", 3)
     for name, fn in (("theorem1", verify_theorem1), ("theorem2", verify_theorem2),
                      ("theorem3", verify_theorem3)):
-        assert fn(7, seed=2).to_dict() == reference_theorem(name, 7, 2)
+        assert asdict(fn(7, seed=2)) == reference_theorem(name, 7, 2)
 
 
 def test_sweep_checks_report_failures_and_missing_knees():
@@ -246,10 +229,10 @@ def reference_lemmas(n_triples, seed) -> tuple[dict, dict]:
     shifted = trigamma(x1 + p) - trigamma(x2 + p)
     plain = trigamma(x1) - trigamma(x2)
     ok2 = bool(np.all(plain < shifted) and np.all(shifted < 0.0))
-    return (Verdict("lemma1", ok1 and ok_limit, seed, n_triples,
-                    {"max_tail_gap": tail, "inequality_ok": ok1,
-                     "limit_ok": ok_limit}).to_dict(),
-            Verdict("lemma2", ok2, seed, n_triples).to_dict())
+    return (asdict(Verdict("lemma1", ok1 and ok_limit, seed, n_triples,
+                           {"max_tail_gap": tail, "inequality_ok": ok1,
+                            "limit_ok": ok_limit})),
+            asdict(Verdict("lemma2", ok2, seed, n_triples)))
 
 
 @pytest.mark.parametrize("block", [None, 3])
@@ -261,15 +244,15 @@ def test_blocked_lemmas_equal_whole_array_reference(monkeypatch, block):
         for seed in range(5):
             want1, want2 = reference_lemmas(n, seed)
             assert want1["passed"] and want2["passed"]
-            assert verify_lemma1(n, seed).to_dict() == want1
-            assert verify_lemma2(n, seed).to_dict() == want2
+            assert asdict(verify_lemma1(n, seed)) == want1
+            assert asdict(verify_lemma2(n, seed)) == want2
 
 
 def test_run_all_lemmas_equal_standalone_lemmas():
     n = 3 * verify._TRIPLES_PER_BLOCK + 7
     lemma1, lemma2, *_ = run_all(seed=4, trials=2, n_triples=n)
-    assert lemma1.to_dict() == verify_lemma1(n, 4).to_dict()
-    assert lemma2.to_dict() == verify_lemma2(n, 4).to_dict()
+    assert asdict(lemma1) == asdict(verify_lemma1(n, 4))
+    assert asdict(lemma2) == asdict(verify_lemma2(n, 4))
 
 
 @pytest.mark.parametrize("block", [None, 3])
