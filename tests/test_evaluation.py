@@ -1,12 +1,14 @@
 """Uncertainty reports, distribution summaries, FGSM attacks and OOD
 evaluation, including the run-time checks on a trained desk-scale model."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from iad import data, network
+from iad import cli, data, network
+from iad.config import ExperimentConfig
 from iad.evaluation import (attack_reports, evaluate, fgsm_attack,
                             ood_evaluate, summarize, sweep_row)
 from iad.losses import LossConfig
@@ -226,3 +228,23 @@ def test_attack_reports_rejects_unsorted_epsilons_and_unlabeled_data(desk_model)
     with pytest.raises(ValueError, match="labeled"):
         attack_reports(net, data.Dataset(test_ds.features, None), [0.0], LossConfig())
 
+
+# --------------------------------------------------------------- serializers
+
+def test_report_and_summary_serialization(tmp_path, desk_model):
+    net, _, _, test_ds = desk_model
+    cfg = ExperimentConfig({"attack.epsilons": [0.0, 0.1]})
+    assert cli.cmd_eval(cfg, tmp_path, (None, test_ds), net) == 0
+    reports = evaluate(net, test_ds)
+    lines = (tmp_path / "reports.csv").read_text().splitlines()
+    assert len(lines) == test_ds.n + 1
+    pred, ok, *floats = lines[1].split(",")
+    assert (int(pred), int(ok)) == (reports.pred_class[0], reports.correct[0])
+    assert [float(v) for v in floats] == [reports.entropy[0], reports.mutual_info[0],
+                                          reports.max_prob[0], reports.alpha0[0]]
+
+    loaded = json.loads((tmp_path / "summary_successes.json").read_text())
+    assert loaded["count"] == np.count_nonzero(reports.correct)
+
+    assert cli.cmd_attack(cfg, tmp_path, (None, test_ds), net) == 0
+    assert len((tmp_path / "attack_sweep.csv").read_text().splitlines()) == 3

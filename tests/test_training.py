@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from iad import data, losses, network
+from iad import cli, data, losses, network
 from iad.config import ConfigError, ExperimentConfig
 from iad.training import (AdamState, TrainConfig, TrainingDiverged,
                           _objective, adam_step, anneal_lambda, train)
@@ -329,6 +329,21 @@ def test_train_all_losses_run():
         net, record = train(ds, [8], cfg, loss=sel)
         assert len(record.rows) == 3
         assert np.all(np.isfinite([r.train_loss for r in record.rows]))
+
+
+def test_train_record_csv_roundtrip(tmp_path):
+    ds = two_class_blobs(n=100)
+    cfg = ExperimentConfig({"seed": 9, "arch": [8], "loss": "iad", "train.max_epochs": 4,
+                            "train.t0": 1, "train.t_rate": 2})
+    assert cli.cmd_train(cfg, tmp_path, (ds, None), None) == 0
+    _, record = train(ds, [8], cfg.train_config(), loss="iad")
+    lines = (tmp_path / "train_record.csv").read_text().splitlines()
+    assert lines[0] == "epoch,train_loss,val_loss,val_acc,lambda_t,seconds"
+    assert len(lines) == 5
+    # every field but the wall-clock seconds reads back to the record's value
+    got = [[float(v) for v in line.split(",")[:-1]] for line in lines[1:]]
+    assert got == [[r.epoch, r.train_loss, r.val_loss, r.val_acc, r.lambda_t]
+                   for r in record.rows]
 
 
 def test_regularizer_lowers_off_class_concentration(regularizer_models):

@@ -1,13 +1,15 @@
 """Executable certification of the monotonicity lemmas and theorems, plus the
 dip-then-rise illustration sweep."""
 
+import json
 import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from iad import verify
+from iad import cli, verify
+from iad.config import ExperimentConfig
 from iad.losses import iad_loss_batch, info_regularizer_batch
 from iad.specfun import digamma, trigamma
 from iad.verify import (STRICT_TOL, Verdict, default_grid, run_all,
@@ -107,6 +109,21 @@ def test_figure_sweep_approximation_tracks_exact_at_large_alpha():
     # mu(a) ~ a^p is a large-argument approximation: agreement tightens
     # toward the top of the grid
     assert abs(approx[-1] / exact[-1] - 1.0) < 0.05
+
+
+def test_emission_roundtrip(tmp_path):
+    cfg = ExperimentConfig({"seed": 1, "verify.trials": 5, "verify.n_triples": 50})
+    assert cli.cmd_verify(cfg, tmp_path, (None, None), None) == 0
+    loaded = json.loads((tmp_path / "verify_evidence.json").read_text())
+    assert set(loaded) == {"lemma1", "lemma2", "theorem1", "theorem2",
+                           "theorem3"}
+    assert all(item["passed"] for item in loaded.values())
+
+    sweep = json.loads((tmp_path / "theorem2_figure.json").read_text())
+    lines = (tmp_path / "theorem2_figure.csv").read_text().splitlines()
+    assert len(lines) == len(sweep["grid"]) + 1
+    got = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert got == [list(row) for row in zip(sweep["grid"], sweep["exact"], sweep["approx"])]
 
 
 # ------------------------------------------- batched sweeps against per-trial
