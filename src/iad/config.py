@@ -101,8 +101,8 @@ class ExperimentConfig:
             if self.values[key] < low:
                 raise ConfigError(f"{key}: must be >= {low}, got {self.values[key]!r}")
         eps = self.values["attack.epsilons"]
-        if eps != sorted(eps) or not all(e >= 0.0 for e in eps):
-            raise ConfigError(f"attack.epsilons: must be ascending and >= 0, got {eps!r}")
+        if eps != sorted(eps) or not all(0.0 <= e < math.inf for e in eps):
+            raise ConfigError(f"attack.epsilons: must be ascending, finite and >= 0, got {eps!r}")
         frac = self.values["eval.threshold_fraction"]
         if not 0.0 < frac <= 1.0:
             raise ConfigError(f"eval.threshold_fraction: must be in (0, 1], got {frac!r}")

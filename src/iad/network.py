@@ -8,6 +8,7 @@ Backpropagation is exact and works on single examples or batches.
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 import logging
 import math
@@ -39,7 +40,9 @@ log = logging.getLogger("iad.network")
 _GRAD_ALPHA_CLIP = 1e6
 
 _CHECKPOINT_FORMAT = "iad-checkpoint"
-_CHECKPOINT_VERSION = 2  # version 1 (nested float lists) is still read
+# versions 1 (nested float lists) and 2 (base64 arrays) are still read
+_CHECKPOINT_VERSION = 3
+_PAYLOAD_SUFFIX = ".f64"
 
 
 class CheckpointFormatError(ValueError):
@@ -142,10 +145,11 @@ def softplus(z: np.ndarray) -> np.ndarray:
 
 def forward(net: NetworkParams, x: np.ndarray) -> ForwardTrace:
     x = np.asarray(x, dtype=np.float64)
+    d = net.weights[0].shape[0]
+    if x.ndim not in (1, 2) or x.shape[-1] != d:
+        raise ValueError(f"input must have shape ({d},) or (N, {d}), got {x.shape}")
     squeezed = x.ndim == 1
     a = np.atleast_2d(x)
-    if a.shape[1] != net.weights[0].shape[0]:
-        raise ValueError("input dimension does not match the first layer")
     if not np.isfinite(a).all():
         raise ValueError("non-finite input")
     inputs, preacts = [], []
@@ -212,13 +216,10 @@ def input_gradient(net: NetworkParams, x: np.ndarray, correct_class, cfg: losses
     return delta[0] if trace.squeezed else delta
 
 
-def _encode_array(arr: np.ndarray) -> str:
-    return base64.b64encode(np.asarray(arr, dtype="<f8").tobytes()).decode("ascii")
-
-
 def _decode_array(entry, shape: tuple[int, ...], version: int, where: str) -> np.ndarray:
-    """One stored array of the given shape: a base64 string of its little-endian
-    float64 bytes in C order (version 2) or a nested list of floats (version 1)."""
+    """One stored array of a version 1 or 2 document, of the given shape: a
+    base64 string of its little-endian float64 bytes in C order (version 2)
+    or a nested list of floats (version 1)."""
     try:
         if version == 1:
             arr = np.array(entry, dtype=np.float64)
@@ -237,41 +238,82 @@ def _decode_array(entry, shape: tuple[int, ...], version: int, where: str) -> np
     return arr
 
 
-def save_checkpoint(net: NetworkParams, path) -> None:
-    """Write the network as format version 2, atomically: the document goes to
-    a sibling temporary file that then replaces ``path``, so a crash mid-write
-    never leaves a truncated checkpoint."""
-    doc = {
-        "format": _CHECKPOINT_FORMAT,
-        "version": _CHECKPOINT_VERSION,
-        "layer_sizes": net.layer_sizes,
-        "activation": "relu",
-        "weights": [_encode_array(w) for w in net.weights],
-        "biases": [_encode_array(b) for b in net.biases],
-    }
-    path = Path(path)
+def _replace_with(path: Path, data: bytes) -> None:
+    """Write ``data`` to a sibling temporary file that then replaces ``path``,
+    so a crash mid-write never leaves a truncated file at ``path``."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            # the document is pure ASCII, so the escape pass of ensure_ascii is waste
-            fh.write(json.dumps(doc, ensure_ascii=False) + "\n")
+        with open(tmp, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def load_checkpoint(path) -> NetworkParams:
-    """Read a version 2 or version 1 checkpoint; malformed content raises
-    CheckpointFormatError naming the file."""
+def save_checkpoint(net: NetworkParams, path) -> None:
+    """Write the network as format version 3: ``path`` holds a small JSON
+    header, and the sibling ``<stem>.f64`` holds ``net.flat`` as little-endian
+    float64 bytes (W0 in C order, b0, W1, b1, ...). The header records the
+    payload's name, byte count and sha256. Each file is replaced atomically,
+    the payload first, so a crash between the two replaces leaves a header
+    whose sha256 the new payload fails, never weights that load wrong."""
+    path = Path(path)
+    if path.suffix == _PAYLOAD_SUFFIX:
+        raise ValueError(f"{path}: a checkpoint path may not end in {_PAYLOAD_SUFFIX}, "
+                         "the payload's suffix")
+    payload = np.asarray(net.flat, dtype="<f8").tobytes()
+    payload_path = path.with_suffix(_PAYLOAD_SUFFIX)
+    doc = {
+        "format": _CHECKPOINT_FORMAT,
+        "version": _CHECKPOINT_VERSION,
+        "layer_sizes": net.layer_sizes,
+        "activation": "relu",
+        "payload": payload_path.name,
+        "payload_bytes": len(payload),
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+    }
+    _replace_with(payload_path, payload)
+    _replace_with(path, (json.dumps(doc) + "\n").encode("ascii"))
+
+
+def _read_payload(doc: dict, path: Path, sizes: list[int]) -> np.ndarray:
+    """The flat parameter vector of a version 3 header, read from its payload
+    file and checked against the header's byte count and sha256."""
+    name, nbytes, digest = doc.get("payload"), doc.get("payload_bytes"), doc.get("payload_sha256")
+    if not isinstance(name, str) or name in ("", "..") or Path(name).name != name:
+        raise CheckpointFormatError(f"{path}: payload must be a file name next to the "
+                                    f"header, got {name!r}")
+    if type(nbytes) is not int or not isinstance(digest, str):
+        raise CheckpointFormatError(f"{path}: payload_bytes must be an integer and "
+                                    "payload_sha256 a string")
+    need = 8 * sum(m * n + n for m, n in zip(sizes[:-1], sizes[1:]))
+    if nbytes != need:
+        raise CheckpointFormatError(f"{path}: payload_bytes is {nbytes}, layer_sizes needs {need}")
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = (path.parent / name).read_bytes()
+    except (OSError, ValueError) as exc:
+        raise CheckpointFormatError(f"{path}: cannot read payload {name!r} ({exc})") from exc
+    if len(raw) != need:
+        raise CheckpointFormatError(f"{path}: payload {name!r} has {len(raw)} bytes, "
+                                    f"layer_sizes needs {need}")
+    if hashlib.sha256(raw).hexdigest() != digest:
+        raise CheckpointFormatError(f"{path}: payload {name!r} does not match payload_sha256")
+    return np.frombuffer(raw, dtype="<f8")
+
+
+def load_checkpoint(path) -> NetworkParams:
+    """Read a version 3, 2 or 1 checkpoint; malformed content, in the header
+    or in the payload, raises CheckpointFormatError naming the header file."""
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("format") != _CHECKPOINT_FORMAT:
         raise CheckpointFormatError(f"{path}: not an iad checkpoint")
     version = doc.get("version")
-    if type(version) is not int or version not in (1, _CHECKPOINT_VERSION):
+    if type(version) is not int or version not in (1, 2, _CHECKPOINT_VERSION):
         raise CheckpointFormatError(f"{path}: unsupported checkpoint version {version!r}")
     if doc.get("activation") != "relu":
         raise CheckpointFormatError(f"{path}: unsupported activation {doc.get('activation')!r}")
@@ -279,13 +321,17 @@ def load_checkpoint(path) -> NetworkParams:
     if (not isinstance(sizes, list) or len(sizes) < 2
             or not all(type(s) is int and s >= 1 for s in sizes)):
         raise CheckpointFormatError(f"{path}: layer_sizes must be a list of positive integers")
-    for key in ("weights", "biases"):
-        if not isinstance(doc.get(key), list) or len(doc[key]) != len(sizes) - 1:
-            raise CheckpointFormatError(f"{path}: {key} must be a list of {len(sizes) - 1} arrays")
-    weights = [_decode_array(w, (m, n), version, f"{path}: weights[{i}]")
-               for i, (w, m, n) in enumerate(zip(doc["weights"], sizes[:-1], sizes[1:]))]
-    biases = [_decode_array(b, (n,), version, f"{path}: biases[{i}]")
-              for i, (b, n) in enumerate(zip(doc["biases"], sizes[1:]))]
+    if version == _CHECKPOINT_VERSION:
+        # read-only views: NetworkParams copies them into its own vector
+        weights, biases = _views(_read_payload(doc, path, sizes), sizes)
+    else:
+        for key in ("weights", "biases"):
+            if not isinstance(doc.get(key), list) or len(doc[key]) != len(sizes) - 1:
+                raise CheckpointFormatError(f"{path}: {key} must be a list of {len(sizes) - 1} arrays")
+        weights = [_decode_array(w, (m, n), version, f"{path}: weights[{i}]")
+                   for i, (w, m, n) in enumerate(zip(doc["weights"], sizes[:-1], sizes[1:]))]
+        biases = [_decode_array(b, (n,), version, f"{path}: biases[{i}]")
+                  for i, (b, n) in enumerate(zip(doc["biases"], sizes[1:]))]
     try:
         return NetworkParams(weights, biases)
     except ValueError as exc:

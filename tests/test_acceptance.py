@@ -348,8 +348,8 @@ def _run_twice(argv_fn, tmp_path, compare):
 def test_criterion_9_reproducibility(tmp_path):
     train_outs = _run_twice(
         lambda out: ["train", "--out", out] + TINY, tmp_path / "train",
-        ["checkpoint.json", "train_record.csv", "config_resolved.txt",
-         "run_meta.json"])
+        ["checkpoint.json", "checkpoint.f64", "train_record.csv",
+         "config_resolved.txt", "run_meta.json"])
     ckpt = str(train_outs[0] / "checkpoint.json")
     _run_twice(
         lambda out: ["eval", "--out", out, "--checkpoint", ckpt] + TINY,

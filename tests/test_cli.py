@@ -82,7 +82,7 @@ def test_train_config_projection():
 def test_cli_train_writes_artifacts(tmp_path):
     out = tmp_path / "run"
     assert run(["train", "--out", str(out), "--seed", "0"] + TINY) == 0
-    for name in ("checkpoint.json", "train_record.csv",
+    for name in ("checkpoint.json", "checkpoint.f64", "train_record.csv",
                  "config_resolved.txt", "run_meta.json"):
         assert (out / name).exists()
     meta = json.loads((out / "run_meta.json").read_text())
@@ -163,8 +163,10 @@ def test_cli_compare_writes_table(tmp_path):
     lines = (out / "compare.csv").read_text().splitlines()
     assert lines[0].startswith("loss,accuracy")
     assert len(lines) == 3
-    assert (out / "checkpoint_iad.json").exists()
-    assert (out / "checkpoint_edl.json").exists()
+    for loss in ("iad", "edl"):
+        assert (out / f"checkpoint_{loss}.json").exists()
+        assert (out / f"checkpoint_{loss}.f64").exists()
+        assert network.load_checkpoint(out / f"checkpoint_{loss}.json").layer_sizes[-1] == 3
 
 
 # floats that csv.writer and json.dump spell in every form repr has: nan,
@@ -210,6 +212,7 @@ def test_cli_wrong_value_type_names_key(tmp_path, capsys, override):
 @pytest.mark.parametrize("override", [
     "seed=-1", "data.classes=1", "data.per_class=0", "attack.epsilons=[0.3,0.1]",
     "attack.epsilons=[-0.1,0.2]", "attack.epsilons=[0.0,NaN]",
+    "attack.epsilons=[0.0,Infinity]",
     "eval.threshold_fraction=2.0", "eval.threshold_fraction=0", "ood.n=0",
     "verify.trials=0", "verify.n_triples=0", "data.test_fraction=0",
     "data.test_fraction=1.0", "data.spread=0", "data.spread=Infinity",
@@ -266,8 +269,15 @@ def _ckpt_without_weights(tmp_path):
     path = tmp_path / "ckpt.json"
     network.save_checkpoint(network.init([2, 8, 3], np.random.default_rng(0)), path)
     doc = json.loads(path.read_text())
-    del doc["weights"]
+    del doc["payload"]
     path.write_text(json.dumps(doc))
+    return ["eval", "--checkpoint", str(path)]
+
+
+def _ckpt_without_payload_file(tmp_path):
+    path = tmp_path / "ckpt.json"
+    network.save_checkpoint(network.init([2, 8, 3], np.random.default_rng(0)), path)
+    path.with_suffix(".f64").unlink()
     return ["eval", "--checkpoint", str(path)]
 
 
@@ -298,14 +308,15 @@ def _idx_without_header(tmp_path):
 
 
 @pytest.mark.parametrize("make_args", [
-    _ckpt_without_weights, _ckpt_version_true, _csv_with_negative_label,
-    _idx_without_header])
+    _ckpt_without_weights, _ckpt_without_payload_file, _ckpt_version_true,
+    _csv_with_negative_label, _idx_without_header])
 def test_cli_malformed_input_file_exits_2(tmp_path, capsys, make_args):
     argv = make_args(tmp_path) + ["--out", str(tmp_path / "run")] + TINY
     assert run(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert str(tmp_path) in err[0]
+    assert not (tmp_path / "run").exists()
 
 
 def _no_checkpoint(tmp_path):

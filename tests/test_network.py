@@ -2,6 +2,7 @@
 certification for parameters and inputs, init determinism, checkpoint I/O."""
 
 import base64
+import hashlib
 import json
 import math
 
@@ -90,6 +91,11 @@ def test_forward_rejects_bad_input():
         forward(net, np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
         forward(net, np.array([1.0, float("nan")]))
+    for x in (np.zeros((2, 2, 2)), np.zeros(()), np.zeros((1, 1, 2))):
+        with pytest.raises(ValueError, match="shape"):
+            forward(net, x)
+        with pytest.raises(ValueError, match="shape"):
+            input_gradient(net, x, 0, LossConfig())
 
 
 def test_forward_deterministic():
@@ -346,15 +352,36 @@ def assert_bit_identical(a, b):
 def test_checkpoint_v2_roundtrip_bit_exact(tmp_path):
     net = special_net()
     path = tmp_path / "ckpt.json"
-    save_checkpoint(net, path)
-    doc = json.loads(path.read_text())
-    assert doc["version"] == 2
-    assert doc["weights"] == [_b64(w) for w in net.weights]
-    assert doc["biases"] == [_b64(b) for b in net.biases]
+    path.write_text(json.dumps({
+        "format": "iad-checkpoint", "version": 2, "layer_sizes": net.layer_sizes,
+        "activation": "relu",
+        "weights": [_b64(w) for w in net.weights],
+        "biases": [_b64(b) for b in net.biases]}) + "\n")
     back = load_checkpoint(path)
     assert_bit_identical(net, back)
     back.weights[0][0, 0] = 1.0  # decoded arrays are writable
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json"]
+
+
+def test_checkpoint_v3_roundtrip_bit_exact(tmp_path):
+    net = special_net()
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(net, path)
+    payload = net.flat.astype("<f8").tobytes()
+    assert json.loads(path.read_text()) == {
+        "format": "iad-checkpoint", "version": 3, "layer_sizes": net.layer_sizes,
+        "activation": "relu", "payload": "ckpt.f64", "payload_bytes": len(payload),
+        "payload_sha256": hashlib.sha256(payload).hexdigest()}
+    assert (tmp_path / "ckpt.f64").read_bytes() == payload
+    back = load_checkpoint(path)
+    assert_bit_identical(net, back)
+    back.weights[0][0, 0] = 1.0  # loaded arrays are writable
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.f64", "ckpt.json"]
+
+
+def test_checkpoint_save_refuses_payload_suffix(tmp_path):
+    with pytest.raises(ValueError, match="f64"):
+        save_checkpoint(tiny_net([2, 3, 2]), tmp_path / "ckpt.f64")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_checkpoint_v1_document_loads_bit_exact(tmp_path):
@@ -367,9 +394,9 @@ def test_checkpoint_v1_document_loads_bit_exact(tmp_path):
         "biases": [b.tolist() for b in net.biases]}) + "\n")
     back = load_checkpoint(path)
     assert_bit_identical(net, back)
-    # saving what was read upgrades the file to version 2, still bit for bit
+    # saving what was read upgrades the file to version 3, still bit for bit
     save_checkpoint(back, path)
-    assert json.loads(path.read_text())["version"] == 2
+    assert json.loads(path.read_text())["version"] == 3
     assert_bit_identical(net, load_checkpoint(path))
 
 
@@ -425,39 +452,105 @@ def test_checkpoint_malformed_raises_named_error(tmp_path, name):
         assert "unsupported checkpoint version" in str(exc.value)
 
 
+def _replace_payload(doc, f64, payload):
+    """A payload whose header records its true byte count and sha256."""
+    f64.write_bytes(payload)
+    doc.update(payload_bytes=len(payload), payload_sha256=hashlib.sha256(payload).hexdigest())
+
+
+# each edits the header ``doc`` of a saved [2, 3, 2] net or its payload ``f64``
+_MALFORMED_V3 = {
+    "payload file missing": lambda doc, f64: f64.unlink(),
+    "payload file a directory": lambda doc, f64: (f64.unlink(), f64.mkdir()),
+    "payload key missing": lambda doc, f64: doc.pop("payload"),
+    "payload a number": lambda doc, f64: doc.update(payload=1),
+    "payload empty": lambda doc, f64: doc.update(payload=""),
+    "payload in parent dir": lambda doc, f64: doc.update(payload="../x.f64"),
+    "payload absolute": lambda doc, f64: doc.update(payload=str(f64)),
+    "payload short": lambda doc, f64: f64.write_bytes(f64.read_bytes()[:-8]),
+    "payload long": lambda doc, f64: f64.write_bytes(f64.read_bytes() + bytes(8)),
+    "payload short, header agrees": lambda doc, f64: _replace_payload(
+        doc, f64, f64.read_bytes()[:-8]),
+    "payload_bytes disagrees": lambda doc, f64: doc.update(payload_bytes=128),
+    "layer_sizes disagree": lambda doc, f64: doc.update(layer_sizes=[2, 3, 3]),
+    "sha256 mismatch": lambda doc, f64: f64.write_bytes(bytes(136)),
+    "sha256 of nothing": lambda doc, f64: doc.update(payload_sha256=hashlib.sha256().hexdigest()),
+    "non-finite payload": lambda doc, f64: _replace_payload(
+        doc, f64, np.array([np.nan] * 17, dtype="<f8").tobytes()),
+    "payload_bytes missing": lambda doc, f64: doc.pop("payload_bytes"),
+    "payload_bytes string": lambda doc, f64: doc.update(payload_bytes="136"),
+    "payload_bytes float": lambda doc, f64: doc.update(payload_bytes=136.0),
+    "payload_bytes true": lambda doc, f64: doc.update(payload_bytes=True),
+    "payload_sha256 missing": lambda doc, f64: doc.pop("payload_sha256"),
+    "payload_sha256 a number": lambda doc, f64: doc.update(payload_sha256=0),
+    "payload_sha256 a list": lambda doc, f64: doc.update(payload_sha256=[doc["payload_sha256"]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_V3))
+def test_checkpoint_v3_malformed_raises_named_error(tmp_path, name):
+    # the checkpoint sits one level down, so "../x.f64" names a valid payload
+    path = tmp_path / "sub" / "ckpt.json"
+    path.parent.mkdir()
+    save_checkpoint(tiny_net([2, 3, 2], seed=13), path)
+    f64 = path.with_suffix(".f64")
+    (tmp_path / "x.f64").write_bytes(f64.read_bytes())
+    doc = json.loads(path.read_text())
+    assert doc["payload_bytes"] == 136
+    _MALFORMED_V3[name](doc, f64)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(network.CheckpointFormatError, match="ckpt.json"):
+        load_checkpoint(path)
+
+
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_checkpoint_truncated_or_corrupted_fails_named(tmp_path, data):
     path = tmp_path / "ckpt.json"
-    save_checkpoint(tiny_net([2, 3, 2], seed=14), path)
-    raw = path.read_bytes()
-    assert json.loads(raw)["version"] == 2
+    net = tiny_net([2, 3, 2], seed=14)
+    save_checkpoint(net, path)
+    assert json.loads(path.read_text())["version"] == 3
+    target = data.draw(st.sampled_from([path, tmp_path / "ckpt.f64"]), label="file")
+    raw = target.read_bytes()
     pos = data.draw(st.integers(0, len(raw) - 1), label="pos")
     if data.draw(st.booleans(), label="truncate"):
         raw = raw[:pos]
     else:
         raw = raw[:pos] + bytes([data.draw(st.integers(0, 255), label="byte")]) + raw[pos + 1:]
-    path.write_bytes(raw)
+    target.write_bytes(raw)
     try:
-        net = load_checkpoint(path)
+        back = load_checkpoint(path)
     except network.CheckpointFormatError as exc:
         assert "ckpt.json" in str(exc)
     else:
-        assert net.layer_sizes == [2, 3, 2]
-        assert all(np.all(np.isfinite(a)) for a in net.weights + net.biases)
+        # only an edit that keeps the meaning, such as a changed space, loads
+        assert_bit_identical(net, back)
 
 
 def test_checkpoint_save_is_atomic(tmp_path, monkeypatch):
     path = tmp_path / "ckpt.json"
     first = tiny_net([2, 3, 2], seed=15)
-    save_checkpoint(first, path)
+    real_replace = network.os.replace
+    # a crash at the payload's replace changes nothing; one at the header's
+    # leaves the new payload under the old header, which fails its sha256
+    for crash_at, loads_old in ((1, True), (2, False)):
+        save_checkpoint(first, path)
+        calls = []
 
-    def crash(src, dst):
-        raise OSError("disk full")
+        def replace(src, dst):
+            calls.append(dst)
+            if len(calls) == crash_at:
+                raise OSError("disk full")
+            real_replace(src, dst)
 
-    monkeypatch.setattr(network.os, "replace", crash)
-    with pytest.raises(OSError, match="disk full"):
-        save_checkpoint(tiny_net([2, 3, 2], seed=16), path)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json"]
-    assert_bit_identical(first, load_checkpoint(path))
+        monkeypatch.setattr(network.os, "replace", replace)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(tiny_net([2, 3, 2], seed=16), path)
+        monkeypatch.setattr(network.os, "replace", real_replace)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.f64", "ckpt.json"]
+        if loads_old:
+            assert_bit_identical(first, load_checkpoint(path))
+        else:
+            with pytest.raises(network.CheckpointFormatError, match="ckpt.json.*sha256"):
+                load_checkpoint(path)
