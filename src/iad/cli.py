@@ -27,15 +27,6 @@ from .losses import LossConfig
 
 log = logging.getLogger("iad.cli")
 
-# commands that read a trained network from --checkpoint
-_NEEDS_CHECKPOINT = ("eval", "ood", "attack")
-# the parts of the (train, test) split each command reads: only these are
-# built, and a command that reads none builds no data and opens no data file
-_PARTS_READ = {"train": (0,), "ood": (0,), "eval": (1,), "attack": (1,),
-               "compare": (0, 1), "verify": ()}
-# the keys that must name a data file, per data.kind
-_DATA_FILES = {"csv": ("data.csv",), "idx": ("data.idx_images", "data.idx_labels")}
-
 
 class UsageError(Exception):
     """A command line that cannot run: a missing, unreadable or mismatched
@@ -66,14 +57,18 @@ def _prepare_out_dir(args) -> Path:
 
 
 def _read_inputs(cfg: ExperimentConfig) -> dict[str, bytes]:
-    """The bytes of each data file that data.kind reads and the config names,
-    read once: the loaders parse them and inputs_sha256 covers them, in
-    _DATA_FILES order. A key that data.kind does not read is not opened."""
+    """The bytes of each data file that data.kind reads, keyed and ordered by
+    its config key, read once: the loaders parse them and inputs_sha256
+    covers them. An empty key is refused before the next file is opened; a
+    key that data.kind does not read is not opened."""
+    kind = cfg["data.kind"]
+    keys = {"csv": ["data.csv"], "idx": ["data.idx_images", "data.idx_labels"]}.get(kind, [])
     raw = {}
-    for key in _DATA_FILES.get(cfg["data.kind"], ()):
-        if cfg[key]:
-            with open(cfg[key], "rb") as fh:
-                raw[key] = fh.read()
+    for key in keys:
+        if not cfg[key]:
+            raise ConfigError(f"{key}: must name a file when data.kind = {kind}")
+        with open(cfg[key], "rb") as fh:
+            raw[key] = fh.read()
     return raw
 
 
@@ -113,7 +108,7 @@ def _rng_streams(cfg: ExperimentConfig) -> dict[str, np.random.Generator]:
 
 
 def build_datasets(cfg: ExperimentConfig, raw: dict[str, bytes],
-                   keep=(0, 1)) -> tuple[data.Dataset | None, data.Dataset | None]:
+                   keep) -> tuple[data.Dataset | None, data.Dataset | None]:
     """Deterministic (train, test) pair from the config, the root seed and
     the data files' bytes (from _read_inputs). Only the parts in keep (0 the
     training part, 1 the test part) are built, the other is None; the split
@@ -121,16 +116,13 @@ def build_datasets(cfg: ExperimentConfig, raw: dict[str, bytes],
     Every command that reads data needs labels, so a CSV without a label
     column is refused."""
     kind = cfg["data.kind"]
-    for key in _DATA_FILES.get(kind, ()):
-        if not cfg[key]:
-            raise ConfigError(f"{key}: must name a file when data.kind = {kind}")
     rngs = _rng_streams(cfg)
     frac = cfg["data.test_fraction"]
     fractions, scale = [1.0 - frac, frac], cfg["data.scale_unit"]
     if kind == "idx":
         train_ds, test_ds = data.load_idx_split(
             cfg["data.idx_images"], cfg["data.idx_labels"], fractions, rngs["split"], scale,
-            raw.get("data.idx_images"), raw.get("data.idx_labels"), keep)
+            raw["data.idx_images"], raw["data.idx_labels"], keep)
         return train_ds, test_ds
     if kind == "blobs":
         centers = data.triangle_centers(cfg["data.side"])
@@ -143,7 +135,7 @@ def build_datasets(cfg: ExperimentConfig, raw: dict[str, bytes],
         ds = data.make_blobs(k, cfg["data.per_class"], centers,
                              cfg["data.spread"], rngs["blobs"])
     else:
-        ds = data.load_csv(cfg["data.csv"], raw.get("data.csv"))
+        ds = data.load_csv(cfg["data.csv"], raw["data.csv"])
         if ds.labels is None:
             raise data.CsvFormatError(f"{cfg['data.csv']}:1: the header has no 'label' "
                                       "column; training and evaluation need labels")
@@ -168,6 +160,11 @@ def _check_net_fits(net: network.NetworkParams, ds: data.Dataset, path) -> None:
                          f"dataset has {ds.d} features and {ds.k} classes")
 
 
+def _summary(cfg: ExperimentConfig, k: int, values) -> dict:
+    """The summary of values against the threshold eval.threshold_fraction * ln k."""
+    return asdict(evaluation.summarize(values, cfg["eval.threshold_fraction"] * np.log(k)))
+
+
 def cmd_train(cfg: ExperimentConfig, out: Path, datasets, net) -> int:
     train_ds, _ = datasets
     net, record = training.train(train_ds, cfg["arch"], cfg.train_config(),
@@ -188,12 +185,10 @@ def cmd_eval(cfg: ExperimentConfig, out: Path, datasets, net) -> int:
                zip(*(col.tolist() for col in (
                    reports.pred_class, reports.correct.astype(int), reports.entropy,
                    reports.mutual_info, reports.max_prob, reports.alpha0))))
-    threshold = cfg["eval.threshold_fraction"] * np.log(test_ds.k)
     for name, keep in (("successes", reports.correct), ("errors", ~reports.correct)):
-        vals = reports.entropy[keep]
-        if vals.size:
+        if keep.any():
             _write_json(out / f"summary_{name}.json",
-                        asdict(evaluation.summarize(vals, threshold)))
+                        _summary(cfg, test_ds.k, reports.entropy[keep]))
     return 0
 
 
@@ -202,9 +197,9 @@ def cmd_ood(cfg: ExperimentConfig, out: Path, datasets, net) -> int:
     train_ds, _ = datasets
     ood_ds = data.make_ood_ring(train_ds, cfg["ood.radius_factor"], cfg["ood.n"],
                                 rngs["ood"])
-    ent, mi = evaluation.ood_evaluate(net, ood_ds, cfg["eval.threshold_fraction"])
-    _write_json(out / "ood_entropy.json", asdict(ent))
-    _write_json(out / "ood_mutual_info.json", asdict(mi))
+    reports = evaluation.evaluate(net, ood_ds)
+    _write_json(out / "ood_entropy.json", _summary(cfg, train_ds.k, reports.entropy))
+    _write_json(out / "ood_mutual_info.json", _summary(cfg, train_ds.k, reports.mutual_info))
     return 0
 
 
@@ -214,12 +209,9 @@ def cmd_attack(cfg: ExperimentConfig, out: Path, datasets, net) -> int:
                                       LossConfig(p_norm=cfg["train.p_norm"]))
     _write_csv(out / "attack_sweep.csv", "epsilon,accuracy,mean_entropy,mean_mutual_info",
                "{!r},{!r},{!r},{!r}", (astuple(evaluation.sweep_row(eps, r)) for eps, r in swept))
-    threshold = cfg["eval.threshold_fraction"] * np.log(test_ds.k)
     summaries = {
-        repr(eps): {
-            "entropy": asdict(evaluation.summarize(r.entropy, threshold)),
-            "mutual_info": asdict(evaluation.summarize(r.mutual_info, threshold)),
-        }
+        repr(eps): {"entropy": _summary(cfg, test_ds.k, r.entropy),
+                    "mutual_info": _summary(cfg, test_ds.k, r.mutual_info)}
         for eps, r in swept
     }
     _write_json(out / "attack_summaries.json", summaries)
@@ -263,13 +255,16 @@ def cmd_compare(cfg: ExperimentConfig, out: Path, datasets, net) -> int:
     return 0
 
 
+# command: (body, the parts of the (train, test) split it reads, whether it
+# reads a trained network from --checkpoint). Only the parts read are built;
+# a command that reads none builds no data and opens no data file.
 _COMMANDS = {
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "ood": cmd_ood,
-    "attack": cmd_attack,
-    "verify": cmd_verify,
-    "compare": cmd_compare,
+    "train": (cmd_train, (0,), False),
+    "eval": (cmd_eval, (1,), True),
+    "ood": (cmd_ood, (0,), True),
+    "attack": (cmd_attack, (1,), True),
+    "verify": (cmd_verify, (), False),
+    "compare": (cmd_compare, (0, 1), False),
 }
 
 
@@ -291,7 +286,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
                        help="allow writing into a non-empty output directory")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a single config key")
-        if name in _NEEDS_CHECKPOINT:
+        if _COMMANDS[name][2]:
             p.add_argument("--checkpoint", help="model checkpoint path")
     return parser
 
@@ -307,10 +302,10 @@ def main(argv=None) -> int:
     _setup_logging()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv).parse_args(argv)
+    body, parts, reads_checkpoint = _COMMANDS[args.command]
     try:
         cfg = _load_config(args)
-        net = _load_net(args) if args.command in _NEEDS_CHECKPOINT else None
-        parts = _PARTS_READ[args.command]
+        net = _load_net(args) if reads_checkpoint else None
         raw = _read_inputs(cfg) if parts else {}
         datasets = build_datasets(cfg, raw, parts) if parts else None
         inputs_sha256 = _input_hash(cfg, raw)
@@ -332,7 +327,7 @@ def main(argv=None) -> int:
         return 2
     _write_run_metadata(out, cfg, inputs_sha256)
     try:
-        return _COMMANDS[args.command](cfg, out, datasets, net)
+        return body(cfg, out, datasets, net)
     except data.EmptySplitError as exc:
         # training's validation split, made by train and compare before the first epoch
         print(f"error: {exc}", file=sys.stderr)

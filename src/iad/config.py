@@ -88,7 +88,11 @@ class ExperimentConfig:
     def _validate(self):
         if self.values["loss"] not in LOSSES:
             raise ConfigError(f"loss: must be one of {sorted(LOSSES)}")
-        for sel in self.values["compare.losses"]:
+        sels = self.values["compare.losses"]
+        if not sels or len(set(sels)) < len(sels):
+            raise ConfigError("compare.losses: must be a non-empty list of distinct "
+                              f"selectors, got {sels!r}")
+        for sel in sels:
             if sel not in LOSSES:
                 raise ConfigError(f"compare.losses: unknown selector {sel!r}")
         if self.values["data.kind"] not in ("blobs", "csv", "idx"):
@@ -101,8 +105,10 @@ class ExperimentConfig:
             if self.values[key] < low:
                 raise ConfigError(f"{key}: must be >= {low}, got {self.values[key]!r}")
         eps = self.values["attack.epsilons"]
-        if eps != sorted(eps) or not all(0.0 <= e < math.inf for e in eps):
-            raise ConfigError(f"attack.epsilons: must be ascending, finite and >= 0, got {eps!r}")
+        if (not eps or any(b <= a for a, b in zip(eps, eps[1:]))
+                or not all(0.0 <= e < math.inf for e in eps)):
+            raise ConfigError("attack.epsilons: must be non-empty, strictly ascending, "
+                              f"finite and >= 0, got {eps!r}")
         frac = self.values["eval.threshold_fraction"]
         if not 0.0 < frac <= 1.0:
             raise ConfigError(f"eval.threshold_fraction: must be in (0, 1], got {frac!r}")
@@ -121,7 +127,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
+        """The file's `key = value` lines, then the overrides; a key the file
+        sets twice is refused."""
         values: dict = {}
+        first_line: dict[str, int] = {}
         raw = Path(path).read_bytes()
         try:
             text = raw.decode("utf-8")
@@ -134,7 +143,10 @@ class ExperimentConfig:
             if not line or line.startswith("#"):
                 continue
             key, val = parse_assignment(line, f"{path}:{lineno}")
-            values[key] = val
+            if key in values:
+                raise ConfigError(f"{path}:{lineno}: {key} is already set on line "
+                                  f"{first_line[key]}")
+            values[key], first_line[key] = val, lineno
         if overrides:
             values.update(overrides)
         return cls(values)

@@ -59,8 +59,8 @@ class EmptySplitError(ValueError):
 class Dataset:
     """Feature matrix with optional one-hot labels.
 
-    feature_range records the (min, max) the features are meant to live in
-    (used as default clipping bounds for adversarial perturbations).
+    feature_range records the (min, max) the features are meant to live in:
+    the clip box of evaluation.attack_reports (None clips nothing).
 
     The constructor validates what it is given: a 2-D matrix of finite
     features and one-hot label rows of the same count. It is the check for

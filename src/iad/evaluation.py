@@ -1,5 +1,5 @@
-"""Uncertainty reports as column arrays, boxplot-style summaries, OOD
-evaluation and FGSM attack sweeps."""
+"""Uncertainty reports as column arrays, boxplot-style summaries and FGSM
+attack sweeps."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ __all__ = [
     "evaluate",
     "summarize",
     "fgsm_attack",
-    "ood_evaluate",
     "attack_reports",
     "sweep_row",
 ]
@@ -123,37 +122,21 @@ def fgsm_attack(net: network.NetworkParams, x: np.ndarray, correct_class,
     return adv
 
 
-def ood_evaluate(net: network.NetworkParams, ood_data: Dataset,
-                 threshold_fraction: float) -> tuple[DistributionSummary, DistributionSummary]:
-    """Entropy and mutual-information summaries over an unlabeled OOD set;
-    the exceedance threshold is threshold_fraction * ln K."""
-    if not 0.0 < threshold_fraction <= 1.0:
-        raise ValueError("threshold_fraction must be in (0, 1]")
-    if ood_data.n == 0:
-        raise ValueError("empty dataset")
-    reports = evaluate(net, ood_data)
-    threshold = threshold_fraction * np.log(net.output_dim)
-    return summarize(reports.entropy, threshold), summarize(reports.mutual_info, threshold)
-
-
 def attack_reports(net: network.NetworkParams, data: Dataset, epsilons,
-                   cfg: LossConfig, bounds: tuple[float, float] | None = None
-                   ) -> list[tuple[float, UncertaintyReports]]:
-    """(epsilon, reports on the FGSM inputs) per noise level, one attack each;
-    eps=0 evaluates the clean inputs. `sweep_row` reduces an entry to its
-    row of the sweep table."""
+                   cfg: LossConfig) -> list[tuple[float, UncertaintyReports]]:
+    """(epsilon, reports on the FGSM inputs) per noise level, one attack each,
+    clipped to data.feature_range; eps=0 evaluates the clean inputs.
+    `sweep_row` reduces an entry to its row of the sweep table."""
     epsilons = [float(e) for e in epsilons]
     if any(b > a for a, b in zip(epsilons[1:], epsilons)):
         raise ValueError("epsilons must be sorted ascending")
     if data.labels is None:
         raise ValueError("attack sweep needs labeled data")
-    if bounds is None:
-        bounds = data.feature_range
     labels = data.label_indices
     out = []
     for eps in epsilons:
         x = data.features if eps == 0.0 else fgsm_attack(
-            net, data.features, labels, eps, cfg, bounds)
+            net, data.features, labels, eps, cfg, data.feature_range)
         out.append((eps, _reports(network.forward(net, x).alpha, labels)))
     return out
 

@@ -239,7 +239,8 @@ def _desk_pipeline():
     net, _ = training.train(train_ds, [32, 32], cfg, loss="iad")
     reports = evaluation.evaluate(net, test_ds)
     ring = data.make_ood_ring(train_ds, 1.5, 1000, np.random.default_rng(3))
-    ent_summary, _ = evaluation.ood_evaluate(net, ring, 0.95)
+    ent_summary = evaluation.summarize(evaluation.evaluate(net, ring).entropy,
+                                       0.95 * np.log(3))
     sweep = [evaluation.sweep_row(e, r) for e, r in evaluation.attack_reports(
         net, test_ds, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5], LossConfig(p_norm=4.0))]
     elapsed = time.perf_counter() - start

@@ -58,6 +58,16 @@ def test_config_from_file_rejects_non_utf8(tmp_path):
     assert f"{path}:2: byte 0xe9 is not UTF-8" in str(exc.value)
 
 
+def test_cli_config_file_setting_a_key_twice_exits_2(tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_text("seed = 1\nloss = edl\n\nseed = 2\n")
+    out = tmp_path / "run"
+    assert run(["train", "--out", str(out), "--config", str(path)] + TINY) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {path}:4: seed is already set on line 1"]
+    assert not out.exists()
+
+
 def test_config_rejects_bad_loss():
     with pytest.raises(ConfigError):
         ExperimentConfig({"loss": "made-up"})
@@ -212,7 +222,8 @@ def test_cli_wrong_value_type_names_key(tmp_path, capsys, override):
 @pytest.mark.parametrize("override", [
     "seed=-1", "data.classes=1", "data.per_class=0", "attack.epsilons=[0.3,0.1]",
     "attack.epsilons=[-0.1,0.2]", "attack.epsilons=[0.0,NaN]",
-    "attack.epsilons=[0.0,Infinity]",
+    "attack.epsilons=[0.0,Infinity]", "attack.epsilons=[]", "attack.epsilons=[0.0,0.2,0.2]",
+    "compare.losses=[]", 'compare.losses=["edl","edl"]',
     "eval.threshold_fraction=2.0", "eval.threshold_fraction=0", "ood.n=0",
     "verify.trials=0", "verify.n_triples=0", "data.test_fraction=0",
     "data.test_fraction=1.0", "data.spread=0", "data.spread=Infinity",
@@ -492,6 +503,17 @@ def test_cli_missing_input_file_exits_2(tmp_path, capsys, which, name, empty):
         _assert_one_error_line(capsys, out, f"error: {which}: must name a file")
     else:
         _assert_one_error_line(capsys, out, str(missing), "No such file")
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_cli_empty_idx_images_named_before_missing_labels_file(tmp_path, capsys, command):
+    # the keys are checked in order, each before its file is opened
+    out = tmp_path / "run"
+    assert run([command, "--out", str(out), "--set", "data.kind=idx",
+                "--set", "data.idx_images=",
+                "--set", f"data.idx_labels={tmp_path / 'absent' / 'l.idx'}"]
+               + TINY + _checkpoint_args(tmp_path, command)) == 2
+    _assert_one_error_line(capsys, out, "error: data.idx_images: must name a file")
 
 
 @pytest.mark.parametrize("kind, key", [

@@ -9,8 +9,7 @@ import pytest
 
 from iad import cli, data, network
 from iad.config import ExperimentConfig
-from iad.evaluation import (attack_reports, evaluate, fgsm_attack,
-                            ood_evaluate, summarize, sweep_row)
+from iad.evaluation import attack_reports, evaluate, fgsm_attack, summarize, sweep_row
 from iad.losses import LossConfig
 
 
@@ -169,32 +168,40 @@ def test_fgsm_raises_mean_entropy_on_trained_model(desk_model):
     assert np.mean(adv.entropy) > np.mean(clean.entropy)
 
 
-# -------------------------------------------------------------- ood_evaluate
+# ------------------------------------------------------------------ iad ood
 
-def test_ood_entropy_median_dominates_mi(desk_model):
-    net, _, train_ds, _ = desk_model
-    ring = data.make_ood_ring(train_ds, 1.5, 300, np.random.default_rng(4))
-    ent, mi = ood_evaluate(net, ring, 0.95)
-    assert ent.median >= mi.median
-    assert ent.threshold == pytest.approx(0.95 * math.log(3.0))
+def _run_ood(tmp_path, net, fraction, n, seed):
+    """`iad ood` with the desk model at eval.threshold_fraction = fraction on
+    the desk blobs: the entropy and MI summaries it writes, and its ring."""
+    ckpt = tmp_path / "desk.json"
+    network.save_checkpoint(net, ckpt)
+    sets = {"seed": seed, "data.spread": 0.9, "ood.n": n, "eval.threshold_fraction": fraction}
+    out = tmp_path / "ood"
+    argv = ["ood", "--out", str(out), "--checkpoint", str(ckpt)]
+    for key, val in sets.items():
+        argv += ["--set", f"{key}={val}"]
+    assert cli.main(argv) == 0
+    cfg = ExperimentConfig(sets)
+    train_ds, _ = cli.build_datasets(cfg, {}, (0,))
+    ring = data.make_ood_ring(train_ds, cfg["ood.radius_factor"], n,
+                              cli._rng_streams(cfg)["ood"])
+    return (json.loads((out / "ood_entropy.json").read_text()),
+            json.loads((out / "ood_mutual_info.json").read_text()), ring)
 
 
-def test_ood_threshold_fraction_one(desk_model):
-    net, _, train_ds, _ = desk_model
-    ring = data.make_ood_ring(train_ds, 1.5, 100, np.random.default_rng(5))
-    ent, _ = ood_evaluate(net, ring, 1.0)
+def test_ood_entropy_median_dominates_mi(tmp_path, desk_model):
+    ent, mi, _ = _run_ood(tmp_path, desk_model[0], 0.95, 300, 4)
+    assert ent["median"] >= mi["median"]
+    assert ent["threshold"] == pytest.approx(0.95 * math.log(3.0))
+
+
+def test_ood_threshold_fraction_one(tmp_path, desk_model):
+    net = desk_model[0]
+    ent, _, ring = _run_ood(tmp_path, net, 1.0, 100, 5)
     reports = evaluate(net, ring)
+    assert (ent["count"], ent["mean"]) == (100, float(np.mean(reports.entropy)))
     exact_max = int(np.count_nonzero(reports.entropy >= math.log(3.0)))
-    assert ent.fraction_above_threshold == pytest.approx(exact_max / 100.0)
-
-
-def test_ood_rejects_bad_fraction(desk_model):
-    net, _, train_ds, _ = desk_model
-    ring = data.make_ood_ring(train_ds, 1.5, 10, np.random.default_rng(6))
-    with pytest.raises(ValueError):
-        ood_evaluate(net, ring, 0.0)
-    with pytest.raises(ValueError):
-        ood_evaluate(net, ring, 1.5)
+    assert ent["fraction_above_threshold"] == pytest.approx(exact_max / 100.0)
 
 
 # ------------------------------------------------------------ attack_reports
