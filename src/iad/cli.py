@@ -40,9 +40,15 @@ def _setup_logging():
 
 
 def _load_config(args) -> ExperimentConfig:
-    overrides = dict(parse_assignment(item, "--set") for item in args.set or [])
+    """The --config file under --set and --seed, each key given once."""
+    items = [parse_assignment(item, "--set") for item in args.set or []]
     if args.seed is not None:
-        overrides["seed"] = args.seed
+        items.append(("seed", args.seed))
+    overrides = {}
+    for key, val in items:
+        if key in overrides:
+            raise ConfigError(f"{key}: given twice on the command line (--set, --seed)")
+        overrides[key] = val
     if args.config:
         return ExperimentConfig.from_file(args.config, overrides)
     return ExperimentConfig(overrides)

@@ -26,7 +26,6 @@ __all__ = [
     "split",
     "split_scaled",
     "scale_unit",
-    "save_csv",
     "load_csv",
 ]
 
@@ -222,16 +221,18 @@ def _idx_header(raw: bytes, path, magic, n_dims) -> tuple[int, ...]:
 def _read_idx(images_path, labels_path, images_raw=None,
               labels_raw=None) -> tuple[np.ndarray, np.ndarray]:
     """The (N, rows * cols) uint8 pixels and (N, K) one-hot labels of an IDX
-    pair (big-endian, unsigned bytes). images_raw and labels_raw are the
-    files' bytes when the caller has read them already."""
+    pair (big-endian, unsigned bytes, each file as long as its header says).
+    images_raw and labels_raw are the files' bytes when already read."""
     images = _contents(images_path, images_raw)
     count, rows, cols = _idx_header(images, images_path, _IMAGE_MAGIC, 3)
-    if len(images) - 16 < count * rows * cols:
-        raise IdxFormatError(f"{images_path}: truncated pixel data")
+    if len(images) - 16 != count * rows * cols:
+        raise IdxFormatError(f"{images_path}: {len(images) - 16} bytes of pixel data, "
+                             f"its header declares {count * rows * cols}")
     labels = _contents(labels_path, labels_raw)
     (label_count,) = _idx_header(labels, labels_path, _LABEL_MAGIC, 1)
-    if len(labels) - 8 < label_count:
-        raise IdxFormatError(f"{labels_path}: truncated label data")
+    if len(labels) - 8 != label_count:
+        raise IdxFormatError(f"{labels_path}: {len(labels) - 8} bytes of label data, "
+                             f"its header declares {label_count}")
     if label_count != count:
         raise IdxFormatError(
             f"image/label count mismatch: {count} images vs {label_count} labels")
@@ -370,27 +371,10 @@ def load_idx_split(images_path, labels_path, fractions, rng: np.random.Generator
                   f"idx({images_path})", (0.0, 1.0), keep)
 
 
-def save_csv(dataset: Dataset, path) -> None:
-    """Native container: one header row (f0..fD-1[,label]), repr-formatted
-    floats so that a reload is value-identical."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = [f"f{i}" for i in range(dataset.d)]
-        if dataset.labels is not None:
-            header.append("label")
-        writer.writerow(header)
-        labels = None if dataset.labels is None else dataset.label_indices
-        for i in range(dataset.n):
-            row = [repr(float(v)) for v in dataset.features[i]]
-            if labels is not None:
-                row.append(str(int(labels[i])))
-            writer.writerow(row)
-
-
 def load_csv(path, raw: bytes | None = None) -> Dataset:
-    """Load the native container written by save_csv; one-hot width is the
-    largest label plus one. raw is the file's bytes when the caller has read
-    them already."""
+    """Load the native container, a header row (f0..fD-1[,label]) and then one
+    row per example; one-hot width is the largest label plus one. raw is the
+    file's bytes when the caller has read them already."""
     raw = _contents(path, raw)
     try:
         text = raw.decode("utf-8")

@@ -109,9 +109,9 @@ def summarize(values, threshold: float) -> DistributionSummary:
 def fgsm_attack(net: network.NetworkParams, x: np.ndarray, correct_class,
                 epsilon: float, cfg: LossConfig,
                 bounds: tuple[float, float] | None) -> np.ndarray:
-    """x + epsilon * sgn(grad_x F), clipped componentwise to bounds.
-    sgn(0) = 0, so zero-gradient components stay put. Works on a single
-    feature vector or a batch."""
+    """x + epsilon * sgn(grad_x F) for an (N, D) batch x and its (N,) class
+    indices, clipped componentwise to bounds. sgn(0) = 0, so zero-gradient
+    components stay put."""
     if epsilon < 0.0:
         raise ValueError("epsilon must be >= 0")
     x = np.asarray(x, dtype=np.float64)

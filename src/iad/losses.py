@@ -78,8 +78,8 @@ def _check_p_norm(p_norm) -> float:
 
 
 def _check_batch(alpha: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    alpha = np.atleast_2d(np.asarray(alpha, dtype=np.float64))
-    c = np.atleast_1d(np.asarray(c))
+    alpha = np.asarray(alpha, dtype=np.float64)
+    c = np.asarray(c)
     if not np.issubdtype(c.dtype, np.integer):
         # casting first would truncate a class index of 1.7 to 1
         raise ValueError(f"class indices must be integers, got dtype {c.dtype}")
@@ -164,7 +164,7 @@ def _info_args(alpha, c):
     counts as misleading evidence). Returns (d, c, args) with d = alpha~ - 1
     and args the stacked (alpha~, alpha~_0) of R's special functions."""
     if c is None:
-        off = np.atleast_2d(np.asarray(alpha, dtype=np.float64))
+        off = np.asarray(alpha, dtype=np.float64)
         if off.ndim != 2:
             raise ValueError("alpha must be (N, K)")
     else:

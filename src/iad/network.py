@@ -2,16 +2,14 @@
 
 Dense layers with rectifier hidden units; the output head is
 alpha_j = softplus(z_j) + 1, so every concentration parameter is >= 1.
-Backpropagation is exact and works on single examples or batches.
+Backpropagation is exact. Every function takes a batch of (N, D) inputs.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import logging
-import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,7 +38,6 @@ log = logging.getLogger("iad.network")
 _GRAD_ALPHA_CLIP = 1e6
 
 _CHECKPOINT_FORMAT = "iad-checkpoint"
-# versions 1 (nested float lists) and 2 (base64 arrays) are still read
 _CHECKPOINT_VERSION = 3
 _PAYLOAD_SUFFIX = ".f64"
 
@@ -111,7 +108,6 @@ class ForwardTrace:
     inputs: list[np.ndarray]    # input to each layer, inputs[0] is x
     preacts: list[np.ndarray]   # z of each layer
     alpha: np.ndarray           # softplus(z_last) + 1
-    squeezed: bool = False      # True if a single example was promoted to a batch
 
 
 @dataclass
@@ -144,12 +140,10 @@ def softplus(z: np.ndarray) -> np.ndarray:
 
 
 def forward(net: NetworkParams, x: np.ndarray) -> ForwardTrace:
-    x = np.asarray(x, dtype=np.float64)
+    a = np.asarray(x, dtype=np.float64)
     d = net.weights[0].shape[0]
-    if x.ndim not in (1, 2) or x.shape[-1] != d:
-        raise ValueError(f"input must have shape ({d},) or (N, {d}), got {x.shape}")
-    squeezed = x.ndim == 1
-    a = np.atleast_2d(x)
+    if a.ndim != 2 or a.shape[1] != d:
+        raise ValueError(f"input must have shape (N, {d}), got {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("non-finite input")
     inputs, preacts = [], []
@@ -159,7 +153,7 @@ def forward(net: NetworkParams, x: np.ndarray) -> ForwardTrace:
         z = a @ w + b
         preacts.append(z)
         a = softplus(z) + 1.0 if i == last else np.maximum(z, 0.0)
-    return ForwardTrace(inputs, preacts, a, squeezed)
+    return ForwardTrace(inputs, preacts, a)
 
 
 def _backprop(net: NetworkParams, trace: ForwardTrace, dloss_dalpha: np.ndarray,
@@ -167,7 +161,7 @@ def _backprop(net: NetworkParams, trace: ForwardTrace, dloss_dalpha: np.ndarray,
     """Run the chain rule backwards. Writes the parameter gradients into
     ``grads`` unless it is None; returns the delta at the input if
     ``input_delta``, else None, and then stops at layer 0."""
-    d = np.atleast_2d(np.asarray(dloss_dalpha, dtype=np.float64))
+    d = np.asarray(dloss_dalpha, dtype=np.float64)
     if d.shape != trace.alpha.shape:
         raise ValueError("dloss_dalpha shape does not match the trace output")
     if (np.abs(d) > _GRAD_ALPHA_CLIP).any():
@@ -209,33 +203,10 @@ def backward(net: NetworkParams, trace: ForwardTrace, dloss_dalpha: np.ndarray,
 
 
 def input_gradient(net: NetworkParams, x: np.ndarray, correct_class, cfg: losses.LossConfig) -> np.ndarray:
-    """Gradient of the classification loss F with respect to the input features."""
+    """The (N, D) gradient of each row's classification loss F at its input."""
     trace = forward(net, x)
     dF = losses.iad_loss_grad_alpha_batch(trace.alpha, correct_class, cfg.p_norm)
-    delta = _backprop(net, trace, dF, None, input_delta=True)
-    return delta[0] if trace.squeezed else delta
-
-
-def _decode_array(entry, shape: tuple[int, ...], version: int, where: str) -> np.ndarray:
-    """One stored array of a version 1 or 2 document, of the given shape: a
-    base64 string of its little-endian float64 bytes in C order (version 2)
-    or a nested list of floats (version 1)."""
-    try:
-        if version == 1:
-            arr = np.array(entry, dtype=np.float64)
-        else:
-            raw = base64.b64decode(entry, validate=True)
-    except (TypeError, ValueError) as exc:
-        raise CheckpointFormatError(f"{where}: malformed array payload") from exc
-    if version != 1:
-        nbytes = 8 * math.prod(shape)
-        if len(raw) != nbytes:
-            raise CheckpointFormatError(f"{where}: {len(raw)} bytes, layer_sizes needs {nbytes}")
-        # read-only: NetworkParams copies it into its own vector
-        arr = np.frombuffer(raw, dtype="<f8").reshape(shape)
-    if arr.shape != shape:
-        raise CheckpointFormatError(f"{where}: shape {arr.shape}, layer_sizes needs {shape}")
-    return arr
+    return _backprop(net, trace, dF, None, input_delta=True)
 
 
 def _replace_with(path: Path, data: bytes) -> None:
@@ -303,8 +274,8 @@ def _read_payload(doc: dict, path: Path, sizes: list[int]) -> np.ndarray:
 
 
 def load_checkpoint(path) -> NetworkParams:
-    """Read a version 3, 2 or 1 checkpoint; malformed content, in the header
-    or in the payload, raises CheckpointFormatError naming the header file."""
+    """Read a version 3 checkpoint; another version or malformed content, in
+    the header or the payload, raises CheckpointFormatError naming the header."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -313,7 +284,7 @@ def load_checkpoint(path) -> NetworkParams:
     if not isinstance(doc, dict) or doc.get("format") != _CHECKPOINT_FORMAT:
         raise CheckpointFormatError(f"{path}: not an iad checkpoint")
     version = doc.get("version")
-    if type(version) is not int or version not in (1, 2, _CHECKPOINT_VERSION):
+    if type(version) is not int or version != _CHECKPOINT_VERSION:
         raise CheckpointFormatError(f"{path}: unsupported checkpoint version {version!r}")
     if doc.get("activation") != "relu":
         raise CheckpointFormatError(f"{path}: unsupported activation {doc.get('activation')!r}")
@@ -321,17 +292,8 @@ def load_checkpoint(path) -> NetworkParams:
     if (not isinstance(sizes, list) or len(sizes) < 2
             or not all(type(s) is int and s >= 1 for s in sizes)):
         raise CheckpointFormatError(f"{path}: layer_sizes must be a list of positive integers")
-    if version == _CHECKPOINT_VERSION:
-        # read-only views: NetworkParams copies them into its own vector
-        weights, biases = _views(_read_payload(doc, path, sizes), sizes)
-    else:
-        for key in ("weights", "biases"):
-            if not isinstance(doc.get(key), list) or len(doc[key]) != len(sizes) - 1:
-                raise CheckpointFormatError(f"{path}: {key} must be a list of {len(sizes) - 1} arrays")
-        weights = [_decode_array(w, (m, n), version, f"{path}: weights[{i}]")
-                   for i, (w, m, n) in enumerate(zip(doc["weights"], sizes[:-1], sizes[1:]))]
-        biases = [_decode_array(b, (n,), version, f"{path}: biases[{i}]")
-                  for i, (b, n) in enumerate(zip(doc["biases"], sizes[1:]))]
+    # read-only views: NetworkParams copies them into its own vector
+    weights, biases = _views(_read_payload(doc, path, sizes), sizes)
     try:
         return NetworkParams(weights, biases)
     except ValueError as exc:

@@ -2,8 +2,9 @@
 tests check it against: density, predictive mean, Fisher information,
 sampling, KL divergence, the local Renyi approximation and Beta moments;
 the masked form of the logistic sigmoid that the network's one-pass form
-must equal bit for bit; and the csv.writer and json.dump forms whose bytes
-the CLI's artifact writers must equal.
+must equal bit for bit; the csv.writer and json.dump forms whose bytes
+the CLI's artifact writers must equal; and `save_csv`, the writer of the
+CSV container that `iad.data.load_csv` reads.
 
 Criterion 2's Monte Carlo draws from `sample`, and the reverse-KL loss is
 checked against `kl_divergence`.
@@ -138,3 +139,16 @@ def json_dump_file(path, doc) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def save_csv(dataset, path) -> None:
+    """A dataset as the native CSV container: one header row
+    (f0..fD-1[,label]), then repr-formatted floats, so that load_csv reads
+    back the same values bit for bit."""
+    header = [f"f{i}" for i in range(dataset.d)]
+    rows = [[repr(float(v)) for v in row] for row in dataset.features]
+    if dataset.labels is not None:
+        header.append("label")
+        for row, c in zip(rows, dataset.label_indices.tolist()):
+            row.append(str(c))
+    csv_writer_file(path, header, rows)

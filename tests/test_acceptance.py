@@ -180,7 +180,7 @@ def test_criterion_4_gradient_certification():
     for _ in range(50):
         xi = rng.normal(size=2)
         ci = int(rng.integers(0, 3))
-        got = network.input_gradient(net, xi, ci, cfg)
+        got = network.input_gradient(net, xi[None, :], np.array([ci]), cfg)[0]
         for j in range(2):
             h = 1e-6
             hi, lo = xi.copy(), xi.copy()

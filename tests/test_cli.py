@@ -1,5 +1,6 @@
 """Config parsing and CLI command plumbing on tiny runs."""
 
+import base64
 import hashlib
 import json
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles import csv_writer_file, json_dump_file
+from oracles import csv_writer_file, json_dump_file, save_csv
 from test_data import assert_identical, reference_scale_unit, reference_split, write_idx
 
 from iad import data, evaluation, network
@@ -19,6 +20,14 @@ from iad.config import DEFAULTS, ConfigError, ExperimentConfig
 TINY = ["--set", "data.per_class=40", "--set", "train.max_epochs=3",
         "--set", "train.t0=1", "--set", "train.t_rate=2",
         "--set", "arch=[8]"]
+
+
+def tiny(*items):
+    """TINY with each KEY=VALUE item given by --set in place of TINY's own
+    setting of KEY, as the command line may give a key only once."""
+    keys = {item.partition("=")[0] for item in items}
+    kept = [item for item in TINY[1::2] if item.partition("=")[0] not in keys]
+    return [arg for item in kept + list(items) for arg in ("--set", item)]
 
 
 def run(argv):
@@ -65,6 +74,19 @@ def test_cli_config_file_setting_a_key_twice_exits_2(tmp_path, capsys):
     assert run(["train", "--out", str(out), "--config", str(path)] + TINY) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"error: {path}:4: seed is already set on line 1"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["--set", "seed=1", "--set", "seed=2"], "seed"),
+    (["--set", "data.spread=0.5", "--set", "data.spread=0.7"], "data.spread"),
+    (["--seed", "5", "--set", "seed=1"], "seed")],
+    ids=["set-seed-twice", "set-key-twice", "seed-and-set-seed"])
+def test_cli_key_given_twice_on_the_command_line_exits_2(tmp_path, capsys, argv, key):
+    out = tmp_path / "run"
+    assert run(["train", "--out", str(out)] + TINY + argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {key}: given twice on the command line (--set, --seed)"]
     assert not out.exists()
 
 
@@ -231,7 +253,7 @@ def test_cli_wrong_value_type_names_key(tmp_path, capsys, override):
     "ood.radius_factor=1.0", "ood.radius_factor=NaN"])
 def test_cli_out_of_range_value_names_key(tmp_path, capsys, override):
     out = tmp_path / "x"
-    assert run(["train", "--out", str(out)] + TINY + ["--set", override]) == 2
+    assert run(["train", "--out", str(out)] + tiny(override)) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert override.partition("=")[0] in err[0]
@@ -293,14 +315,24 @@ def _ckpt_without_payload_file(tmp_path):
 
 
 def _ckpt_version_true(tmp_path):
-    # a well-formed version 1 payload, so only the version's type is wrong
+    # a well-formed version 3 checkpoint, so only the version's type is wrong
+    path = tmp_path / "ckpt.json"
+    network.save_checkpoint(network.init([2, 8, 3], np.random.default_rng(0)), path)
+    doc = json.loads(path.read_text())
+    doc.update(version=True)
+    path.write_text(json.dumps(doc))
+    return ["eval", "--checkpoint", str(path)]
+
+
+def _ckpt_version_2(tmp_path):
+    # a well-formed version 2 document, base64 arrays inline; no longer read
     path = tmp_path / "ckpt.json"
     net = network.init([2, 8, 3], np.random.default_rng(0))
-    network.save_checkpoint(net, path)
-    doc = json.loads(path.read_text())
-    doc.update(version=True, weights=[w.tolist() for w in net.weights],
-               biases=[b.tolist() for b in net.biases])
-    path.write_text(json.dumps(doc))
+    b64 = [base64.b64encode(a.astype("<f8").tobytes()).decode()
+           for a in net.weights + net.biases]
+    path.write_text(json.dumps({
+        "format": "iad-checkpoint", "version": 2, "layer_sizes": net.layer_sizes,
+        "activation": "relu", "weights": b64[:2], "biases": b64[2:]}))
     return ["eval", "--checkpoint", str(path)]
 
 
@@ -318,9 +350,17 @@ def _idx_without_header(tmp_path):
             "--set", f"data.idx_labels={tmp_path / 'labels.idx'}"]
 
 
+def _idx_longer_than_header(tmp_path):
+    ip, lp = write_idx(tmp_path, np.zeros((60, 3, 3), dtype=np.uint8), list(np.arange(60) % 3))
+    ip.write_bytes(ip.read_bytes() + bytes(9))
+    return ["train", "--set", "data.kind=idx", "--set", f"data.idx_images={ip}",
+            "--set", f"data.idx_labels={lp}"]
+
+
 @pytest.mark.parametrize("make_args", [
     _ckpt_without_weights, _ckpt_without_payload_file, _ckpt_version_true,
-    _csv_with_negative_label, _idx_without_header])
+    _ckpt_version_2, _csv_with_negative_label, _idx_without_header,
+    _idx_longer_than_header])
 def test_cli_malformed_input_file_exits_2(tmp_path, capsys, make_args):
     argv = make_args(tmp_path) + ["--out", str(tmp_path / "run")] + TINY
     assert run(argv) == 2
@@ -412,7 +452,7 @@ def test_build_parser_builds_only_the_named_command():
     "train.max_epochs=0", "train.learning_rate=NaN", "train.learning_rate=Infinity"])
 def test_cli_out_of_range_optimizer_value_names_key(tmp_path, capsys, override):
     out = tmp_path / "x"
-    assert run(["train", "--out", str(out)] + TINY + ["--set", override]) == 2
+    assert run(["train", "--out", str(out)] + tiny(override)) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert override.partition("=")[0].removeprefix("train.") in err[0]
@@ -434,8 +474,8 @@ def test_build_datasets_matches_reference_bits(tmp_path, kind, scale, keep):
                  "data.per_class": 60}
     if kind == "csv":
         path = tmp_path / "d.csv"
-        data.save_csv(data.make_blobs(3, 60, data.triangle_centers(4.0), 0.7,
-                                      np.random.default_rng(1)), path)
+        save_csv(data.make_blobs(3, 60, data.triangle_centers(4.0), 0.7,
+                                 np.random.default_rng(1)), path)
         overrides["data.csv"] = str(path)
         source = data.load_csv(path)
     elif kind == "idx":
@@ -635,8 +675,7 @@ def test_cli_unlabeled_csv_exits_2_before_writing(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["train", "compare"])
 def test_cli_split_with_an_empty_part_exits_2(tmp_path, capsys, command, per_class, written):
     out = tmp_path / "run"
-    assert run([command, "--out", str(out)] + TINY
-               + ["--set", f"data.per_class={per_class}"]) == 2
+    assert run([command, "--out", str(out)] + tiny(f"data.per_class={per_class}")) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: part 1 "), err
     assert "is empty" in err[0]
@@ -654,16 +693,13 @@ def test_cli_split_with_an_empty_part_exits_2(tmp_path, capsys, command, per_cla
 def test_cli_unread_empty_part_exits_2_before_writing(tmp_path, capsys, command, sets,
                                                       part):
     out = tmp_path / "run"
-    argv = [command, "--out", str(out)] + TINY + _checkpoint_args(tmp_path, command)
-    for item in sets:
-        argv += ["--set", item]
+    argv = [command, "--out", str(out)] + tiny(*sets) + _checkpoint_args(tmp_path, command)
     assert run(argv) == 2
     _assert_one_error_line(capsys, out, f"error: part {part} ", "is empty")
 
 
 def test_cli_trains_at_seven_per_class(tmp_path):
-    assert run(["train", "--out", str(tmp_path / "run")] + TINY
-               + ["--set", "data.per_class=7"]) == 0
+    assert run(["train", "--out", str(tmp_path / "run")] + tiny("data.per_class=7")) == 0
 
 
 @pytest.mark.parametrize("which, body, line", [
@@ -695,8 +731,8 @@ def reference_input_hash(cfg, reads_data=True) -> str:
 @pytest.mark.parametrize("kind", ["blobs", "csv", "idx"])
 def test_cli_inputs_sha256_matches_reference(tmp_path, kind):
     csv_path = tmp_path / "d.csv"
-    data.save_csv(data.make_blobs(3, 20, data.triangle_centers(4.0), 0.5,
-                                  np.random.default_rng(1)), csv_path)
+    save_csv(data.make_blobs(3, 20, data.triangle_centers(4.0), 0.5,
+                             np.random.default_rng(1)), csv_path)
     rng = np.random.default_rng(2)
     ip, lp = write_idx(tmp_path, rng.integers(0, 256, size=(60, 3, 3), dtype=np.uint8),
                        list(np.arange(60) % 3))

@@ -1,6 +1,7 @@
 """Dataset containers, generators, IDX parsing, stratified splits and CSV
 round-trips."""
 
+import re
 import struct
 from dataclasses import replace
 
@@ -12,8 +13,9 @@ from hypothesis.extra import numpy as hnp
 
 from iad.data import (CsvFormatError, Dataset, EmptySplitError, FeatureRangeError,
                       IdxFormatError, load_csv, load_idx, load_idx_split, make_blobs,
-                      make_ood_ring, save_csv, scale_unit, split, split_scaled,
+                      make_ood_ring, scale_unit, split, split_scaled,
                       support_extent, triangle_centers)
+from oracles import save_csv
 
 
 def blobs(seed=0, spread=0.6, n=100):
@@ -140,6 +142,15 @@ def test_load_idx_truncated(tmp_path):
                        np.zeros((3, 4, 4), dtype=np.uint8), [0, 1, 2])
     ip.write_bytes(ip.read_bytes()[:-5])
     with pytest.raises(IdxFormatError):
+        load_idx(ip, lp)
+
+
+@pytest.mark.parametrize("which", ["images", "labels"])
+def test_load_idx_longer_than_its_header(tmp_path, which):
+    ip, lp = write_idx(tmp_path, np.zeros((3, 4, 4), dtype=np.uint8), [0, 1, 2])
+    path = ip if which == "images" else lp
+    path.write_bytes(path.read_bytes() + bytes(1))
+    with pytest.raises(IdxFormatError, match=f"{re.escape(str(path))}: .*header declares"):
         load_idx(ip, lp)
 
 

@@ -1,6 +1,7 @@
 """The public API: each module's __all__ names exactly its public functions
 and classes, the library modules leave the run directory's file formats to
-the CLI, and the README's Quick start runs as written."""
+the CLI, every `iad.` name in the README exists, and the README's Quick
+start runs as written."""
 
 import ast
 import importlib
@@ -42,9 +43,22 @@ def test_library_module_imports_no_artifact_format(name):
     assert not imported & {"csv", "json"}
 
 
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("dotted", sorted(set(re.findall(r"`(iad(?:\.\w+)+)`", README))))
+def test_readme_name_resolves(dotted):
+    """A backticked iad.<module>[.<name>...] in the README names something
+    that exists, so a deletion cannot leave a stale reference behind."""
+    _, module, *names = dotted.split(".")
+    obj = importlib.import_module(f"iad.{module}")
+    for name in names:
+        assert hasattr(obj, name), f"README.md names {dotted}, which does not exist"
+        obj = getattr(obj, name)
+
+
 def test_readme_quick_start_runs(capsys):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    (block,) = re.findall(r"## Quick start\n\n```python\n(.*?)```", readme, re.DOTALL)
+    (block,) = re.findall(r"## Quick start\n\n```python\n(.*?)```", README, re.DOTALL)
     scope = {}
     exec(compile(block, "README.md", "exec"), scope)
     accuracy = float(capsys.readouterr().out.splitlines()[0])

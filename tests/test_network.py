@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from iad import losses, network
+from iad import evaluation, losses, network
 from iad.losses import LossConfig
 from iad.network import (NetworkParams, backward, forward, init,
                          input_gradient, load_checkpoint, save_checkpoint,
@@ -64,7 +64,7 @@ def test_forward_alpha_floor():
         w *= 0.0
     for b in net.biases:
         b *= 0.0
-    trace = forward(net, np.array([0.3, -0.7]))
+    trace = forward(net, np.array([[0.3, -0.7]]))
     assert np.allclose(trace.alpha, 1.0 + math.log(2.0), atol=1e-12)
 
 
@@ -80,7 +80,7 @@ def test_forward_large_preactivation_is_linear():
     net = tiny_net([1, 2, 2])
     net.weights[1][:] = 0.0
     net.biases[1][:] = np.array([50.0, -50.0])
-    trace = forward(net, np.array([1.0]))
+    trace = forward(net, np.array([[1.0]]))
     assert trace.alpha[0, 0] == pytest.approx(51.0, abs=1e-12)
     assert trace.alpha[0, 1] == pytest.approx(1.0, abs=1e-12)
 
@@ -90,12 +90,39 @@ def test_forward_rejects_bad_input():
     with pytest.raises(ValueError):
         forward(net, np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
-        forward(net, np.array([1.0, float("nan")]))
+        forward(net, np.array([[1.0, float("nan")]]))
     for x in (np.zeros((2, 2, 2)), np.zeros(()), np.zeros((1, 1, 2))):
         with pytest.raises(ValueError, match="shape"):
             forward(net, x)
         with pytest.raises(ValueError, match="shape"):
             input_gradient(net, x, 0, LossConfig())
+
+
+def test_single_example_form_is_refused():
+    """Every function takes a batch: a (D,) input or a (K,) alpha row is
+    refused, not promoted to a one-row batch."""
+    net = tiny_net([2, 3, 3])
+    x, c = np.array([0.4, 0.6]), np.array([0])
+    with pytest.raises(ValueError, match=r"\(N, 2\)"):
+        forward(net, x)
+    with pytest.raises(ValueError, match=r"\(N, 2\)"):
+        input_gradient(net, x, c, LossConfig())
+    with pytest.raises(ValueError, match=r"\(N, 2\)"):
+        evaluation.fgsm_attack(net, x, c, 0.1, LossConfig(), None)
+    trace = forward(net, x[None, :])
+    with pytest.raises(ValueError, match="dloss_dalpha"):
+        backward(net, trace, trace.alpha[0])
+    alpha = np.array([2.0, 3.0, 4.0])
+    for kernel, extra in ((losses.iad_value_grad_batch, (4.0,)),
+                          (losses.info_value_grad_batch, ()),
+                          (losses.nll_marginal_value_grad_batch, ()),
+                          (losses.bayes_ce_value_grad_batch, ()),
+                          (losses.edl_mse_value_grad_batch, ()),
+                          (losses.rkl_prior_value_grad_batch, (10.0,))):
+        with pytest.raises(ValueError, match=r"\(N, K\)"):
+            kernel(alpha, c, *extra)
+    with pytest.raises(ValueError, match=r"\(N, K\)"):
+        losses.info_value_grad_batch(alpha)
 
 
 def test_forward_deterministic():
@@ -276,7 +303,7 @@ def test_input_gradient_matches_finite_differences():
     for _ in range(10):
         x = rng.normal(size=3)
         c = int(rng.integers(0, 4))
-        got = input_gradient(net, x, c, cfg)
+        got = input_gradient(net, x[None, :], np.array([c]), cfg)[0]
         for j in range(3):
             h = 1e-6
             hi, lo = x.copy(), x.copy()
@@ -294,7 +321,7 @@ def test_input_gradient_zero_network():
     net = tiny_net([2, 3, 2])
     for w in net.weights:
         w *= 0.0
-    g = input_gradient(net, np.array([0.4, 0.6]), 0, LossConfig())
+    g = input_gradient(net, np.array([[0.4, 0.6]]), np.array([0]), LossConfig())[0]
     assert np.allclose(g, 0.0, atol=1e-15)
 
 
@@ -349,19 +376,6 @@ def assert_bit_identical(a, b):
         assert x.tobytes() == y.tobytes()
 
 
-def test_checkpoint_v2_roundtrip_bit_exact(tmp_path):
-    net = special_net()
-    path = tmp_path / "ckpt.json"
-    path.write_text(json.dumps({
-        "format": "iad-checkpoint", "version": 2, "layer_sizes": net.layer_sizes,
-        "activation": "relu",
-        "weights": [_b64(w) for w in net.weights],
-        "biases": [_b64(b) for b in net.biases]}) + "\n")
-    back = load_checkpoint(path)
-    assert_bit_identical(net, back)
-    back.weights[0][0, 0] = 1.0  # decoded arrays are writable
-
-
 def test_checkpoint_v3_roundtrip_bit_exact(tmp_path):
     net = special_net()
     path = tmp_path / "ckpt.json"
@@ -384,72 +398,82 @@ def test_checkpoint_save_refuses_payload_suffix(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_checkpoint_v1_document_loads_bit_exact(tmp_path):
-    net = special_net()
-    path = tmp_path / "ckpt.json"
-    path.write_text(json.dumps({
-        "format": "iad-checkpoint", "version": 1, "layer_sizes": net.layer_sizes,
-        "activation": "relu",
-        "weights": [w.tolist() for w in net.weights],
-        "biases": [b.tolist() for b in net.biases]}) + "\n")
-    back = load_checkpoint(path)
-    assert_bit_identical(net, back)
-    # saving what was read upgrades the file to version 3, still bit for bit
-    save_checkpoint(back, path)
-    assert json.loads(path.read_text())["version"] == 3
-    assert_bit_identical(net, load_checkpoint(path))
-
-
 def _b64(values):
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
 
 
-def _v2_doc(**changes):
+def _old_doc(version, **changes):
+    """A version 1 (nested float lists) or 2 (base64 arrays) document of the
+    [2, 3, 2] net; None drops a key. Neither version is read."""
     net = tiny_net([2, 3, 2], seed=13)
-    doc = {"format": "iad-checkpoint", "version": 2, "layer_sizes": [2, 3, 2],
+    encode = (lambda a: a.tolist()) if version == 1 else _b64
+    doc = {"format": "iad-checkpoint", "version": version, "layer_sizes": [2, 3, 2],
            "activation": "relu",
-           "weights": [_b64(w) for w in net.weights],
-           "biases": [_b64(b) for b in net.biases]}
+           "weights": [encode(w) for w in net.weights],
+           "biases": [encode(b) for b in net.biases]}
     doc.update(changes)
-    return {k: v for k, v in doc.items() if v is not None}
+    return json.dumps({k: v for k, v in doc.items() if v is not None})
 
 
-_ZERO_BIAS = _b64(np.zeros(3))
-_NAN_BIAS = _b64([0.0, np.nan])
+_PAYLOAD = tiny_net([2, 3, 2], seed=13).flat.astype("<f8").tobytes()
+_NAN_PAYLOAD = np.full(17, np.nan).astype("<f8").tobytes()
+
+
+def _v3_doc(data=_PAYLOAD, **changes):
+    """The version 3 header of the payload bytes ``data``, stored in
+    ckpt.f64, with changes; None drops a key."""
+    doc = {"format": "iad-checkpoint", "version": 3, "layer_sizes": [2, 3, 2],
+           "activation": "relu", "payload": "ckpt.f64", "payload_bytes": len(data),
+           "payload_sha256": hashlib.sha256(data).hexdigest()}
+    doc.update(changes)
+    return json.dumps({k: v for k, v in doc.items() if v is not None})
+
+
+_UNSUPPORTED = "unsupported checkpoint version"
+# name: (header text, what the error says); ckpt.f64 holds _PAYLOAD and
+# nan.f64 _NAN_PAYLOAD
 _MALFORMED = {
-    "not json": "{ not json",
-    "top level list": "[1, 2]",
-    "missing weights": json.dumps(_v2_doc(weights=None)),
-    "missing biases": json.dumps(_v2_doc(biases=None)),
-    "missing layer_sizes": json.dumps(_v2_doc(layer_sizes=None)),
-    "layer_sizes string": json.dumps(_v2_doc(layer_sizes="2,3,2")),
-    "layer_sizes float": json.dumps(_v2_doc(layer_sizes=[2, 3.0, 2])),
-    "layer_sizes zero": json.dumps(_v2_doc(layer_sizes=[2, 0, 2])),
-    "weights a dict": json.dumps(_v2_doc(weights={"0": "AAAA"})),
-    "entry a number": json.dumps(_v2_doc(biases=[0, 0])),
-    "wrong array count": json.dumps(_v2_doc(biases=[_NAN_BIAS])),
-    "bad base64": json.dumps(_v2_doc(biases=[_ZERO_BIAS, "A*AA"])),
-    "payload too short": json.dumps(_v2_doc(biases=[_ZERO_BIAS, "AAAAAAAAAAA="])),
-    "layer_sizes disagree": json.dumps(_v2_doc(layer_sizes=[2, 3, 3])),
-    "non-finite payload": json.dumps(_v2_doc(biases=[_ZERO_BIAS, _NAN_BIAS])),
-    "version true": json.dumps(_v2_doc(version=True)),
-    "version float": json.dumps(_v2_doc(version=2.0)),
-    "v1 ragged": json.dumps(_v2_doc(version=1, weights=[[[1.0], [1.0, 2.0]], [[1.0]]])),
-    "v1 string entry": json.dumps(_v2_doc(version=1)),
-    "v1 wrong shape": json.dumps(_v2_doc(
-        version=1, weights=[np.zeros((3, 2)).tolist(), np.zeros((3, 2)).tolist()],
-        biases=[[0.0] * 3, [0.0] * 2])),
+    "not json": ("{ not json", "not valid JSON"),
+    "top level list": ("[1, 2]", "not an iad checkpoint"),
+    "missing layer_sizes": (_v3_doc(layer_sizes=None), "layer_sizes must be"),
+    "layer_sizes string": (_v3_doc(layer_sizes="2,3,2"), "layer_sizes must be"),
+    "layer_sizes float": (_v3_doc(layer_sizes=[2, 3.0, 2]), "layer_sizes must be"),
+    "layer_sizes zero": (_v3_doc(layer_sizes=[2, 0, 2]), "layer_sizes must be"),
+    "layer_sizes disagree": (_v3_doc(layer_sizes=[2, 3, 3]),
+                             "payload_bytes is 136, layer_sizes needs 168"),
+    "non-finite payload": (_v3_doc(_NAN_PAYLOAD, payload="nan.f64"), "non-finite parameters"),
+    "missing activation": (_v3_doc(activation=None), "unsupported activation None"),
+    "version true": (_v3_doc(version=True), _UNSUPPORTED),
+    "version float": (_v3_doc(version=3.0), _UNSUPPORTED),
+    "version 4": (_v3_doc(version=4), _UNSUPPORTED),
+    # versions 1 and 2, well-formed or not, stop at the version check
+    "v1 document": (_old_doc(1), _UNSUPPORTED),
+    "v2 document": (_old_doc(2), _UNSUPPORTED),
+    "v1 ragged": (_old_doc(1, weights=[[[1.0], [1.0, 2.0]], [[1.0]]]), _UNSUPPORTED),
+    "v1 string entry": (_old_doc(1, biases=[_b64(np.zeros(3)), _b64(np.zeros(2))]),
+                        _UNSUPPORTED),
+    "v1 wrong shape": (_old_doc(1, weights=[np.zeros((3, 2)).tolist()] * 2), _UNSUPPORTED),
+    "missing weights": (_old_doc(2, weights=None), _UNSUPPORTED),
+    "missing biases": (_old_doc(2, biases=None), _UNSUPPORTED),
+    "weights a dict": (_old_doc(2, weights={"0": "AAAA"}), _UNSUPPORTED),
+    "entry a number": (_old_doc(2, biases=[0, 0]), _UNSUPPORTED),
+    "wrong array count": (_old_doc(2, biases=[_b64(np.zeros(3))]), _UNSUPPORTED),
+    "bad base64": (_old_doc(2, biases=[_b64(np.zeros(3)), "A*AA"]), _UNSUPPORTED),
+    "payload too short": (_old_doc(2, biases=[_b64(np.zeros(3)), "AAAAAAAAAAA="]),
+                          _UNSUPPORTED),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_MALFORMED))
 def test_checkpoint_malformed_raises_named_error(tmp_path, name):
+    text, what = _MALFORMED[name]
     path = tmp_path / "ckpt.json"
-    path.write_text(_MALFORMED[name])
+    path.write_text(text)
+    (tmp_path / "ckpt.f64").write_bytes(_PAYLOAD)
+    (tmp_path / "nan.f64").write_bytes(_NAN_PAYLOAD)
     with pytest.raises(network.CheckpointFormatError, match="ckpt.json") as exc:
         load_checkpoint(path)
-    if name.startswith("version"):
-        assert "unsupported checkpoint version" in str(exc.value)
+    assert what in str(exc.value)
 
 
 def _replace_payload(doc, f64, payload):
