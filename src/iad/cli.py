@@ -78,9 +78,9 @@ def _read_inputs(cfg: ExperimentConfig) -> dict[str, bytes]:
     return raw
 
 
-def _input_hash(cfg: ExperimentConfig, raw: dict[str, bytes]) -> str:
+def _input_hash(resolved: str, raw: dict[str, bytes]) -> str:
     """sha256 of the resolved config text, then of each data file's bytes."""
-    h = hashlib.sha256(cfg.resolved_text().encode())
+    h = hashlib.sha256(resolved.encode())
     for blob in raw.values():
         h.update(blob)
     return h.hexdigest()
@@ -102,8 +102,9 @@ def _write_csv(path: Path, header: str, line: str, rows) -> None:
                     encoding="utf-8", newline="")
 
 
-def _write_run_metadata(out: Path, cfg: ExperimentConfig, inputs_sha256: str) -> None:
-    (out / "config_resolved.txt").write_text(cfg.resolved_text(), encoding="utf-8")
+def _write_run_metadata(out: Path, cfg: ExperimentConfig, resolved: str,
+                        inputs_sha256: str) -> None:
+    (out / "config_resolved.txt").write_text(resolved, encoding="utf-8")
     _write_json(out / "run_meta.json", {"seed": cfg["seed"], "inputs_sha256": inputs_sha256})
 
 
@@ -314,7 +315,8 @@ def main(argv=None) -> int:
         net = _load_net(args) if reads_checkpoint else None
         raw = _read_inputs(cfg) if parts else {}
         datasets = build_datasets(cfg, raw, parts) if parts else None
-        inputs_sha256 = _input_hash(cfg, raw)
+        resolved = cfg.resolved_text()
+        inputs_sha256 = _input_hash(resolved, raw)
         del raw  # not held through the command
         if net is not None:
             _check_net_fits(net, datasets[parts[0]], args.checkpoint)
@@ -331,7 +333,7 @@ def main(argv=None) -> int:
         # cannot be created
         print(f"error: {exc.strerror}: {exc.filename!r}", file=sys.stderr)
         return 2
-    _write_run_metadata(out, cfg, inputs_sha256)
+    _write_run_metadata(out, cfg, resolved, inputs_sha256)
     try:
         return body(cfg, out, datasets, net)
     except data.EmptySplitError as exc:

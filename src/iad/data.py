@@ -188,8 +188,8 @@ def make_ood_ring(dataset: Dataset, radius_factor: float, n: int,
     """Unlabeled points on a sphere strictly outside the data's support:
     radius = radius_factor times the largest distance of any point from the
     global feature mean."""
-    if radius_factor <= 1.0:
-        raise ValueError("radius_factor must be > 1")
+    if not 1.0 < radius_factor < math.inf:
+        raise ValueError(f"radius_factor must be finite and > 1, got {radius_factor!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
     mean, rmax = support_extent(dataset)

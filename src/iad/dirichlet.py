@@ -53,7 +53,7 @@ def _rows(d) -> tuple[np.ndarray, bool]:
     alpha = np.asarray(d, dtype=np.float64)
     if alpha.ndim != 2 or alpha.shape[1] < 2:
         raise ValueError("alpha must be an (N, K) matrix with K >= 2")
-    if not np.all(np.isfinite(alpha)) or np.any(alpha <= 0.0):
+    if not np.isfinite(alpha).all() or (alpha <= 0.0).any():
         raise DomainError("all concentration parameters must be positive and finite")
     return alpha, False
 

@@ -3,6 +3,7 @@ attack sweeps."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +89,8 @@ def summarize(values, threshold: float) -> DistributionSummary:
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise ValueError("cannot summarize an empty list")
+    if not np.isfinite(v).all():
+        raise ValueError("values must be finite")
     q1, med, q3 = np.percentile(v, [25.0, 50.0, 75.0])
     iqr = q3 - q1
     in_lo = v[v >= q1 - 1.5 * iqr]
@@ -111,9 +114,9 @@ def fgsm_attack(net: network.NetworkParams, x: np.ndarray, correct_class,
                 bounds: tuple[float, float] | None) -> np.ndarray:
     """x + epsilon * sgn(grad_x F) for an (N, D) batch x and its (N,) class
     indices, clipped componentwise to bounds. sgn(0) = 0, so zero-gradient
-    components stay put."""
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be >= 0")
+    components stay put. epsilon must be finite and >= 0."""
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
     x = np.asarray(x, dtype=np.float64)
     g = network.input_gradient(net, x, correct_class, cfg)
     adv = x + epsilon * np.sign(g)

@@ -80,27 +80,28 @@ def _check_p_norm(p_norm) -> float:
 def _check_batch(alpha: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     alpha = np.asarray(alpha, dtype=np.float64)
     c = np.asarray(c)
-    if not np.issubdtype(c.dtype, np.integer):
-        # casting first would truncate a class index of 1.7 to 1
+    # the kinds numpy counts as np.integer: signed, unsigned and timedelta64;
+    # casting first would truncate a class index of 1.7 to 1
+    if c.dtype.kind not in "ium":
         raise ValueError(f"class indices must be integers, got dtype {c.dtype}")
     c = c.astype(np.intp, copy=False)
     if alpha.ndim != 2 or c.shape != (alpha.shape[0],):
         raise ValueError("alpha must be (N, K) and c must be (N,)")
-    if (c < 0).any() or (c >= alpha.shape[1]).any():
+    if c.size and (np.minimum.reduce(c) < 0 or np.maximum.reduce(c) >= alpha.shape[1]):
         raise IndexError("correct_class out of range")
     return alpha, c
 
 
 def _logsumexp(terms: np.ndarray, axis: int) -> np.ndarray:
-    m = terms.max(axis=axis, keepdims=True)
-    return (m + np.log(np.exp(terms - m).sum(axis=axis, keepdims=True))).squeeze(axis)
+    m = np.maximum.reduce(terms, axis=axis, keepdims=True)
+    return (m + np.log(np.add.reduce(np.exp(terms - m), axis=axis, keepdims=True))).squeeze(axis)
 
 
 def _iad_args(alpha, c) -> np.ndarray:
     """The stacked arguments (alpha_0, s, alpha) of F's rising factorials,
     where s = alpha_0 - alpha_c is the off-class sum. alpha and c come
     checked."""
-    a0 = alpha.sum(axis=1)
+    a0 = np.add.reduce(alpha, axis=1)
     return np.concatenate([a0, a0 - alpha[np.arange(alpha.shape[0]), c], alpha.ravel()])
 
 
@@ -117,7 +118,7 @@ def _iad_log_f(log_mu, c, p: float, k: int):
     terms[np.arange(n), c + 1] = -np.inf
     lse = _logsumexp(terms, axis=1)
     log_f = (lse - log_mu[:n]) / p
-    if (np.abs(log_f) > _LOG_CLIP).any():
+    if np.count_nonzero(np.abs(log_f) > _LOG_CLIP):
         raise LossOverflowError("log F exceeded the exp() clip threshold")
     return log_f, terms, lse
 
@@ -171,11 +172,11 @@ def _info_args(alpha, c):
         alpha, c = _check_batch(alpha, c)
         off = alpha.copy()
         off[np.arange(alpha.shape[0]), c] = 1.0
-    if (off < 1.0).any():
+    if np.count_nonzero(off < 1.0):
         raise DomainError("info regularizer requires off-class alpha_j >= 1")
     # off has a one substituted at c, so sum(off) = 1 + sum_{j != c} alpha_j
     # (alpha_0 when c is None).
-    return off - 1.0, c, np.concatenate([off.ravel(), off.sum(axis=1)])
+    return off - 1.0, c, np.concatenate([off.ravel(), np.add.reduce(off, axis=1)])
 
 
 def _split(vals: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -184,7 +185,7 @@ def _split(vals: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _info_value(d, tri, tri0) -> np.ndarray:
-    return 0.5 * (d * d * (tri - tri0)).sum(axis=1)
+    return 0.5 * np.add.reduce(d * d * (tri - tri0), axis=1)
 
 
 def info_regularizer_batch(alpha, c=None) -> np.ndarray:
@@ -204,7 +205,7 @@ def info_value_grad_batch(alpha, c=None) -> tuple[np.ndarray, np.ndarray]:
     psi1, psi2 = trigamma_tetragamma(args)
     tri, tri0 = _split(psi1, *d.shape)
     tet, tet0 = _split(psi2, *d.shape)
-    sum_sq = (d * d).sum(axis=1)[:, None]
+    sum_sq = np.add.reduce(d * d, axis=1)[:, None]
     grad = (
         d * (tri - tri0)
         + 0.5 * d * d * (tet - tet0)
@@ -272,16 +273,18 @@ def bayes_ce_grad_alpha_batch(alpha, c) -> np.ndarray:
 
 
 def _edl(alpha, c):
-    """(alpha_0 as (N, 1), the mean m, the error y - m against the one-hot
-    target y, m (1 - m), the evidential mean-square loss)."""
+    """(alpha_0 and alpha_0 + 1 as (N, 1), the mean m, the error y - m
+    against the one-hot target y, m (1 - m), the evidential mean-square
+    loss)."""
     alpha, c = _check_batch(alpha, c)
-    a0 = alpha.sum(axis=1)[:, None]
+    a0 = np.add.reduce(alpha, axis=1)[:, None]
+    a0_1 = a0 + 1.0
     m = alpha / a0
-    err = np.zeros_like(alpha)
+    err = np.zeros(alpha.shape)
     err[np.arange(c.size), c] = 1.0
     err -= m
     m_var = m * (1.0 - m)
-    return a0, m, err, m_var, (err ** 2 + m_var / (a0 + 1.0)).sum(axis=1)
+    return a0, a0_1, m, err, m_var, np.add.reduce(err ** 2 + m_var / a0_1, axis=1)
 
 
 def edl_mse_loss_batch(alpha, c) -> np.ndarray:
@@ -291,12 +294,12 @@ def edl_mse_loss_batch(alpha, c) -> np.ndarray:
 
 def edl_mse_value_grad_batch(alpha, c) -> tuple[np.ndarray, np.ndarray]:
     """(evidential mean-square loss, its gradient) for each row."""
-    a0, m, err, m_var, value = _edl(alpha, c)
+    a0, a0_1, m, err, m_var, value = _edl(alpha, c)
     # dL/dm_k folded with dm_k/dalpha_j = (delta_kj - m_k)/a0, plus the
     # explicit 1/(a0+1) dependence of the variance term.
-    inner = -2.0 * err + (1.0 - 2.0 * m) / (a0 + 1.0)  # (N, K) = dL/dm_k
-    grad = ((inner - (inner * m).sum(axis=1)[:, None]) / a0
-            - m_var.sum(axis=1)[:, None] / (a0 + 1.0) ** 2)
+    inner = -2.0 * err + (1.0 - 2.0 * m) / a0_1  # (N, K) = dL/dm_k
+    grad = ((inner - np.add.reduce(inner * m, axis=1)[:, None]) / a0
+            - np.add.reduce(m_var, axis=1)[:, None] / a0_1 ** 2)
     return value, grad
 
 

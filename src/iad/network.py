@@ -103,11 +103,13 @@ class NetworkParams:
 
 @dataclass
 class ForwardTrace:
-    """Backprop bookkeeping: per-layer inputs and pre-activations."""
+    """Backprop bookkeeping: per-layer inputs and pre-activations, and the
+    head's e^-|z_last|, which softplus and its derivative share."""
 
     inputs: list[np.ndarray]    # input to each layer, inputs[0] is x
     preacts: list[np.ndarray]   # z of each layer
     alpha: np.ndarray           # softplus(z_last) + 1
+    head_e: np.ndarray          # e^-|z_last|
 
 
 @dataclass
@@ -134,9 +136,15 @@ def init(layer_sizes: list[int], rng: np.random.Generator) -> NetworkParams:
     return NetworkParams(weights, biases)
 
 
+def _softplus_e(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ln(1 + e^z), e^-|z|), overflow-free for any float64 argument."""
+    e = np.exp(-np.abs(z))
+    return np.maximum(z, 0.0) + np.log1p(e), e
+
+
 def softplus(z: np.ndarray) -> np.ndarray:
     """ln(1 + e^z), overflow-free for any float64 argument."""
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    return _softplus_e(z)[0]
 
 
 def forward(net: NetworkParams, x: np.ndarray) -> ForwardTrace:
@@ -144,16 +152,20 @@ def forward(net: NetworkParams, x: np.ndarray) -> ForwardTrace:
     d = net.weights[0].shape[0]
     if a.ndim != 2 or a.shape[1] != d:
         raise ValueError(f"input must have shape (N, {d}), got {a.shape}")
-    if not np.isfinite(a).all():
+    if np.count_nonzero(np.isfinite(a)) != a.size:
         raise ValueError("non-finite input")
     inputs, preacts = [], []
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         inputs.append(a)
-        z = a @ w + b
+        z = a @ w
+        z += b
         preacts.append(z)
-        a = softplus(z) + 1.0 if i == last else np.maximum(z, 0.0)
-    return ForwardTrace(inputs, preacts, a)
+        if i < last:
+            a = np.maximum(z, 0.0)
+    alpha, e = _softplus_e(z)
+    alpha += 1.0
+    return ForwardTrace(inputs, preacts, alpha, e)
 
 
 def _backprop(net: NetworkParams, trace: ForwardTrace, dloss_dalpha: np.ndarray,
@@ -164,16 +176,16 @@ def _backprop(net: NetworkParams, trace: ForwardTrace, dloss_dalpha: np.ndarray,
     d = np.asarray(dloss_dalpha, dtype=np.float64)
     if d.shape != trace.alpha.shape:
         raise ValueError("dloss_dalpha shape does not match the trace output")
-    if (np.abs(d) > _GRAD_ALPHA_CLIP).any():
+    if np.count_nonzero(np.abs(d) > _GRAD_ALPHA_CLIP):
         log.warning("clipping dloss/dalpha components beyond %g", _GRAD_ALPHA_CLIP)
         d = np.clip(d, -_GRAD_ALPHA_CLIP, _GRAD_ALPHA_CLIP)
     # d alpha / d z = sigmoid(z) for the softplus head
-    z_last = trace.preacts[-1]
-    delta = d * _sigmoid(z_last)
+    delta = _sigmoid(trace.preacts[-1], trace.head_e)
+    delta *= d
     for i in range(len(net.weights) - 1, -1, -1):
         if grads is not None:
             np.matmul(trace.inputs[i].T, delta, out=grads.weights[i])
-            delta.sum(axis=0, out=grads.biases[i])
+            np.add.reduce(delta, axis=0, out=grads.biases[i])
         if i == 0 and not input_delta:
             return None
         delta = delta @ net.weights[i].T
@@ -182,24 +194,30 @@ def _backprop(net: NetworkParams, trace: ForwardTrace, dloss_dalpha: np.ndarray,
     return delta
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + e^-z), overflow-free: e^-|z| is at most 1 on either branch."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+def _sigmoid(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-z) from e = e^-|z|, overflow-free: 1 / (1 + e) where
+    z >= 0 and e / (1 + e) elsewhere."""
+    s = np.where(z >= 0, 1.0, e)
+    s /= 1.0 + e
+    return s
 
 
 def backward(net: NetworkParams, trace: ForwardTrace, dloss_dalpha: np.ndarray,
-             out: np.ndarray | None = None) -> Gradients:
+             out: Gradients | None = None) -> Gradients:
     """Exact parameter gradients, summed over the rows of the trace. They are
-    written into ``out``, a float64 vector shaped like ``net.flat``, or into a
-    fresh one; the result's arrays are views of it."""
+    written into ``out``, the Gradients that an earlier call for a network of
+    the same layer sizes returned, or into a fresh vector; the result's arrays
+    are views of its ``flat``."""
     if out is None:
-        out = np.empty_like(net.flat)
-    elif out.shape != net.flat.shape or out.dtype != np.float64:
-        raise ValueError("out must be a float64 vector shaped like net.flat")
-    grads = Gradients(out, *_views(out, net.layer_sizes))
-    _backprop(net, trace, dloss_dalpha, grads, input_delta=False)
-    return grads
+        flat = np.empty_like(net.flat)
+        out = Gradients(flat, *_views(flat, net.layer_sizes))
+    elif (not isinstance(out, Gradients) or out.flat.shape != net.flat.shape
+          or out.flat.dtype != np.float64
+          or [w.shape for w in out.weights] != [w.shape for w in net.weights]):
+        raise ValueError("out must be the Gradients of an earlier backward call "
+                         "for a network of these layer sizes")
+    _backprop(net, trace, dloss_dalpha, out, input_delta=False)
+    return out
 
 
 def input_gradient(net: NetworkParams, x: np.ndarray, correct_class, cfg: losses.LossConfig) -> np.ndarray:

@@ -97,10 +97,11 @@ class DomainError(ValueError):
 def _as_positive_array(x, name: str) -> tuple[np.ndarray, bool]:
     arr = np.asarray(x, dtype=np.float64)
     scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if not np.isfinite(arr).all():
+    if scalar:
+        arr = arr.reshape(1)
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise DomainError(f"{name} must be finite, got {x!r}")
-    if (arr < MIN_ARG).any():
+    if np.count_nonzero(arr < MIN_ARG):
         raise DomainError(f"{name} must be >= {MIN_ARG}, got {x!r}")
     return arr, scalar
 

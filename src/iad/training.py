@@ -228,7 +228,7 @@ def train(dataset: Dataset, arch: list[int], cfg: TrainConfig, loss: str = "iad"
 
     sizes = [dataset.d] + list(arch) + [dataset.k]
     net = network.init(sizes, rng_init)
-    grad = np.empty_like(net.flat)
+    grads = None  # the first backward call builds them, later calls write into them
     state = AdamState.zeros_like([net.flat])
 
     # an unregularized loss keeps lam and monitor_lam at 0.0, which leaves out
@@ -250,24 +250,28 @@ def train(dataset: Dataset, arch: list[int], cfg: TrainConfig, loss: str = "iad"
         t_start = time.perf_counter()
         lam = anneal_lambda(cfg, epoch) if regularized else 0.0
         order = rng_shuffle.permutation(train_ds.n)
+        # the features are gathered per step: a whole-epoch gather allocates
+        # a fresh copy of the training matrix every epoch
+        epoch_labels = labels[order]
         epoch_loss = 0.0
         for start in range(0, train_ds.n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            xb, cb = feats[idx], labels[idx]
+            xb, cb = feats[idx], epoch_labels[start:start + cfg.batch_size]
             if off_support and lam > 0.0:
                 xb = np.concatenate(
                     [xb, rng_noise.uniform(*box, size=(idx.size, train_ds.d))])
             trace = network.forward(net, xb)
-            if (trace.alpha.sum(axis=1) > _ALPHA0_CAP).any():
+            if np.count_nonzero(np.add.reduce(trace.alpha, axis=1) > _ALPHA0_CAP):
                 raise TrainingDiverged(f"alpha_0 exceeded {_ALPHA0_CAP:g} at epoch {epoch}")
             vals, dalpha = _objective(trace.alpha, cb, cfg, lam, loss)
             # the noise rows are as many as the labeled ones, so dividing the
             # sum by idx.size sums the two row means
-            batch_loss = float(vals.sum()) / idx.size
+            batch_loss = float(np.add.reduce(vals)) / idx.size
             if not math.isfinite(batch_loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
-            network.backward(net, trace, dalpha / idx.size, out=grad)
-            adam_step([net.flat], [grad], state, cfg)
+            dalpha /= idx.size
+            grads = network.backward(net, trace, dalpha, out=grads)
+            adam_step([net.flat], [grads.flat], state, cfg)
             epoch_loss += batch_loss * idx.size
         epoch_loss /= train_ds.n
 

@@ -584,6 +584,23 @@ def test_cli_opens_no_data_file_it_does_not_read(tmp_path, command, kind):
     assert meta["inputs_sha256"] == reference_input_hash(cfg, command != "verify")
 
 
+def test_cli_renders_the_resolved_config_once_per_command(tmp_path, monkeypatch):
+    # the input hash and config_resolved.txt take the same rendered text
+    texts = []
+
+    def counting(cfg, real=ExperimentConfig.resolved_text):
+        texts.append(real(cfg))
+        return texts[-1]
+
+    monkeypatch.setattr(ExperimentConfig, "resolved_text", counting)
+    out = tmp_path / "run"
+    assert run(["train", "--out", str(out)] + TINY) == 0
+    assert len(texts) == 1
+    assert (out / "config_resolved.txt").read_text() == texts[0]
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["inputs_sha256"] == hashlib.sha256(texts[0].encode()).hexdigest()
+
+
 def _checkpoint_args(tmp_path, command):
     """--checkpoint to a fresh 2-8-3 network for the commands that need one."""
     if command not in ("eval", "ood", "attack"):

@@ -1,6 +1,7 @@
 """Dataset containers, generators, IDX parsing, stratified splits and CSV
 round-trips."""
 
+import math
 import re
 import struct
 from dataclasses import replace
@@ -98,6 +99,14 @@ def test_ood_ring_outside_training_support():
 def test_ood_ring_rejects_small_factor():
     with pytest.raises(ValueError):
         make_ood_ring(blobs(), 1.0, 10, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("factor", [math.nan, math.inf])
+def test_ood_ring_rejects_non_finite_factor(factor):
+    # both pass a bare `<= 1` test; NaN or inf points would then fail the
+    # ring's own finiteness check under another name
+    with pytest.raises(ValueError, match="radius_factor must be finite and > 1"):
+        make_ood_ring(blobs(), factor, 10, np.random.default_rng(0))
 
 
 # ------------------------------------------------------------------ load_idx

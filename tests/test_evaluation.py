@@ -117,6 +117,13 @@ def test_summarize_empty_rejected():
         summarize([], 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_summarize_non_finite_value_rejected(bad):
+    # a NaN would otherwise empty both whisker sets and fail inside numpy
+    with pytest.raises(ValueError, match="values must be finite"):
+        summarize([1.0, bad, 3.0], 0.0)
+
+
 def test_summarize_ordering_invariant():
     rng = np.random.default_rng(3)
     s = summarize(rng.exponential(size=500), threshold=1.0)
@@ -157,6 +164,17 @@ def test_fgsm_rejects_negative_epsilon(desk_model):
     with pytest.raises(ValueError):
         fgsm_attack(net, test_ds.features[:2], test_ds.label_indices[:2],
                     -0.1, LossConfig(), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+def test_fgsm_rejects_non_finite_epsilon(desk_model, eps):
+    # NaN steps every component to NaN, and inf * sgn(0) is NaN too
+    net, _, _, test_ds = desk_model
+    x, c = test_ds.features[:2], test_ds.label_indices[:2]
+    with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+        fgsm_attack(net, x, c, eps, LossConfig(), None)
+    with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+        attack_reports(net, data.Dataset(x, test_ds.labels[:2]), [0.0, eps], LossConfig())
 
 
 def test_fgsm_raises_mean_entropy_on_trained_model(desk_model):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from iad import network
 from iad.dirichlet import DirichletParams
-from iad.losses import (LossConfig, bayes_ce_grad_alpha_batch,
+from iad.losses import (LossConfig, _check_batch, bayes_ce_grad_alpha_batch,
                         bayes_ce_loss_batch, bayes_ce_value_grad_batch,
                         edl_mse_grad_alpha_batch, edl_mse_loss_batch,
                         edl_mse_value_grad_batch, iad_loss_batch,
@@ -569,3 +569,46 @@ def test_non_integer_class_index_is_rejected(name, c):
     # a cast to int would take 1.7 for class 1 and 0.99 for class 0
     with pytest.raises(ValueError, match="class indices must be integers"):
         TAKES_C[name]([c])
+
+
+def check_batch_reference(alpha, c):
+    """losses._check_batch as written with np.issubdtype and two masked
+    range reductions: the rules the count-free form must keep."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    c = np.asarray(c)
+    if not np.issubdtype(c.dtype, np.integer):
+        raise ValueError(f"class indices must be integers, got dtype {c.dtype}")
+    c = c.astype(np.intp, copy=False)
+    if alpha.ndim != 2 or c.shape != (alpha.shape[0],):
+        raise ValueError("alpha must be (N, K) and c must be (N,)")
+    if (c < 0).any() or (c >= alpha.shape[1]).any():
+        raise IndexError("correct_class out of range")
+    return alpha, c
+
+
+def _outcome(fn, alpha, c):
+    try:
+        return fn(alpha, c)
+    except (ValueError, IndexError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dtype=st.sampled_from(["?", "f8", "f4", "u1", "u8", "i1", "i4", "i8", "m8[s]"]),
+       values=st.lists(st.sampled_from([-129, -2, -1, 0, 1, 2, 3, 4, 255, 256,
+                                        2 ** 63 - 1, -2 ** 63]), max_size=6),
+       k=st.integers(0, 4), extra_rows=st.sampled_from([0, 0, 0, 1, -1]),
+       flat_alpha=st.booleans())
+def test_check_batch_refuses_what_the_reference_refuses(dtype, values, k, extra_rows,
+                                                        flat_alpha):
+    with np.errstate(all="ignore"):
+        # a cast may wrap (uint8 of -1 is 255) or round, as a caller's array could
+        c = np.array(values, dtype=np.int64).astype(dtype) if values else np.array([], dtype)
+    n = max(len(values) + extra_rows, 0)
+    alpha = np.ones(n * k) if flat_alpha else np.ones((n, k))
+    want, got = _outcome(check_batch_reference, alpha, c), _outcome(_check_batch, alpha, c)
+    if isinstance(want[0], type):
+        assert got == want
+    else:
+        assert np.array_equal(got[0], want[0]) and got[1].dtype == np.intp
+        assert np.array_equal(got[1], want[1])

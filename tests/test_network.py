@@ -49,9 +49,13 @@ def test_softplus_stable_at_extremes():
 
 
 def test_sigmoid_equals_masked_form_bit_for_bit():
+    """The head's derivative, formed from the e^-|z| that softplus computed,
+    equals the two-branch masked sigmoid bit for bit."""
     edges = np.array([0.0, 1e-300, 30.0, 709.0, 746.0])
     z = np.concatenate([edges, -edges, np.random.default_rng(3).normal(0.0, 20.0, 3000)])
-    got = network._sigmoid(z.reshape(-1, 2))
+    sp, e = network._softplus_e(z.reshape(-1, 2))
+    assert np.array_equal(sp.ravel(), softplus(z), equal_nan=False)
+    got = network._sigmoid(z.reshape(-1, 2), e)
     assert got.shape == (z.size // 2, 2)
     assert np.array_equal(got.ravel(), sigmoid_masked(z))
     assert np.signbit(z[5]) and got.ravel()[5] == 0.5  # -0.0 takes the z >= 0 branch
@@ -279,19 +283,28 @@ def test_parameter_gradients_with_regularizer_random_points():
 
 
 def test_backward_into_out_equals_fresh_backward():
+    """A Gradients from an earlier call, passed back as out, is overwritten
+    in place with the bits a fresh call gives."""
     rng = np.random.default_rng(12)
     net = tiny_net([5, 7, 6, 3], seed=12)
     trace = forward(net, rng.normal(size=(9, 5)))
     d = rng.normal(size=trace.alpha.shape)
     fresh = backward(net, trace, d)
-    out = np.full_like(net.flat, np.nan)
+    out = backward(net, forward(net, rng.normal(size=(4, 5))), np.ones((4, 3)))
+    out.flat[:] = np.nan
     got = backward(net, trace, d, out=out)
-    assert got.flat is out
-    assert np.array_equal(out, fresh.flat)
+    assert got is out
+    assert np.array_equal(out.flat, fresh.flat)
     for a, b in zip(got.weights + got.biases, fresh.weights + fresh.biases):
-        assert np.shares_memory(a, out) and np.array_equal(a, b)
-    with pytest.raises(ValueError):
-        backward(net, trace, d, out=np.empty(net.flat.size + 1))
+        assert np.shares_memory(a, out.flat) and np.array_equal(a, b)
+    other = tiny_net([5, 8, 5, 3], seed=12)   # as many parameters, other shapes
+    assert other.flat.size == net.flat.size
+    for bad in (backward(other, forward(other, np.ones((1, 5))), np.ones((1, 3))),
+                backward(tiny_net([5, 7, 3]), forward(tiny_net([5, 7, 3]), np.ones((1, 5))),
+                         np.ones((1, 3))),
+                np.empty(net.flat.size)):
+        with pytest.raises(ValueError, match="Gradients of an earlier backward call"):
+            backward(net, trace, d, out=bad)
 
 
 # ------------------------------------------------------------ input gradient

@@ -274,6 +274,30 @@ def test_train_step_makes_one_call_per_special_function(monkeypatch):
                       "trigamma": 1}
 
 
+def test_train_builds_gradient_views_once_per_call_not_per_step(monkeypatch,
+                                                                 separated_blobs):
+    # backward writes into the Gradients its first call returned, so the
+    # views into the gradient vector are built once per train call: the
+    # count must not grow with the number of steps
+    calls = []
+
+    def counting(*args, real=network._views):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(network, "_views", counting)
+    train_ds, _ = separated_blobs
+    counts = {}
+    for batch_size in (256, 32):   # 8 and 57 steps per epoch
+        calls.clear()
+        cfg = TrainConfig(seed=7, max_epochs=3, patience=3, batch_size=batch_size)
+        _, record = train(train_ds, [32, 32], cfg)
+        assert len(record.rows) == 3
+        counts[batch_size] = len(calls)
+    # init, the best-epoch snapshot and the first backward call
+    assert counts[32] == counts[256] == 3
+
+
 def test_train_record_lambda_matches_schedule():
     ds = two_class_blobs()
     cfg = TrainConfig(seed=4, max_epochs=25, t0=3, t_rate=10, lambda_max=0.5)
