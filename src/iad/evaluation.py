@@ -109,38 +109,60 @@ def summarize(values, threshold: float) -> DistributionSummary:
     )
 
 
-def fgsm_attack(net: network.NetworkParams, x: np.ndarray, correct_class,
-                epsilon: float, cfg: LossConfig,
-                bounds: tuple[float, float] | None) -> np.ndarray:
-    """x + epsilon * sgn(grad_x F) for an (N, D) batch x and its (N,) class
-    indices, clipped componentwise to bounds. sgn(0) = 0, so zero-gradient
-    components stay put. epsilon must be finite and >= 0."""
+def _check_epsilon(epsilon: float) -> None:
     if not 0.0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+
+
+def fgsm_attack(net: network.NetworkParams, x: np.ndarray, correct_class,
+                epsilon: float, cfg: LossConfig,
+                bounds: tuple[float, float] | None,
+                direction: np.ndarray | None = None) -> np.ndarray:
+    """x + epsilon * sgn(grad_x F) for an (N, D) batch x and its (N,) class
+    indices, clipped componentwise to bounds. sgn(0) = 0, so zero-gradient
+    components stay put. epsilon must be finite and >= 0. ``direction`` is
+    sgn(grad_x F) at x if the caller already has it; else it is computed."""
+    _check_epsilon(epsilon)
     x = np.asarray(x, dtype=np.float64)
-    g = network.input_gradient(net, x, correct_class, cfg)
-    adv = x + epsilon * np.sign(g)
+    if direction is None:
+        direction = np.sign(network.input_gradient(net, x, correct_class, cfg))
+    adv = epsilon * direction
+    adv += x
     if bounds is not None:
-        adv = np.clip(adv, bounds[0], bounds[1])
+        np.clip(adv, bounds[0], bounds[1], out=adv)
     return adv
 
 
 def attack_reports(net: network.NetworkParams, data: Dataset, epsilons,
                    cfg: LossConfig) -> list[tuple[float, UncertaintyReports]]:
-    """(epsilon, reports on the FGSM inputs) per noise level, one attack each,
-    clipped to data.feature_range; eps=0 evaluates the clean inputs.
+    """(epsilon, reports on the FGSM inputs) per noise level, clipped to
+    data.feature_range; eps=0 evaluates the clean inputs. One clean forward
+    serves the eps=0 reports and the one FGSM direction of the sweep; each
+    eps > 0 then costs one perturbation and one forward.
     `sweep_row` reduces an entry to its row of the sweep table."""
     epsilons = [float(e) for e in epsilons]
+    for eps in epsilons:
+        _check_epsilon(eps)
     if any(b > a for a, b in zip(epsilons[1:], epsilons)):
         raise ValueError("epsilons must be sorted ascending")
     if data.labels is None:
         raise ValueError("attack sweep needs labeled data")
     labels = data.label_indices
+    trace = network.forward(net, data.features)
+    direction = None
+    if any(eps > 0.0 for eps in epsilons):
+        direction = np.sign(network._trace_input_gradient(net, trace, labels, cfg))
+    clean_alpha = trace.alpha
+    del trace  # the sweep keeps only the clean alpha and the direction
     out = []
     for eps in epsilons:
-        x = data.features if eps == 0.0 else fgsm_attack(
-            net, data.features, labels, eps, cfg, data.feature_range)
-        out.append((eps, _reports(network.forward(net, x).alpha, labels)))
+        if eps == 0.0:
+            alpha = clean_alpha
+        else:
+            adv = fgsm_attack(net, data.features, labels, eps, cfg,
+                              data.feature_range, direction)
+            alpha = network.forward(net, adv).alpha
+        out.append((eps, _reports(alpha, labels)))
     return out
 
 

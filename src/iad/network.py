@@ -220,11 +220,17 @@ def backward(net: NetworkParams, trace: ForwardTrace, dloss_dalpha: np.ndarray,
     return out
 
 
-def input_gradient(net: NetworkParams, x: np.ndarray, correct_class, cfg: losses.LossConfig) -> np.ndarray:
-    """The (N, D) gradient of each row's classification loss F at its input."""
-    trace = forward(net, x)
+def _trace_input_gradient(net: NetworkParams, trace: ForwardTrace, correct_class,
+                          cfg: losses.LossConfig) -> np.ndarray:
+    """The (N, D) gradient of each row's classification loss F at the input
+    of ``trace``, a forward pass that the caller already has."""
     dF = losses.iad_loss_grad_alpha_batch(trace.alpha, correct_class, cfg.p_norm)
     return _backprop(net, trace, dF, None, input_delta=True)
+
+
+def input_gradient(net: NetworkParams, x: np.ndarray, correct_class, cfg: losses.LossConfig) -> np.ndarray:
+    """The (N, D) gradient of each row's classification loss F at its input."""
+    return _trace_input_gradient(net, forward(net, x), correct_class, cfg)
 
 
 def _replace_with(path: Path, data: bytes) -> None:

@@ -2,9 +2,11 @@
 tests check it against: density, predictive mean, Fisher information,
 sampling, KL divergence, the local Renyi approximation and Beta moments;
 the masked form of the logistic sigmoid that the network's one-pass form
-must equal bit for bit; the csv.writer and json.dump forms whose bytes
-the CLI's artifact writers must equal; and `save_csv`, the writer of the
-CSV container that `iad.data.load_csv` reads.
+must equal bit for bit; the FGSM sweep as one independent attack per noise
+level, which `evaluation.attack_reports` must equal bit for bit; the
+csv.writer and json.dump forms whose bytes the CLI's artifact writers must
+equal; and `save_csv`, the writer of the CSV container that
+`iad.data.load_csv` reads.
 
 Criterion 2's Monte Carlo draws from `sample`, and the reverse-KL loss is
 checked against `kl_divergence`.
@@ -17,7 +19,9 @@ import json
 
 import numpy as np
 
+from iad import network
 from iad.dirichlet import DirichletParams
+from iad.evaluation import _reports
 from iad.specfun import DomainError, _as_positive_array, digamma, log_gamma, trigamma
 
 _SIMPLEX_TOL = 1e-9
@@ -122,6 +126,24 @@ def sigmoid_masked(z: np.ndarray) -> np.ndarray:
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def attack_reports_per_epsilon(net, dataset, epsilons, cfg) -> list:
+    """(eps, reports) per noise level, each level attacked on its own: the
+    clean inputs at eps = 0, else a fresh grad_x F at the clean inputs, a
+    step of eps * sgn(grad) clipped to dataset.feature_range, and a forward
+    over the result."""
+    labels = dataset.label_indices
+    out = []
+    for eps in (float(e) for e in epsilons):
+        x = dataset.features
+        if eps != 0.0:
+            g = network.input_gradient(net, x, labels, cfg)
+            x = x + eps * np.sign(g)
+            if dataset.feature_range is not None:
+                x = np.clip(x, dataset.feature_range[0], dataset.feature_range[1])
+        out.append((eps, _reports(network.forward(net, x).alpha, labels)))
     return out
 
 

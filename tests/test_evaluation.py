@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from iad import cli, data, network
-from iad.config import ExperimentConfig
+from iad.config import DEFAULTS, ExperimentConfig
 from iad.evaluation import attack_reports, evaluate, fgsm_attack, summarize, sweep_row
 from iad.losses import LossConfig
+from oracles import attack_reports_per_epsilon
 
 
 def constant_alpha_net(alpha, d=2):
@@ -252,6 +253,74 @@ def test_attack_reports_rejects_unsorted_epsilons_and_unlabeled_data(desk_model)
         attack_reports(net, test_ds, [0.2, 0.1], LossConfig())
     with pytest.raises(ValueError, match="labeled"):
         attack_reports(net, data.Dataset(test_ds.features, None), [0.0], LossConfig())
+
+
+_REPORT_COLUMNS = ("pred_class", "correct", "entropy", "mutual_info", "max_prob",
+                   "alpha0")
+_EPSILON_LISTS = [[0.0], [0.3], [0.0, 0.3], DEFAULTS["attack.epsilons"]]
+
+
+@pytest.fixture(scope="module")
+def wide_model():
+    """A 784-100-100-10 net at its initial weights and 120 rows in [0, 1]."""
+    rng = np.random.default_rng(5)
+    net = network.init([784, 100, 100, 10], rng)
+    labels = np.eye(10)[rng.integers(0, 10, size=120)]
+    ds = data.Dataset(rng.uniform(size=(120, 784)), labels, feature_range=(0.0, 1.0))
+    return net, ds
+
+
+@pytest.mark.parametrize("eps", _EPSILON_LISTS, ids=["0", "0.3", "0,0.3", "default"])
+@pytest.mark.parametrize("model", ["desk", "wide"])
+def test_attack_reports_equal_one_attack_per_epsilon(eps, model, desk_model, wide_model):
+    net, test_ds = (desk_model[0], desk_model[3]) if model == "desk" else wide_model
+    got = attack_reports(net, test_ds, eps, LossConfig())
+    want = attack_reports_per_epsilon(net, test_ds, eps, LossConfig())
+    assert [e for e, _ in got] == [e for e, _ in want] == [float(e) for e in eps]
+    for (e, g), (_, w) in zip(got, want):
+        for name in _REPORT_COLUMNS:
+            assert np.array_equal(getattr(g, name), getattr(w, name)), (e, name)
+
+
+@pytest.mark.parametrize("eps, forwards, backprops",
+                         [([0.0], 1, 0), ([0.3], 2, 1), ([0.0, 0.1, 0.3], 3, 1),
+                          (DEFAULTS["attack.epsilons"], 6, 1)],
+                         ids=["0", "0.3", "0,0.1,0.3", "default"])
+def test_attack_reports_one_clean_forward_and_one_input_backprop(
+        eps, forwards, backprops, desk_model, monkeypatch):
+    net, _, _, test_ds = desk_model
+    calls = []
+
+    def spy(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(network, name, wrapper)
+
+    spy("forward", network.forward)
+    spy("_backprop", network._backprop)
+    attack_reports(net, test_ds, eps, LossConfig())
+    assert (calls.count("forward"), calls.count("_backprop")) == (forwards, backprops)
+
+
+_NOT_FINITE = "epsilon must be finite and >= 0"
+
+
+@pytest.mark.parametrize("eps, message", [([0.0, 0.2, math.nan], _NOT_FINITE),
+                                          ([0.0, 0.2, math.inf], _NOT_FINITE),
+                                          ([0.0, 0.2, -0.1], _NOT_FINITE),
+                                          ([0.0, 0.3, 0.2], "sorted ascending")],
+                         ids=["nan", "inf", "negative", "descending"])
+def test_attack_reports_refuses_bad_epsilons_before_any_forward(eps, message, desk_model,
+                                                                 monkeypatch):
+    net, _, _, test_ds = desk_model
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("forward ran before the epsilon check")
+
+    monkeypatch.setattr(network, "forward", no_forward)
+    with pytest.raises(ValueError, match=message):
+        attack_reports(net, test_ds, eps, LossConfig())
 
 
 # --------------------------------------------------------------- serializers
