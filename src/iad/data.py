@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -25,7 +26,6 @@ __all__ = [
     "load_idx_split",
     "split",
     "split_scaled",
-    "scale_unit",
     "load_csv",
 ]
 
@@ -62,12 +62,13 @@ class Dataset:
     the clip box of evaluation.attack_reports (None clips nothing).
 
     The constructor validates what it is given: a 2-D matrix of finite
-    features and one-hot label rows of the same count. It is the check for
-    data from outside (make_blobs, a caller's arrays). The loaders check their
-    input as they parse it. Datasets derived from checked ones (``take``,
-    ``split``, ``scale_unit`` and the parts of ``split_scaled`` and
-    ``load_idx_split``) skip the O(N·D) re-check: a row subset and a min-max
-    map with finite spans keep features finite and labels one-hot.
+    features, one-hot label rows of the same count and a feature_range of
+    finite lo <= hi. It is the check for data from outside (make_blobs, a
+    caller's arrays). The loaders check their input as they parse it.
+    Datasets derived from checked ones (``take``, ``split`` and the parts of
+    ``split_scaled`` and ``load_idx_split``) skip the O(N·D) re-check: a row
+    subset and a min-max map with finite spans keep features finite and
+    labels one-hot.
     """
 
     features: np.ndarray
@@ -90,6 +91,8 @@ class Dataset:
             if not onehot:
                 raise ValueError("labels must be one-hot rows")
             object.__setattr__(self, "labels", lab)
+        if self.feature_range is not None:
+            _check_range(self.feature_range, "feature_range")
 
     @property
     def n(self) -> int:
@@ -119,6 +122,15 @@ class Dataset:
         return _derived(self.features[idx],
                         None if self.labels is None else self.labels[idx],
                         self.provenance, self.feature_range)
+
+
+def _check_range(bounds, name: str) -> None:
+    """Refuse bounds that are not a pair (lo, hi) of finite reals with lo <= hi."""
+    pair = tuple(bounds) if isinstance(bounds, (tuple, list)) else ()
+    if not (len(pair) == 2 and all(isinstance(b, numbers.Real) for b in pair)
+            and math.isfinite(pair[0]) and math.isfinite(pair[1]) and pair[0] <= pair[1]):
+        raise ValueError(f"{name} must be a pair (lo, hi) of finite floats with lo <= hi, "
+                         f"got {bounds!r}")
 
 
 def _derived(features, labels=None, provenance="", feature_range=None) -> Dataset:
@@ -259,7 +271,8 @@ def _split_indices(n: int, labels, fractions, rng: np.random.Generator) -> list[
     all n rows when unlabeled), cut at the cumulative fractions. A part that
     receives no row raises EmptySplitError."""
     fractions = [float(f) for f in fractions]
-    if not fractions or any(f <= 0.0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
+    # written as "not >" so that a NaN fraction is refused here too
+    if not fractions or not all(f > 0.0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError("fractions must be positive and sum to 1")
     parts: list[list[np.ndarray]] = [[] for _ in fractions]
     if labels is None:
@@ -306,21 +319,12 @@ def _unit_span(lo: np.ndarray, hi: np.ndarray, provenance: str) -> np.ndarray:
     return span
 
 
-def scale_unit(dataset: Dataset) -> Dataset:
-    """Min-max scale every feature column to [0, 1]."""
-    f = dataset.features
-    lo = f.min(axis=0)
-    span = _unit_span(lo, f.max(axis=0), dataset.provenance)
-    out = f - lo
-    out /= span
-    return _derived(out, dataset.labels, dataset.provenance, (0.0, 1.0))
-
-
 def _parts(rows, divisor, labels, fractions, rng, scale: bool, provenance: str,
            feature_range, keep=None) -> list[Dataset | None]:
     """The seeded stratified parts of the dataset ds whose features are
     rows / divisor (rows itself when divisor is None), min-max scaled over
-    all of ds when scale: split(scale_unit(ds), ...) bit for bit. Each kept
+    all of ds when scale: (ds - min) / span per column, with span = max -
+    min (1 for a constant column), then split, bit for bit. Each kept
     part's float64 features are written by one row gather and scaled in
     place; a part whose index is not in keep (when keep is not None) is
     None. Column ranges and the permutations do not depend on keep, and an
@@ -352,8 +356,9 @@ def _parts(rows, divisor, labels, fractions, rng, scale: bool, provenance: str,
 
 def split_scaled(dataset: Dataset, fractions, rng: np.random.Generator,
                  keep=None) -> list[Dataset | None]:
-    """split(scale_unit(dataset), fractions, rng, keep), bit for bit, without
-    the scaled full matrix."""
+    """split(dataset, fractions, rng, keep) with every feature column min-max
+    scaled to [0, 1] over all rows of dataset, without the scaled full
+    matrix."""
     return _parts(dataset.features, None, dataset.labels, fractions, rng, True,
                   dataset.provenance, dataset.feature_range, keep)
 
@@ -361,11 +366,10 @@ def split_scaled(dataset: Dataset, fractions, rng: np.random.Generator,
 def load_idx_split(images_path, labels_path, fractions, rng: np.random.Generator,
                    scale: bool, images_raw: bytes | None = None,
                    labels_raw: bytes | None = None, keep=None) -> list[Dataset | None]:
-    """split(scale_unit(load_idx(...)), fractions, rng, keep), or without
-    scale_unit when not scale, bit for bit: column ranges are taken over the
-    uint8 pixels and each kept part is converted to float64 once. images_raw
-    and labels_raw are the files' bytes when the caller has read them
-    already."""
+    """split_scaled(load_idx(...), fractions, rng, keep), or split when not
+    scale, bit for bit: column ranges are taken over the uint8 pixels and
+    each kept part is converted to float64 once. images_raw and labels_raw
+    are the files' bytes when the caller has read them already."""
     pixels, labels = _read_idx(images_path, labels_path, images_raw, labels_raw)
     return _parts(pixels, 255.0, labels, fractions, rng, scale,
                   f"idx({images_path})", (0.0, 1.0), keep)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network
-from .data import Dataset
+from .data import Dataset, _check_range
 from .dirichlet import mutual_information, predictive_entropy
 from .losses import LossConfig
 
@@ -120,9 +120,12 @@ def fgsm_attack(net: network.NetworkParams, x: np.ndarray, correct_class,
                 direction: np.ndarray | None = None) -> np.ndarray:
     """x + epsilon * sgn(grad_x F) for an (N, D) batch x and its (N,) class
     indices, clipped componentwise to bounds. sgn(0) = 0, so zero-gradient
-    components stay put. epsilon must be finite and >= 0. ``direction`` is
-    sgn(grad_x F) at x if the caller already has it; else it is computed."""
+    components stay put. epsilon must be finite and >= 0, and bounds a pair
+    of finite floats with lo <= hi. ``direction`` is sgn(grad_x F) at x if
+    the caller already has it; else it is computed."""
     _check_epsilon(epsilon)
+    if bounds is not None:
+        _check_range(bounds, "bounds")
     x = np.asarray(x, dtype=np.float64)
     if direction is None:
         direction = np.sign(network.input_gradient(net, x, correct_class, cfg))

@@ -8,10 +8,14 @@ prior target).
 
 Every function takes an (N, K) alpha matrix and an (N,) class vector and
 works row by row. Each loss has one value+gradient kernel
-(`*_value_grad_batch`), which the training step calls: it checks its
-arguments once and shares alpha_0 and its special-function arguments between
-value and gradient. The value-only functions serve the validation pass, and
-the gradient functions are views of the kernels. F's value and its kernel
+(`*_value_grad_batch`), which training calls for its steps and its
+validation pass: it checks its arguments once and shares alpha_0 and its
+special-function arguments between value and gradient. The value-only
+functions serve `iad verify`, and the gradient functions are views of the
+kernels. R's c argument is a convenience: R(alpha, c) is R(alpha~, None) on
+alpha~, alpha with a one at c, apart from gradient component c, which it
+zeroes; training passes alpha~ so that one call covers its labeled and its
+off-support rows. F's value and its kernel
 each make one `log_rising` call, (ln (a)_p, psi(a+p) - psi(a)), over the
 stacked (alpha_0, s, alpha). R's kernel makes one paired (psi', psi'') call
 and its value one psi' call over the same arguments. The Bayes-risk kernel

@@ -59,6 +59,12 @@ class TrainConfig:
     ood_weight: float = 0.0
 
     def __post_init__(self):
+        for name in ("batch_size", "max_epochs", "patience", "t0", "t_rate", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be finite and > 0")
         if self.batch_size < 1 or self.patience < 1 or self.t_rate < 1:
@@ -154,47 +160,44 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
         p -= s
 
 
-# loss selector -> (value(alpha, c, cfg) -> (N,), value_grad(alpha, c, cfg) ->
-# ((N,), (N, K)), regularized: bool); kernels are looked up in `losses` per call
+# loss selector -> (value_grad(alpha, c, cfg) -> ((N,), (N, K)), regularized:
+# bool); kernels are looked up in `losses` per call
 LOSSES = {
-    "iad": (lambda a, c, cfg: losses.iad_loss_batch(a, c, cfg.p_norm),
-            lambda a, c, cfg: losses.iad_value_grad_batch(a, c, cfg.p_norm), True),
-    "edl": (lambda a, c, cfg: losses.edl_mse_loss_batch(a, c),
-            lambda a, c, cfg: losses.edl_mse_value_grad_batch(a, c), False),
-    "nll": (lambda a, c, cfg: losses.nll_marginal_loss_batch(a, c),
-            lambda a, c, cfg: losses.nll_marginal_value_grad_batch(a, c), False),
-    "bayes_ce": (lambda a, c, cfg: losses.bayes_ce_loss_batch(a, c),
-                 lambda a, c, cfg: losses.bayes_ce_value_grad_batch(a, c), False),
-    "rkl": (lambda a, c, cfg: losses.rkl_prior_loss_batch(a, c, cfg.kl_beta),
-            lambda a, c, cfg: losses.rkl_prior_value_grad_batch(a, c, cfg.kl_beta), False),
+    "iad": (lambda a, c, cfg: losses.iad_value_grad_batch(a, c, cfg.p_norm), True),
+    "edl": (lambda a, c, cfg: losses.edl_mse_value_grad_batch(a, c), False),
+    "nll": (lambda a, c, cfg: losses.nll_marginal_value_grad_batch(a, c), False),
+    "bayes_ce": (lambda a, c, cfg: losses.bayes_ce_value_grad_batch(a, c), False),
+    "rkl": (lambda a, c, cfg: losses.rkl_prior_value_grad_batch(a, c, cfg.kl_beta), False),
 }
 
 
 def _objective(alpha, c, cfg: TrainConfig, lam: float, loss: str):
     """Per-row objective values and alpha-gradients. The first len(c) rows are
-    labeled; any rows after them are off-support noise, where every outcome is
-    incorrect, so they carry only lam * ood_weight * R(alpha, c=None)."""
+    labeled and carry F + lam * R(alpha, c); any rows after them are
+    off-support noise, where every outcome is incorrect, so they carry only
+    lam * ood_weight * R(alpha, c=None). One R call serves both: R(alpha, c)
+    is R(alpha~, None) on alpha~, alpha with a one at c, once gradient
+    component c is zeroed."""
     n = c.size
-    lab, noise = alpha[:n], alpha[n:]
-    vals, grads = LOSSES[loss][1](lab, c, cfg)
-    if lam > 0.0:
-        r, dr = losses.info_value_grad_batch(lab, c)
-        vals = vals + lam * r
-        grads = grads + lam * dr
-    if noise.shape[0]:
-        w = lam * cfg.ood_weight
-        r, dr = losses.info_value_grad_batch(noise)
-        vals = np.concatenate([vals, w * r])
-        grads = np.concatenate([grads, w * dr])
-    return vals, grads
+    vals, grads = LOSSES[loss][0](alpha[:n], c, cfg)
+    if lam == 0.0 and alpha.shape[0] == n:
+        return vals, grads
+    rows = np.arange(n)
+    tilde = alpha.copy()
+    tilde[rows, c] = 1.0
+    r, dr = losses.info_value_grad_batch(tilde)
+    dr[rows, c] = 0.0
+    r[:n] = vals + lam * r[:n]
+    dr[:n] = grads + lam * dr[:n]
+    r[n:] *= lam * cfg.ood_weight
+    dr[n:] *= lam * cfg.ood_weight
+    return r, dr
 
 
 def _evaluate_split(net, ds: Dataset, cfg: TrainConfig, lam: float, loss: str):
     trace = network.forward(net, ds.features)
     c = ds.label_indices
-    vals = LOSSES[loss][0](trace.alpha, c, cfg)
-    if lam > 0.0:
-        vals = vals + lam * losses.info_regularizer_batch(trace.alpha, c)
+    vals, _ = _objective(trace.alpha, c, cfg, lam, loss)
     acc = float(np.mean(np.argmax(trace.alpha, axis=1) == c))
     return float(np.mean(vals)), acc
 
@@ -233,7 +236,7 @@ def train(dataset: Dataset, arch: list[int], cfg: TrainConfig, loss: str = "iad"
 
     # an unregularized loss keeps lam and monitor_lam at 0.0, which leaves out
     # R and the off-support noise rows
-    regularized = LOSSES[loss][2]
+    regularized = LOSSES[loss][1]
     monitor_lam = cfg.lambda_max if regularized else 0.0
     record = TrainRecord()
     best_val = np.inf

@@ -53,8 +53,9 @@ def default_grid(lo: float = 1.01, hi: float = 1e3, n: int = 50) -> np.ndarray:
 
 def _check_grid(grid) -> np.ndarray:
     g = np.asarray(grid, dtype=np.float64)
-    if g.ndim != 1 or g.size < 3 or np.any(np.diff(g) <= 0.0) or g[0] <= 1.0:
-        raise ValueError("grid must be strictly increasing with values > 1")
+    if (g.ndim != 1 or g.size < 3 or not np.all(np.isfinite(g))
+            or np.any(np.diff(g) <= 0.0) or g[0] <= 1.0):
+        raise ValueError("grid must be finite and strictly increasing with values > 1")
     return g
 
 

@@ -13,9 +13,8 @@ from iad import data, training
 def _blobs(spread: float, seed_gen: int = 1, seed_split: int = 2):
     ds = data.make_blobs(3, 1000, data.triangle_centers(4.0), spread,
                          np.random.default_rng(seed_gen))
-    ds = data.scale_unit(ds)
-    train_ds, test_ds = data.split(ds, [2.0 / 3.0, 1.0 / 3.0],
-                                   np.random.default_rng(seed_split))
+    train_ds, test_ds = data.split_scaled(ds, [2.0 / 3.0, 1.0 / 3.0],
+                                          np.random.default_rng(seed_split))
     return train_ds, test_ds
 
 

@@ -5,8 +5,11 @@ the masked form of the logistic sigmoid that the network's one-pass form
 must equal bit for bit; the FGSM sweep as one independent attack per noise
 level, which `evaluation.attack_reports` must equal bit for bit; the
 csv.writer and json.dump forms whose bytes the CLI's artifact writers must
-equal; and `save_csv`, the writer of the CSV container that
-`iad.data.load_csv` reads.
+equal; `save_csv`, the writer of the CSV container that `iad.data.load_csv`
+reads; min-max scaling of a whole dataset, which `iad.data.split_scaled`
+must equal bit for bit; and the training objective as two R calls, one per
+kind of row, with the validation values from the value-only losses, which
+`iad.training`'s one R call must equal bit for bit.
 
 Criterion 2's Monte Carlo draws from `sample`, and the reverse-KL loss is
 checked against `kl_divergence`.
@@ -16,10 +19,11 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 
-from iad import network
+from iad import losses, network
 from iad.dirichlet import DirichletParams
 from iad.evaluation import _reports
 from iad.specfun import DomainError, _as_positive_array, digamma, log_gamma, trigamma
@@ -174,3 +178,56 @@ def save_csv(dataset, path) -> None:
         for row, c in zip(rows, dataset.label_indices.tolist()):
             row.append(str(c))
     csv_writer_file(path, header, rows)
+
+
+def reference_scale_unit(dataset):
+    """Every feature column min-max scaled to [0, 1] over all rows (a
+    constant column is shifted to 0)."""
+    lo = dataset.features.min(axis=0)
+    hi = dataset.features.max(axis=0)
+    rng_ = np.where(hi > lo, hi - lo, 1.0)
+    return replace(dataset, features=(dataset.features - lo) / rng_,
+                   feature_range=(0.0, 1.0))
+
+
+# loss selector -> (value(alpha, c, cfg), value_grad(alpha, c, cfg))
+REFERENCE_LOSSES = {
+    "iad": (lambda a, c, cfg: losses.iad_loss_batch(a, c, cfg.p_norm),
+            lambda a, c, cfg: losses.iad_value_grad_batch(a, c, cfg.p_norm)),
+    "edl": (lambda a, c, cfg: losses.edl_mse_loss_batch(a, c),
+            lambda a, c, cfg: losses.edl_mse_value_grad_batch(a, c)),
+    "nll": (lambda a, c, cfg: losses.nll_marginal_loss_batch(a, c),
+            lambda a, c, cfg: losses.nll_marginal_value_grad_batch(a, c)),
+    "bayes_ce": (lambda a, c, cfg: losses.bayes_ce_loss_batch(a, c),
+                 lambda a, c, cfg: losses.bayes_ce_value_grad_batch(a, c)),
+    "rkl": (lambda a, c, cfg: losses.rkl_prior_loss_batch(a, c, cfg.kl_beta),
+            lambda a, c, cfg: losses.rkl_prior_value_grad_batch(a, c, cfg.kl_beta)),
+}
+
+
+def reference_objective(alpha, c, cfg, lam: float, loss: str):
+    """Per-row values and alpha-gradients of the training objective: F +
+    lam * R(alpha, c) on the first len(c) rows, and lam * ood_weight *
+    R(alpha, None) on the noise rows after them, from one R call each."""
+    n = c.size
+    lab, noise = alpha[:n], alpha[n:]
+    vals, grads = REFERENCE_LOSSES[loss][1](lab, c, cfg)
+    if lam > 0.0:
+        r, dr = losses.info_value_grad_batch(lab, c)
+        vals = vals + lam * r
+        grads = grads + lam * dr
+    if noise.shape[0]:
+        w = lam * cfg.ood_weight
+        r, dr = losses.info_value_grad_batch(noise)
+        vals = np.concatenate([vals, w * r])
+        grads = np.concatenate([grads, w * dr])
+    return vals, grads
+
+
+def reference_validation_values(alpha, c, cfg, lam: float, loss: str) -> np.ndarray:
+    """The labeled objective F + lam * R(alpha, c) per row, from the
+    value-only losses."""
+    vals = REFERENCE_LOSSES[loss][0](alpha, c, cfg)
+    if lam > 0.0:
+        vals = vals + lam * losses.info_regularizer_batch(alpha, c)
+    return vals

@@ -230,10 +230,10 @@ def test_criterion_5_uncertainty_metric_identities():
 def _desk_pipeline():
     """Fresh end-to-end run of the stated desk-scale configuration, timed."""
     start = time.perf_counter()
-    ds = data.scale_unit(data.make_blobs(3, 1000, data.triangle_centers(4.0),
-                                         0.9, np.random.default_rng(1)))
-    train_ds, test_ds = data.split(ds, [2.0 / 3.0, 1.0 / 3.0],
-                                   np.random.default_rng(2))
+    ds = data.make_blobs(3, 1000, data.triangle_centers(4.0), 0.9,
+                         np.random.default_rng(1))
+    train_ds, test_ds = data.split_scaled(ds, [2.0 / 3.0, 1.0 / 3.0],
+                                          np.random.default_rng(2))
     cfg = training.TrainConfig(seed=7, max_epochs=60, t0=5, t_rate=20,
                                p_norm=4.0, lambda_max=0.5, ood_weight=1.0)
     net, _ = training.train(train_ds, [32, 32], cfg, loss="iad")

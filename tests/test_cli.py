@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles import csv_writer_file, json_dump_file, save_csv
-from test_data import assert_identical, reference_scale_unit, reference_split, write_idx
+from oracles import csv_writer_file, json_dump_file, reference_scale_unit, save_csv
+from test_data import assert_identical, reference_split, write_idx
 
 from iad import data, evaluation, network
 from iad.cli import (_load_config, _read_inputs, _rng_streams, _write_csv, _write_json,

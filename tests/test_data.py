@@ -14,9 +14,9 @@ from hypothesis.extra import numpy as hnp
 
 from iad.data import (CsvFormatError, Dataset, EmptySplitError, FeatureRangeError,
                       IdxFormatError, load_csv, load_idx, load_idx_split, make_blobs,
-                      make_ood_ring, scale_unit, split, split_scaled,
-                      support_extent, triangle_centers)
-from oracles import save_csv
+                      make_ood_ring, split, split_scaled, support_extent,
+                      triangle_centers)
+from oracles import reference_scale_unit, save_csv
 
 
 def blobs(seed=0, spread=0.6, n=100):
@@ -36,6 +36,14 @@ def test_dataset_validation():
         Dataset(np.array([[1.0, float("inf")]]), None)
     with pytest.raises(ValueError):
         Dataset(x).take(np.zeros((2, 2), dtype=int))   # not a 1-D index
+
+
+@pytest.mark.parametrize("bad", [(1.0, 0.0), (math.nan, 1.0), (0.0, math.inf),
+                                 (0.0,), (0.0, 0.5, 1.0), "01", 1.0])
+def test_dataset_refuses_a_bad_feature_range(bad):
+    with pytest.raises(ValueError, match="feature_range must be a pair"):
+        Dataset(np.zeros((4, 2)), feature_range=bad)
+    assert Dataset(np.zeros((4, 2)), feature_range=(0.5, 0.5)).feature_range == (0.5, 0.5)
 
 
 def test_label_indices_match_one_hot():
@@ -233,6 +241,14 @@ def test_split_invalid_fractions():
         split(ds, [1.2, -0.2], np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("fractions", [[math.nan, 1.0], [1.0, math.nan], [math.nan],
+                                       [math.inf, -math.inf], [math.inf, 1.0]])
+def test_split_refuses_non_finite_fractions(fractions):
+    # a comparison with NaN is false, so NaN must not reach the part sizes
+    with pytest.raises(ValueError, match="fractions must be positive and sum to 1"):
+        split(blobs(), fractions, np.random.default_rng(0))
+
+
 def test_split_refuses_an_empty_part():
     # 5 rows per class: the 10% part of each class rounds to no row
     ds = make_blobs(3, 5, triangle_centers(4.0), 0.6, np.random.default_rng(0))
@@ -244,7 +260,7 @@ def test_split_refuses_an_empty_part():
 
 def test_scale_unit_range():
     ds = blobs()
-    scaled = scale_unit(ds)
+    (scaled,) = split_scaled(ds, [1.0], np.random.default_rng(0))
     assert scaled.features.min() == pytest.approx(0.0)
     assert scaled.features.max() == pytest.approx(1.0)
     assert np.allclose(scaled.features.min(axis=0), 0.0)
@@ -299,17 +315,9 @@ def test_load_csv_malformed_names_file_and_line(tmp_path, body, line, what):
 
 # ------------------------------------------------ one-pass data path, bit-exact
 
-# scale_unit, split, support_extent and make_ood_ring as they were written
-# before the one-pass data path (take inlined as dataclasses.replace). The
-# library must reproduce them bit for bit.
-
-def reference_scale_unit(dataset):
-    lo = dataset.features.min(axis=0)
-    hi = dataset.features.max(axis=0)
-    rng_ = np.where(hi > lo, hi - lo, 1.0)
-    return replace(dataset, features=(dataset.features - lo) / rng_,
-                   feature_range=(0.0, 1.0))
-
+# split, support_extent and make_ood_ring as they were written before the
+# one-pass data path (take inlined as dataclasses.replace). The library must
+# reproduce them bit for bit; oracles.reference_scale_unit is the scaling.
 
 def reference_split(dataset, fractions, rng):
     fractions = [float(f) for f in fractions]
@@ -371,7 +379,8 @@ def wide(labeled=True, n=400, d=30, seed=10):
                          ids=["blobs", "wide", "wide-unlabeled"])
 def test_scale_and_split_match_reference_bits(make):
     ds = make()
-    assert_identical(scale_unit(ds), reference_scale_unit(ds))
+    (whole,) = split_scaled(ds, [1.0], np.random.default_rng(11))
+    assert_identical(whole, reference_scale_unit(ds))
     for fractions in ([0.8, 0.2], [0.5, 0.3, 0.2], [1.0]):
         want = reference_split(reference_scale_unit(ds), fractions,
                                np.random.default_rng(11))
@@ -428,7 +437,7 @@ def test_ood_ring_matches_reference_bits(make):
 def test_scale_unit_names_an_overflowing_column():
     x = np.array([[0.0, 1e308], [1.0, -1e308]])
     with pytest.raises(FeatureRangeError, match=r"blobs-like: feature 1 spans"):
-        scale_unit(Dataset(x, provenance="blobs-like"))
+        split_scaled(Dataset(x, provenance="blobs-like"), [1.0], np.random.default_rng(0))
 
 
 _HUGE = st.sampled_from([1e300, -1e300, 1.7e308, -1.7e308])
@@ -444,14 +453,11 @@ def test_scaled_features_are_in_unit_range_or_the_overflow_is_named(x):
     with np.errstate(over="ignore"):
         overflow = not np.all(np.isfinite(x.max(axis=0) - x.min(axis=0)))
     try:
-        scaled = scale_unit(ds)
+        (scaled,) = split_scaled(ds, [1.0], np.random.default_rng(0))
     except FeatureRangeError as exc:
         assert overflow, str(exc)
-        with pytest.raises(FeatureRangeError):
-            split_scaled(ds, [1.0], np.random.default_rng(0))
         return
     assert not overflow
     f = scaled.features
     assert np.all(np.isfinite(f)) and np.all(f >= 0.0) and np.all(f <= 1.0)
-    (whole,) = split_scaled(ds, [1.0], np.random.default_rng(0))
-    assert whole.features.tobytes() == f.tobytes()
+    assert f.tobytes() == reference_scale_unit(ds).features.tobytes()

@@ -167,6 +167,17 @@ def test_fgsm_rejects_negative_epsilon(desk_model):
                     -0.1, LossConfig(), (0.0, 1.0))
 
 
+@pytest.mark.parametrize("bounds", [(1.0, 0.0), (math.nan, 1.0), (0.0, math.inf),
+                                    (0.0,), [0.0, 1.0, 2.0]])
+def test_fgsm_refuses_bad_bounds(bounds):
+    # descending bounds would clip every component to the upper bound
+    net = network.init([2, 4, 3], np.random.default_rng(0))
+    x, c = np.full((3, 2), 0.5), np.array([0, 1, 2])
+    with pytest.raises(ValueError, match="bounds must be a pair"):
+        fgsm_attack(net, x, c, 0.1, LossConfig(), bounds)
+    assert fgsm_attack(net, x, c, 0.1, LossConfig(), [0.25, 0.75]).max() <= 0.75
+
+
 @pytest.mark.parametrize("eps", [math.nan, math.inf])
 def test_fgsm_rejects_non_finite_epsilon(desk_model, eps):
     # NaN steps every component to NaN, and inf * sgn(0) is NaN too

@@ -8,8 +8,9 @@ import pytest
 
 from iad import cli, data, losses, network
 from iad.config import ConfigError, ExperimentConfig
-from iad.training import (AdamState, TrainConfig, TrainingDiverged,
-                          _objective, adam_step, anneal_lambda, train)
+from iad.training import (LOSSES, AdamState, TrainConfig, TrainingDiverged,
+                          _evaluate_split, _objective, adam_step, anneal_lambda, train)
+from oracles import reference_objective, reference_validation_values
 
 
 def two_class_blobs(seed=0, n=400, spread=0.3):
@@ -147,6 +148,20 @@ def test_train_config_rejects_out_of_range_optimizer_and_loss_fields(field, bad)
         TrainConfig(**{field: bad})
 
 
+@pytest.mark.parametrize("field", ["batch_size", "max_epochs", "patience", "t0",
+                                   "t_rate", "seed"])
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, "3"])
+def test_train_config_refuses_non_integral_counts(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        TrainConfig(**{field: bad})
+
+
+def test_train_config_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        TrainConfig(seed=-1)
+    assert TrainConfig(seed=np.int64(3), batch_size=np.int32(8)).seed == 3
+
+
 def test_train_returns_snapshot_of_best_epoch_unmoved_by_later_steps():
     ds = data.make_blobs(2, 100, np.array([[0.0, 0.0], [4.0, 4.0]]), 3.0,
                          np.random.default_rng(0))
@@ -177,6 +192,40 @@ def test_objective_rows_are_f_plus_lambda_r():
         assert vals[:8] == pytest.approx(want, rel=1e-12)
         want = lam * 1.5 * losses.info_regularizer_batch(noise, None)
         assert vals[8:] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 3, 10])
+@pytest.mark.parametrize("loss", sorted(LOSSES))
+def test_objective_matches_two_call_reference_bits(loss, k):
+    """One R call over alpha~ and the noise rows gives the values and
+    gradients of one call per kind of row, bit for bit."""
+    rng = np.random.default_rng(k)
+    n = 16
+    c = rng.integers(0, k, size=n)
+    for lam in (0.0, 0.3):
+        for gamma in (0.0, 1.5):
+            cfg = TrainConfig(ood_weight=gamma)
+            for noise in (0, n):
+                alpha = 1.0 + rng.gamma(0.7, 4.0, size=(n + noise, k))
+                vals, grads = _objective(alpha, c, cfg, lam, loss)
+                want_vals, want_grads = reference_objective(alpha, c, cfg, lam, loss)
+                assert vals.shape == (n + noise,) and grads.shape == (n + noise, k)
+                assert np.array_equal(vals, want_vals)
+                assert np.array_equal(grads, want_grads)
+            assert np.array_equal(vals[:n], reference_validation_values(
+                alpha[:n], c, cfg, lam, loss))
+
+
+@pytest.mark.parametrize("loss", sorted(LOSSES))
+def test_evaluate_split_matches_value_only_reference_bits(loss):
+    ds = two_class_blobs(n=60)
+    net = network.init([2, 8, 2], np.random.default_rng(4))
+    alpha = network.forward(net, ds.features).alpha
+    for lam in (0.0, 0.5):
+        got, acc = _evaluate_split(net, ds, TrainConfig(), lam, loss)
+        want = reference_validation_values(alpha, ds.label_indices, TrainConfig(), lam, loss)
+        assert got == float(np.mean(want))
+        assert acc == float(np.mean(np.argmax(alpha, axis=1) == ds.label_indices))
 
 
 # --------------------------------------------------------------------- train
@@ -269,9 +318,31 @@ def test_train_step_makes_one_call_per_special_function(monkeypatch):
     cfg = TrainConfig(seed=0, max_epochs=1, patience=1, t0=0, batch_size=32)
     train(ds, [8], cfg, val=ds.take(np.arange(16)))
     steps = 160 // 32
-    # the epoch's one validation pass adds one value-only F and R
-    assert counts == {"log_rising": steps + 1, "trigamma_tetragamma": steps,
-                      "trigamma": 1}
+    # the epoch's one validation pass adds one F and one R kernel call
+    assert counts == {"log_rising": steps + 1, "trigamma_tetragamma": steps + 1}
+
+
+@pytest.mark.parametrize("ood_weight", [0.0, 1.0])
+def test_train_step_makes_one_r_call_with_or_without_noise_rows(monkeypatch, ood_weight):
+    # R(alpha, c) on the labeled rows and R(alpha, None) on the noise rows come
+    # from one info_value_grad_batch call per step; nothing in train calls a
+    # value-only loss
+    calls = Counter()
+    for name in losses.__all__:
+        real = getattr(losses, name)
+        if callable(real) and name.endswith("_batch"):
+            def spy(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(losses, name, spy)
+    ds = two_class_blobs(n=80)
+    cfg = TrainConfig(seed=0, max_epochs=1, patience=1, t0=0, batch_size=32,
+                      ood_weight=ood_weight)
+    train(ds, [8], cfg, val=ds.take(np.arange(16)))
+    steps = 160 // 32
+    # one call per step and one for the epoch's validation pass
+    assert calls == {"iad_value_grad_batch": steps + 1,
+                     "info_value_grad_batch": steps + 1}
 
 
 def test_train_builds_gradient_views_once_per_call_not_per_step(monkeypatch,

@@ -81,6 +81,18 @@ def test_grid_validation():
         verify_theorem1(trials=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 1, 2])
+@pytest.mark.parametrize("check", [verify_theorem1, verify_theorem2])
+def test_grid_refuses_non_finite_points(check, where, bad):
+    # NaN passes every "<=" test, and +inf at the end keeps the grid
+    # increasing; both are refused before any loss is evaluated
+    grid = [1.5, 2.0, 3.0]
+    grid[where] = bad
+    with pytest.raises(ValueError, match="grid must be finite"):
+        check(trials=1, grid=grid)
+
+
 def test_figure_sweep_dip_then_rise():
     # stated illustration configuration: p=2, K=10, small correct-class alpha
     rng = np.random.default_rng(0)
