@@ -304,8 +304,9 @@ def main(argv=None) -> int:
     through SystemExit, as argparse's own do; a bad config, or an input file
     that is missing, unreadable or malformed, returns 2. So does a dataset
     too small to fill every part of a split, even a part the command does
-    not read: the train/test split is made before the run directory is
-    written, training's validation split after."""
+    not read, and generated data that overflows float64: the train/test
+    split and the blobs are made before the run directory is written,
+    training's validation split and the OOD ring after."""
     _setup_logging()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv).parse_args(argv)
@@ -336,8 +337,9 @@ def main(argv=None) -> int:
     _write_run_metadata(out, cfg, resolved, inputs_sha256)
     try:
         return body(cfg, out, datasets, net)
-    except data.EmptySplitError as exc:
-        # training's validation split, made by train and compare before the first epoch
+    except (data.EmptySplitError, data.FeatureRangeError) as exc:
+        # training's validation split, made by train and compare before the
+        # first epoch, and the ring that ood generates before it evaluates
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -47,7 +47,8 @@ class CsvFormatError(ValueError):
 
 class FeatureRangeError(ValueError):
     """Raised when a feature column's max - min overflows float64, so that
-    min-max scaling cannot map it to [0, 1]."""
+    min-max scaling cannot map it to [0, 1], or when a generated feature
+    overflows float64."""
 
 
 class EmptySplitError(ValueError):
@@ -166,11 +167,21 @@ def make_blobs(k: int, n_per_class: int, centers, spread: float,
     if spread <= 0.0:
         raise ValueError("spread must be positive")
     d = centers.shape[1]
-    feats = np.concatenate([
-        c + spread * rng.standard_normal((n_per_class, d)) for c in centers
-    ])
+    with np.errstate(over="ignore", invalid="ignore"):
+        feats = np.concatenate([
+            c + spread * rng.standard_normal((n_per_class, d)) for c in centers
+        ])
+    provenance = f"blobs(k={k},n={n_per_class},spread={spread})"
+    _check_generated(feats, provenance)
     labels = _one_hot(np.repeat(np.arange(k), n_per_class), k)
-    return Dataset(feats, labels, provenance=f"blobs(k={k},n={n_per_class},spread={spread})")
+    return _derived(feats, labels, provenance)
+
+
+def _check_generated(feats: np.ndarray, cause: str) -> None:
+    """Refuse generated features that overflowed float64, naming the
+    parameters that produced them: the one finiteness pass over them."""
+    if not np.isfinite(feats).all():
+        raise FeatureRangeError(f"{cause}: generated features overflow float64")
 
 
 def _row_norms(x: np.ndarray, center=0.0) -> np.ndarray:
@@ -207,10 +218,12 @@ def make_ood_ring(dataset: Dataset, radius_factor: float, n: int,
     mean, rmax = support_extent(dataset)
     pts = rng.standard_normal((n, dataset.d))
     pts /= _row_norms(pts)[:, None]
-    pts *= radius_factor * rmax
-    pts += mean
-    return Dataset(pts, provenance=f"ood_ring(factor={radius_factor},n={n})",
-                   feature_range=dataset.feature_range)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts *= radius_factor * rmax
+        pts += mean
+    _check_generated(pts, f"radius_factor {radius_factor!r} times the support radius {rmax!r}")
+    return _derived(pts, None, f"ood_ring(factor={radius_factor},n={n})",
+                    dataset.feature_range)
 
 
 def _contents(path, raw: bytes | None) -> bytes:
@@ -232,9 +245,9 @@ def _idx_header(raw: bytes, path, magic, n_dims) -> tuple[int, ...]:
 
 def _read_idx(images_path, labels_path, images_raw=None,
               labels_raw=None) -> tuple[np.ndarray, np.ndarray]:
-    """The (N, rows * cols) uint8 pixels and (N, K) one-hot labels of an IDX
-    pair (big-endian, unsigned bytes, each file as long as its header says).
-    images_raw and labels_raw are the files' bytes when already read."""
+    """The (N, rows * cols) uint8 pixels and (N, K) one-hot labels, K >= 2,
+    of an IDX pair (big-endian, unsigned bytes, each file as long as its
+    header says). images_raw and labels_raw are the files' bytes when already read."""
     images = _contents(images_path, images_raw)
     count, rows, cols = _idx_header(images, images_path, _IMAGE_MAGIC, 3)
     if len(images) - 16 != count * rows * cols:
@@ -253,9 +266,13 @@ def _read_idx(images_path, labels_path, images_raw=None,
     if rows * cols == 0:
         raise IdxFormatError(f"{images_path}: its {rows}x{cols} images hold no pixels")
     classes = np.frombuffer(labels, dtype=np.uint8, count=count, offset=8)
+    k = int(classes.max()) + 1
+    if k < 2:
+        raise IdxFormatError(f"{labels_path}: every label is 0, so the labels name one "
+                             "class; a classifier needs two or more")
     pixels = np.frombuffer(images, dtype=np.uint8, count=count * rows * cols,
                            offset=16).reshape(count, rows * cols)
-    return pixels, _one_hot(classes, int(classes.max()) + 1)
+    return pixels, _one_hot(classes, k)
 
 
 def load_idx(images_path, labels_path) -> Dataset:
@@ -377,8 +394,9 @@ def load_idx_split(images_path, labels_path, fractions, rng: np.random.Generator
 
 def load_csv(path, raw: bytes | None = None) -> Dataset:
     """Load the native container, a header row (f0..fD-1[,label]) and then one
-    row per example; one-hot width is the largest label plus one. raw is the
-    file's bytes when the caller has read them already."""
+    row per example; one-hot width is the largest label plus one, which must
+    be at least two. raw is the file's bytes when the caller has read them
+    already."""
     raw = _contents(path, raw)
     try:
         text = raw.decode("utf-8")
@@ -415,6 +433,9 @@ def load_csv(path, raw: bytes | None = None) -> Dataset:
             raise CsvFormatError(f"{path}:{reader.line_num + 1}: no data rows")
         if d == 0:
             raise CsvFormatError(f"{path}:1: the header names no feature column")
+        if has_label and max(idx) < 1:
+            raise CsvFormatError(f"{path}:1: every label is 0, so the labels name one "
+                                 "class; a classifier needs two or more")
     features = np.array(feats, dtype=np.float64).reshape(len(feats), d)
     labels = None
     if has_label:

@@ -1,26 +1,26 @@
 """Classification losses over Dirichlet outputs.
 
 The max-norm-approximating loss F (an L_p relaxation of the expected max
-prediction error), the information regularizer R, their analytic gradients
-with respect to alpha, and the baseline losses (negative log-marginal
-likelihood, Bayes-risk cross-entropy, evidential mean-square, reverse-KL
-prior target).
+prediction error), the information regularizer R, and the baseline losses
+(negative log-marginal likelihood, Bayes-risk cross-entropy, evidential
+mean-square, reverse-KL prior target), with their analytic gradients with
+respect to alpha.
 
 Every function takes an (N, K) alpha matrix and an (N,) class vector and
-works row by row. Each loss has one value+gradient kernel
-(`*_value_grad_batch`), which training calls for its steps and its
-validation pass: it checks its arguments once and shares alpha_0 and its
-special-function arguments between value and gradient. The value-only
-functions serve `iad verify`, and the gradient functions are views of the
-kernels. R's c argument is a convenience: R(alpha, c) is R(alpha~, None) on
-alpha~, alpha with a one at c, apart from gradient component c, which it
-zeroes; training passes alpha~ so that one call covers its labeled and its
-off-support rows. F's value and its kernel
-each make one `log_rising` call, (ln (a)_p, psi(a+p) - psi(a)), over the
-stacked (alpha_0, s, alpha). R's kernel makes one paired (psi', psi'') call
-and its value one psi' call over the same arguments. The Bayes-risk kernel
-makes one paired (psi, psi') call; the reverse-KL kernel one (ln Gamma, psi)
-and one psi' call.
+works row by row. Each loss has one body, its value+gradient kernel
+(`*_value_grad_batch`): it checks its arguments once and shares alpha_0 and
+its special-function arguments between value and gradient. The value
+functions are its [0] and the gradient functions its [1]. The one exception
+is `bayes_ce_loss_batch`, which keeps a digamma-only body: it is the one
+user of this module's `digamma` import, which the benchmark harness's
+tracer is pinned to rebind. R's c argument is a convenience: R(alpha, c) is
+R(alpha~, None) on alpha~, alpha with a one at c, apart from gradient
+component c, which it zeroes; training passes alpha~ so that one call
+covers its labeled and its off-support rows. F's kernel makes one
+`log_rising` call, (ln (a)_p, psi(a+p) - psi(a)), over the stacked
+(alpha_0, s, alpha). R's kernel makes one paired (psi', psi'') call, the
+Bayes-risk kernel one paired (psi, psi') call, and the reverse-KL kernel
+one (ln Gamma, psi) and one psi' call.
 """
 
 from __future__ import annotations
@@ -101,61 +101,48 @@ def _logsumexp(terms: np.ndarray, axis: int) -> np.ndarray:
     return (m + np.log(np.add.reduce(np.exp(terms - m), axis=axis, keepdims=True))).squeeze(axis)
 
 
-def _iad_args(alpha, c) -> np.ndarray:
-    """The stacked arguments (alpha_0, s, alpha) of F's rising factorials,
-    where s = alpha_0 - alpha_c is the off-class sum. alpha and c come
-    checked."""
-    a0 = np.add.reduce(alpha, axis=1)
-    return np.concatenate([a0, a0 - alpha[np.arange(alpha.shape[0]), c], alpha.ravel()])
-
-
-def _iad_log_f(log_mu, c, p: float, k: int):
-    """log F_i and what its gradient reuses, from log mu(a) = ln (a)_p over
-    _iad_args.
-
-    Returns (log F, terms, lse): terms[:, 0] = log mu(s) and terms[:, 1:] =
-    log mu(alpha_j), -inf at c; lse is their row log-sum-exp."""
-    n = c.size
-    terms = np.empty((n, k + 1))
-    terms[:, 0] = log_mu[n:2 * n]
-    terms[:, 1:] = log_mu[2 * n:].reshape(n, k)
-    terms[np.arange(n), c + 1] = -np.inf
-    lse = _logsumexp(terms, axis=1)
-    log_f = (lse - log_mu[:n]) / p
-    if np.count_nonzero(np.abs(log_f) > _LOG_CLIP):
-        raise LossOverflowError("log F exceeded the exp() clip threshold")
-    return log_f, terms, lse
-
-
-def iad_loss_batch(alpha, c, p_norm: float) -> np.ndarray:
-    """F_i for each row: the closed-form L_p upper bound on the expected
-    max-norm prediction error, computed in log space from one log_rising
-    call. p_norm must be finite and >= 1."""
-    alpha, c = _check_batch(alpha, c)
-    p = _check_p_norm(p_norm)
-    log_mu, _ = log_rising(_iad_args(alpha, c), p)
-    return np.exp(_iad_log_f(log_mu, c, p, alpha.shape[1])[0])
+def _split(vals: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Values over a stacked (alpha-like (N, K), row sum) -> ((N, K), (N, 1))."""
+    return vals[:n * k].reshape(n, k), vals[n * k:, None]
 
 
 def iad_value_grad_batch(alpha, c, p_norm: float) -> tuple[np.ndarray, np.ndarray]:
-    """(F_i, dF_i/dalpha) for each row: one log_rising call.
+    """(F_i, dF_i/dalpha) for each row: the closed-form L_p upper bound on the
+    expected max-norm prediction error, computed in log space from one
+    log_rising call over (alpha_0, s, alpha), where s = alpha_0 - alpha_c is
+    the off-class sum. p_norm must be finite and >= 1.
 
     d log F / d alpha_c = -(1/p) nu(a0); off-class components add the
     derivative of the log-sum through mu(s) and mu(alpha_j), with
-    mu'(a) = mu(a) nu(a) and nu(a) = psi(a+p) - psi(a).
+    mu(a) = (a)_p, mu'(a) = mu(a) nu(a) and nu(a) = psi(a+p) - psi(a).
     """
     alpha, c = _check_batch(alpha, c)
     n, k = alpha.shape
     p = _check_p_norm(p_norm)
-    log_mu, nu = log_rising(_iad_args(alpha, c), p)
-    log_f, terms, lse = _iad_log_f(log_mu, c, p, k)
+    rows = np.arange(n)
+    a0 = np.add.reduce(alpha, axis=1)
+    log_mu, nu = log_rising(np.concatenate([a0, a0 - alpha[rows, c], alpha.ravel()]), p)
+    # terms[:, 0] = log mu(s) and terms[:, 1:] = log mu(alpha_j), -inf at c
+    terms = np.empty((n, k + 1))
+    terms[:, 0] = log_mu[n:2 * n]
+    terms[:, 1:] = log_mu[2 * n:].reshape(n, k)
+    terms[rows, c + 1] = -np.inf
+    lse = _logsumexp(terms, axis=1)
+    log_f = (lse - log_mu[:n]) / p
+    if np.count_nonzero(np.abs(log_f) > _LOG_CLIP):
+        raise LossOverflowError("log F exceeded the exp() clip threshold")
     f = np.exp(log_f)
     w = np.exp(terms - lse[:, None])
     common = -nu[:n]
     grad_log = (common[:, None] + w[:, :1] * nu[n:2 * n, None]
                 + w[:, 1:] * nu[2 * n:].reshape(n, k)) / p
-    grad_log[np.arange(n), c] = common / p
+    grad_log[rows, c] = common / p
     return f, f[:, None] * grad_log
+
+
+def iad_loss_batch(alpha, c, p_norm: float) -> np.ndarray:
+    """F_i for each row."""
+    return iad_value_grad_batch(alpha, c, p_norm)[0]
 
 
 def iad_loss_grad_alpha_batch(alpha, c, p_norm: float) -> np.ndarray:
@@ -163,11 +150,14 @@ def iad_loss_grad_alpha_batch(alpha, c, p_norm: float) -> np.ndarray:
     return iad_value_grad_batch(alpha, c, p_norm)[1]
 
 
-def _info_args(alpha, c):
-    """alpha~ for R: alpha with a one substituted at the correct class c, or
-    all of alpha when c is None (no outcome is correct, so every component
-    counts as misleading evidence). Returns (d, c, args) with d = alpha~ - 1
-    and args the stacked (alpha~, alpha~_0) of R's special functions."""
+def info_value_grad_batch(alpha, c=None) -> tuple[np.ndarray, np.ndarray]:
+    """(R_i, dR_i/dalpha) for each row (component c of the gradient is zero),
+    R_i = (1/2) sum_{j != c} (alpha_j - 1)^2 (psi'(alpha_j) - psi'(alpha~_0)),
+    from one trigamma_tetragamma call over the stacked (alpha~, alpha~_0).
+
+    alpha~ is alpha with a one substituted at the correct class c. With
+    c=None it is alpha itself: the sum runs over every j and alpha~_0 =
+    alpha_0, the penalty for inputs that belong to no class."""
     if c is None:
         off = np.asarray(alpha, dtype=np.float64)
         if off.ndim != 2:
@@ -178,35 +168,10 @@ def _info_args(alpha, c):
         off[np.arange(alpha.shape[0]), c] = 1.0
     if np.count_nonzero(off < 1.0):
         raise DomainError("info regularizer requires off-class alpha_j >= 1")
+    d = off - 1.0
     # off has a one substituted at c, so sum(off) = 1 + sum_{j != c} alpha_j
     # (alpha_0 when c is None).
-    return off - 1.0, c, np.concatenate([off.ravel(), np.add.reduce(off, axis=1)])
-
-
-def _split(vals: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Values over the stacked (alpha~, alpha~_0) -> ((N, K), (N, 1))."""
-    return vals[:n * k].reshape(n, k), vals[n * k:, None]
-
-
-def _info_value(d, tri, tri0) -> np.ndarray:
-    return 0.5 * np.add.reduce(d * d * (tri - tri0), axis=1)
-
-
-def info_regularizer_batch(alpha, c=None) -> np.ndarray:
-    """R_i = (1/2) sum_{j != c} (alpha_j - 1)^2 (psi'(alpha_j) - psi'(alpha~_0)),
-    from one trigamma call.
-
-    With c=None the sum runs over every j and alpha~_0 = alpha_0: the penalty
-    for inputs that belong to no class."""
-    d, _, args = _info_args(alpha, c)
-    return _info_value(d, *_split(trigamma(args), *d.shape))
-
-
-def info_value_grad_batch(alpha, c=None) -> tuple[np.ndarray, np.ndarray]:
-    """(R_i, dR_i/dalpha) for each row (component c of the gradient is zero):
-    one trigamma_tetragamma call."""
-    d, c, args = _info_args(alpha, c)
-    psi1, psi2 = trigamma_tetragamma(args)
+    psi1, psi2 = trigamma_tetragamma(np.concatenate([off.ravel(), np.add.reduce(off, axis=1)]))
     tri, tri0 = _split(psi1, *d.shape)
     tet, tet0 = _split(psi2, *d.shape)
     sum_sq = np.add.reduce(d * d, axis=1)[:, None]
@@ -217,7 +182,12 @@ def info_value_grad_batch(alpha, c=None) -> tuple[np.ndarray, np.ndarray]:
     )
     if c is not None:
         grad[np.arange(d.shape[0]), c] = 0.0
-    return _info_value(d, tri, tri0), grad
+    return 0.5 * np.add.reduce(d * d * (tri - tri0), axis=1), grad
+
+
+def info_regularizer_batch(alpha, c=None) -> np.ndarray:
+    """R_i for each row; c=None penalizes every component."""
+    return info_value_grad_batch(alpha, c)[0]
 
 
 def info_regularizer_grad_alpha_batch(alpha, c=None) -> np.ndarray:
@@ -229,12 +199,6 @@ def info_regularizer_grad_alpha_batch(alpha, c=None) -> np.ndarray:
 # baseline losses
 
 
-def nll_marginal_loss_batch(alpha, c) -> np.ndarray:
-    """Negative log-marginal likelihood -ln(alpha_c / alpha_0)."""
-    alpha, c = _check_batch(alpha, c)
-    return -np.log(alpha[np.arange(c.size), c] / alpha.sum(axis=1))
-
-
 def nll_marginal_value_grad_batch(alpha, c) -> tuple[np.ndarray, np.ndarray]:
     """(-ln(alpha_c / alpha_0), its gradient) for each row."""
     alpha, c = _check_batch(alpha, c)
@@ -242,6 +206,11 @@ def nll_marginal_value_grad_batch(alpha, c) -> tuple[np.ndarray, np.ndarray]:
     grad = np.repeat((1.0 / a0)[:, None], alpha.shape[1], axis=1)
     grad[np.arange(c.size), c] -= 1.0 / ac
     return -np.log(ac / a0), grad
+
+
+def nll_marginal_loss_batch(alpha, c) -> np.ndarray:
+    """Negative log-marginal likelihood -ln(alpha_c / alpha_0)."""
+    return nll_marginal_value_grad_batch(alpha, c)[0]
 
 
 def nll_marginal_grad_alpha_batch(alpha, c) -> np.ndarray:
@@ -255,7 +224,11 @@ def _bayes_ce_args(alpha, c):
 
 
 def bayes_ce_loss_batch(alpha, c) -> np.ndarray:
-    """Bayes risk of the cross-entropy loss: psi(alpha_0) - psi(alpha_c)."""
+    """Bayes risk of the cross-entropy loss: psi(alpha_0) - psi(alpha_c).
+
+    The one value function with a body of its own: its digamma call is the
+    only use of this module's `digamma` import, which the benchmark
+    harness's tracer test checks that it rebinds."""
     _, c, args = _bayes_ce_args(alpha, c)
     dg = digamma(args)
     return dg[:c.size] - dg[c.size:]
@@ -276,10 +249,10 @@ def bayes_ce_grad_alpha_batch(alpha, c) -> np.ndarray:
     return bayes_ce_value_grad_batch(alpha, c)[1]
 
 
-def _edl(alpha, c):
-    """(alpha_0 and alpha_0 + 1 as (N, 1), the mean m, the error y - m
-    against the one-hot target y, m (1 - m), the evidential mean-square
-    loss)."""
+def edl_mse_value_grad_batch(alpha, c) -> tuple[np.ndarray, np.ndarray]:
+    """(evidential mean-square loss, its gradient) for each row: the squared
+    error of the mean m against the one-hot target plus the marginal Beta
+    variances m (1 - m) / (alpha_0 + 1)."""
     alpha, c = _check_batch(alpha, c)
     a0 = np.add.reduce(alpha, axis=1)[:, None]
     a0_1 = a0 + 1.0
@@ -288,34 +261,29 @@ def _edl(alpha, c):
     err[np.arange(c.size), c] = 1.0
     err -= m
     m_var = m * (1.0 - m)
-    return a0, a0_1, m, err, m_var, np.add.reduce(err ** 2 + m_var / a0_1, axis=1)
-
-
-def edl_mse_loss_batch(alpha, c) -> np.ndarray:
-    """Evidential mean-square loss: squared bias plus marginal Beta variances."""
-    return _edl(alpha, c)[-1]
-
-
-def edl_mse_value_grad_batch(alpha, c) -> tuple[np.ndarray, np.ndarray]:
-    """(evidential mean-square loss, its gradient) for each row."""
-    a0, a0_1, m, err, m_var, value = _edl(alpha, c)
     # dL/dm_k folded with dm_k/dalpha_j = (delta_kj - m_k)/a0, plus the
     # explicit 1/(a0+1) dependence of the variance term.
     inner = -2.0 * err + (1.0 - 2.0 * m) / a0_1  # (N, K) = dL/dm_k
     grad = ((inner - np.add.reduce(inner * m, axis=1)[:, None]) / a0
             - np.add.reduce(m_var, axis=1)[:, None] / a0_1 ** 2)
-    return value, grad
+    return np.add.reduce(err ** 2 + m_var / a0_1, axis=1), grad
+
+
+def edl_mse_loss_batch(alpha, c) -> np.ndarray:
+    """Evidential mean-square loss: squared bias plus marginal Beta variances."""
+    return edl_mse_value_grad_batch(alpha, c)[0]
 
 
 def edl_mse_grad_alpha_batch(alpha, c) -> np.ndarray:
     return edl_mse_value_grad_batch(alpha, c)[1]
 
 
-def _rkl(alpha, c, beta: float):
-    """(alpha - target, the stacked (alpha, alpha_0), KL to the target) for
-    the one-hot prior target (beta + 1 at c, 1 elsewhere, 0 < beta < inf),
-    from one log_gamma_digamma call over (alpha, alpha_0, beta + 1, beta + K):
-    ln B(target) = ln Gamma(beta + 1) - ln Gamma(beta + K), as ln Gamma(1) = 0."""
+def rkl_prior_value_grad_batch(alpha, c, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """(KL to the prior target, its gradient) for each row, for the one-hot
+    prior target (beta + 1 at c, 1 elsewhere, 0 < beta < inf): one
+    log_gamma_digamma call over (alpha, alpha_0, beta + 1, beta + K), where
+    ln B(target) = ln Gamma(beta + 1) - ln Gamma(beta + K) as ln Gamma(1) = 0,
+    and one trigamma call over (alpha, alpha_0)."""
     alpha, c = _check_batch(alpha, c)
     if not 0.0 < beta < math.inf:
         raise ValueError(f"beta must be finite and > 0, got {beta!r}")
@@ -329,20 +297,14 @@ def _rkl(alpha, c, beta: float):
     dg_a, dg_a0 = _split(dg[:-2], n, k)
     log_b_a = lg_a.sum(axis=1) - lg_a0[:, 0]
     log_b_t = lg[-2] - lg[-1]
-    return diff, args[:-2], log_b_t - log_b_a + (diff * (dg_a - dg_a0)).sum(axis=1)
+    tri, tri0 = _split(trigamma(args[:-2]), n, k)
+    return (log_b_t - log_b_a + (diff * (dg_a - dg_a0)).sum(axis=1),
+            diff * tri - tri0 * diff.sum(axis=1)[:, None])
 
 
 def rkl_prior_loss_batch(alpha, c, beta: float) -> np.ndarray:
     """Forward KL from the model Dirichlet to the one-hot prior target."""
-    return _rkl(alpha, c, beta)[-1]
-
-
-def rkl_prior_value_grad_batch(alpha, c, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """(KL to the prior target, its gradient) for each row: the value's
-    log_gamma_digamma call and one trigamma call over (alpha, alpha_0)."""
-    diff, args, value = _rkl(alpha, c, beta)
-    tri, tri0 = _split(trigamma(args), *diff.shape)
-    return value, diff * tri - tri0 * diff.sum(axis=1)[:, None]
+    return rkl_prior_value_grad_batch(alpha, c, beta)[0]
 
 
 def rkl_prior_grad_alpha_batch(alpha, c, beta: float) -> np.ndarray:

@@ -29,7 +29,6 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "CheckpointFormatError",
-    "softplus",
 ]
 
 log = logging.getLogger("iad.network")
@@ -140,11 +139,6 @@ def _softplus_e(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(ln(1 + e^z), e^-|z|), overflow-free for any float64 argument."""
     e = np.exp(-np.abs(z))
     return np.maximum(z, 0.0) + np.log1p(e), e
-
-
-def softplus(z: np.ndarray) -> np.ndarray:
-    """ln(1 + e^z), overflow-free for any float64 argument."""
-    return _softplus_e(z)[0]
 
 
 def forward(net: NetworkParams, x: np.ndarray) -> ForwardTrace:

@@ -7,9 +7,11 @@ level, which `evaluation.attack_reports` must equal bit for bit; the
 csv.writer and json.dump forms whose bytes the CLI's artifact writers must
 equal; `save_csv`, the writer of the CSV container that `iad.data.load_csv`
 reads; min-max scaling of a whole dataset, which `iad.data.split_scaled`
+must equal bit for bit; the value-only bodies of F, R and the nll, edl and
+rkl baselines, which the `[0]` views of the library's value+grad kernels
 must equal bit for bit; and the training objective as two R calls, one per
-kind of row, with the validation values from the value-only losses, which
-`iad.training`'s one R call must equal bit for bit.
+kind of row, with the validation values from those value-only bodies,
+which `iad.training`'s one R call must equal bit for bit.
 
 Criterion 2's Monte Carlo draws from `sample`, and the reverse-KL loss is
 checked against `kl_divergence`.
@@ -26,7 +28,8 @@ import numpy as np
 from iad import losses, network
 from iad.dirichlet import DirichletParams
 from iad.evaluation import _reports
-from iad.specfun import DomainError, _as_positive_array, digamma, log_gamma, trigamma
+from iad.specfun import (DomainError, _as_positive_array, digamma, log_gamma,
+                         log_gamma_digamma, log_rising, trigamma)
 
 _SIMPLEX_TOL = 1e-9
 
@@ -190,17 +193,77 @@ def reference_scale_unit(dataset):
                    feature_range=(0.0, 1.0))
 
 
-# loss selector -> (value(alpha, c, cfg), value_grad(alpha, c, cfg))
+def reference_iad_loss(alpha, c, p_norm) -> np.ndarray:
+    """F_i from its own log_rising call over (alpha_0, s, alpha): the value
+    alone, without the gradient's terms."""
+    alpha, c = losses._check_batch(alpha, c)
+    p = float(p_norm)
+    n, k = alpha.shape
+    rows = np.arange(n)
+    a0 = np.add.reduce(alpha, axis=1)
+    log_mu, _ = log_rising(np.concatenate([a0, a0 - alpha[rows, c], alpha.ravel()]), p)
+    terms = np.empty((n, k + 1))
+    terms[:, 0] = log_mu[n:2 * n]
+    terms[:, 1:] = log_mu[2 * n:].reshape(n, k)
+    terms[rows, c + 1] = -np.inf
+    top = np.maximum.reduce(terms, axis=1, keepdims=True)
+    lse = (top + np.log(np.add.reduce(np.exp(terms - top), axis=1, keepdims=True)))[:, 0]
+    return np.exp((lse - log_mu[:n]) / p)
+
+
+def reference_info_regularizer(alpha, c=None) -> np.ndarray:
+    """R_i from one trigamma call over the stacked (alpha~, alpha~_0)."""
+    off = np.array(alpha, dtype=np.float64)
+    if c is not None:
+        off[np.arange(off.shape[0]), c] = 1.0
+    n, k = off.shape
+    d = off - 1.0
+    tri = trigamma(np.concatenate([off.ravel(), np.add.reduce(off, axis=1)]))
+    return 0.5 * np.add.reduce(d * d * (tri[:n * k].reshape(n, k) - tri[n * k:, None]), axis=1)
+
+
+def reference_nll_marginal_loss(alpha, c) -> np.ndarray:
+    alpha, c = losses._check_batch(alpha, c)
+    return -np.log(alpha[np.arange(c.size), c] / alpha.sum(axis=1))
+
+
+def reference_edl_mse_loss(alpha, c) -> np.ndarray:
+    alpha, c = losses._check_batch(alpha, c)
+    a0 = np.add.reduce(alpha, axis=1)[:, None]
+    m = alpha / a0
+    err = np.zeros(alpha.shape)
+    err[np.arange(c.size), c] = 1.0
+    err -= m
+    return np.add.reduce(err ** 2 + m * (1.0 - m) / (a0 + 1.0), axis=1)
+
+
+def reference_rkl_prior_loss(alpha, c, beta) -> np.ndarray:
+    """KL to the one-hot prior target from one log_gamma_digamma call over
+    (alpha, alpha_0, beta + 1, beta + K)."""
+    alpha, c = losses._check_batch(alpha, c)
+    n, k = alpha.shape
+    rows = np.arange(n)
+    diff = alpha - 1.0
+    diff[rows, c] = alpha[rows, c] - (beta + 1.0)
+    lg, dg = log_gamma_digamma(
+        np.concatenate([alpha.ravel(), alpha.sum(axis=1), [beta + 1.0, beta + k]]))
+    log_b_a = lg[:n * k].reshape(n, k).sum(axis=1) - lg[n * k:-2]
+    dg_a, dg_a0 = dg[:n * k].reshape(n, k), dg[n * k:-2, None]
+    return lg[-2] - lg[-1] - log_b_a + (diff * (dg_a - dg_a0)).sum(axis=1)
+
+
+# loss selector -> (value(alpha, c, cfg), value_grad(alpha, c, cfg)); each
+# value is a body of its own, bayes_ce's the library's value-only function
 REFERENCE_LOSSES = {
-    "iad": (lambda a, c, cfg: losses.iad_loss_batch(a, c, cfg.p_norm),
+    "iad": (lambda a, c, cfg: reference_iad_loss(a, c, cfg.p_norm),
             lambda a, c, cfg: losses.iad_value_grad_batch(a, c, cfg.p_norm)),
-    "edl": (lambda a, c, cfg: losses.edl_mse_loss_batch(a, c),
+    "edl": (lambda a, c, cfg: reference_edl_mse_loss(a, c),
             lambda a, c, cfg: losses.edl_mse_value_grad_batch(a, c)),
-    "nll": (lambda a, c, cfg: losses.nll_marginal_loss_batch(a, c),
+    "nll": (lambda a, c, cfg: reference_nll_marginal_loss(a, c),
             lambda a, c, cfg: losses.nll_marginal_value_grad_batch(a, c)),
     "bayes_ce": (lambda a, c, cfg: losses.bayes_ce_loss_batch(a, c),
                  lambda a, c, cfg: losses.bayes_ce_value_grad_batch(a, c)),
-    "rkl": (lambda a, c, cfg: losses.rkl_prior_loss_batch(a, c, cfg.kl_beta),
+    "rkl": (lambda a, c, cfg: reference_rkl_prior_loss(a, c, cfg.kl_beta),
             lambda a, c, cfg: losses.rkl_prior_value_grad_batch(a, c, cfg.kl_beta)),
 }
 
@@ -226,8 +289,8 @@ def reference_objective(alpha, c, cfg, lam: float, loss: str):
 
 def reference_validation_values(alpha, c, cfg, lam: float, loss: str) -> np.ndarray:
     """The labeled objective F + lam * R(alpha, c) per row, from the
-    value-only losses."""
+    value-only bodies."""
     vals = REFERENCE_LOSSES[loss][0](alpha, c, cfg)
     if lam > 0.0:
-        vals = vals + lam * losses.info_regularizer_batch(alpha, c)
+        vals = vals + lam * reference_info_regularizer(alpha, c)
     return vals

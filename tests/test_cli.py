@@ -622,8 +622,22 @@ def _pixelless_idx(tmp_path):
              "--set", f"data.idx_labels={lp}"], f"{ip}: ")
 
 
+def _one_class_csv(tmp_path):
+    path = tmp_path / "one_class.csv"
+    path.write_text("f0,f1,label\n" + "".join(f"{0.1 * i!r},0.5,0\n" for i in range(60)))
+    return ["--set", "data.kind=csv", "--set", f"data.csv={path}"], f"{path}:1: "
+
+
+def _one_class_idx(tmp_path):
+    ip, lp = write_idx(tmp_path, np.arange(60 * 4).reshape(60, 2, 2) % 256, [0] * 60)
+    return (["--set", "data.kind=idx", "--set", f"data.idx_images={ip}",
+             "--set", f"data.idx_labels={lp}"], f"{lp}: ")
+
+
+# each input either has no feature column or labels of one class
 @pytest.mark.parametrize("command", ["train", "eval", "ood", "attack", "compare"])
-@pytest.mark.parametrize("make_input", [_label_only_csv, _pixelless_idx])
+@pytest.mark.parametrize("make_input", [_label_only_csv, _pixelless_idx, _one_class_csv,
+                                        _one_class_idx])
 def test_cli_zero_feature_input_exits_2_before_writing(tmp_path, capsys, make_input,
                                                        command):
     argv, where = make_input(tmp_path)
@@ -670,6 +684,24 @@ def test_cli_overflowing_csv_range_exits_2(tmp_path, capsys, data):
     assert run(["train", "--out", str(out), "--set", "data.kind=csv",
                 "--set", f"data.csv={path}"] + TINY) == 2
     _assert_one_error_line(capsys, out, f"csv({path}): feature {col} spans")
+
+
+def test_cli_blobs_that_overflow_exit_2_before_writing(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run(["train", "--out", str(out)] + tiny("data.spread=1e308")) == 2
+    _assert_one_error_line(capsys, out, "spread=1e+308", "overflow float64")
+
+
+def test_cli_ood_ring_that_overflows_exits_2(tmp_path, capsys):
+    # the ring is made in the command body, after the run metadata is written
+    out = tmp_path / "run"
+    assert run(["ood", "--out", str(out), "--set", "data.scale_unit=false",
+                "--set", "ood.radius_factor=1e308"] + TINY
+               + _checkpoint_args(tmp_path, "ood")) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: radius_factor 1e+308 "), err
+    assert "overflow float64" in err[0]
+    assert sorted(p.name for p in out.iterdir()) == ["config_resolved.txt", "run_meta.json"]
 
 
 # ---------------------------------------- unlabeled and non-UTF-8 input files

@@ -75,6 +75,12 @@ def test_make_blobs_deterministic():
     assert not np.array_equal(blobs(seed=5).features, blobs(seed=6).features)
 
 
+def test_make_blobs_names_the_spread_that_overflows():
+    with pytest.raises(FeatureRangeError,
+                       match=r"blobs\(k=3,n=10,spread=1e\+308\): generated features overflow"):
+        make_blobs(3, 10, triangle_centers(4.0), 1e308, np.random.default_rng(0))
+
+
 def test_make_blobs_center_count_mismatch():
     with pytest.raises(ValueError):
         make_blobs(2, 10, triangle_centers(4.0), 0.5,
@@ -115,6 +121,12 @@ def test_ood_ring_rejects_non_finite_factor(factor):
     # ring's own finiteness check under another name
     with pytest.raises(ValueError, match="radius_factor must be finite and > 1"):
         make_ood_ring(blobs(), factor, 10, np.random.default_rng(0))
+
+
+def test_ood_ring_names_the_radius_factor_that_overflows():
+    with pytest.raises(FeatureRangeError,
+                       match=r"radius_factor 1e\+308 times the support radius .*: generated"):
+        make_ood_ring(blobs(), 1e308, 10, np.random.default_rng(0))
 
 
 # ------------------------------------------------------------------ load_idx
@@ -196,6 +208,14 @@ def test_load_idx_zero_pixels(tmp_path, count, rows, cols, what):
                        [0, 1, 2][:count])
     with pytest.raises(IdxFormatError, match=f"{ip}: .*{what}"):
         load_idx(ip, lp)
+
+
+def test_load_idx_refuses_labels_of_one_class(tmp_path):
+    ip, lp = write_idx(tmp_path, np.zeros((5, 2, 2), dtype=np.uint8), [0] * 5)
+    for load in (lambda: load_idx(ip, lp),
+                 lambda: load_idx_split(ip, lp, [0.5, 0.5], np.random.default_rng(0), True)):
+        with pytest.raises(IdxFormatError, match=f"{lp}: every label is 0"):
+            load()
 
 
 # --------------------------------------------------------------------- split
@@ -301,9 +321,11 @@ def test_csv_roundtrip_unlabeled(tmp_path):
     ("f0,f1,label\n0.5,0.25,1\n0.5,\xff,0\n", 3, "byte 0xff is not UTF-8"),
     ("f0,f\xe9\n0.5,0.25\n", 1, "byte 0xe9 is not UTF-8"),
     ("label\n0\n1\n", 1, "the header names no feature column"),
+    ("f0,f1,label\n0.5,0.25,0\n0.1,0.2,0\n", 1, "every label is 0"),
 ], ids=["negative-label", "short-row", "long-row", "unlabeled-short-row",
         "bad-feature", "bad-label", "empty-file", "header-only", "nan-feature", "inf-feature",
-        "overflowing-feature", "invalid-utf8-byte", "latin1-header", "label-only"])
+        "overflowing-feature", "invalid-utf8-byte", "latin1-header", "label-only",
+        "one-class"])
 def test_load_csv_malformed_names_file_and_line(tmp_path, body, line, what):
     path = tmp_path / "bad.csv"
     path.write_bytes(body.encode("latin-1"))

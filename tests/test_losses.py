@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iad import network
+from iad import losses, network
 from iad.dirichlet import DirichletParams
 from iad.losses import (LossConfig, _check_batch, bayes_ce_grad_alpha_batch,
                         bayes_ce_loss_batch, bayes_ce_value_grad_batch,
@@ -25,7 +25,9 @@ from iad.losses import (LossConfig, _check_batch, bayes_ce_grad_alpha_batch,
                         rkl_prior_value_grad_batch)
 from iad.specfun import DomainError, digamma, log_rising, tetragamma, trigamma
 from iad.training import TrainConfig, _objective
-from oracles import kl_divergence, sample
+from oracles import (kl_divergence, reference_edl_mse_loss, reference_iad_loss,
+                     reference_info_regularizer, reference_nll_marginal_loss,
+                     reference_rkl_prior_loss, sample)
 
 
 def one_row(fn, alpha, c, *args):
@@ -133,12 +135,14 @@ def test_fused_kernels_equal_thin_views_and_separate_calls(k):
     c = rng.integers(k, size=40)
     f, df = iad_value_grad_batch(alpha, c, 4.0)
     assert np.array_equal(f, iad_loss_batch(alpha, c, 4.0))
+    assert np.array_equal(f, reference_iad_loss(alpha, c, 4.0))
     assert np.array_equal(df, iad_loss_grad_alpha_batch(alpha, c, 4.0))
     ref_f, ref_df = _separate_iad(alpha, c, 4.0)
     assert np.array_equal(f, ref_f) and np.array_equal(df, ref_df)
     for cc in (c, None):
         r, dr = info_value_grad_batch(alpha, cc)
         assert np.array_equal(r, info_regularizer_batch(alpha, cc))
+        assert np.array_equal(r, reference_info_regularizer(alpha, cc))
         assert np.array_equal(dr, info_regularizer_grad_alpha_batch(alpha, cc))
         ref_r, ref_dr = _separate_info(alpha, cc)
         assert np.array_equal(r, ref_r) and np.array_equal(dr, ref_dr)
@@ -468,7 +472,8 @@ def test_rkl_prior_rejects_out_of_range_beta(fn, beta):
 
 
 # (value function, gradient view, value+grad kernel, extra arguments); each
-# gradient view is the [1] of its kernel
+# value function but bayes_ce's is the [0] of its kernel, each gradient view
+# its [1]
 _BASELINES = [
     (nll_marginal_loss_batch, nll_marginal_grad_alpha_batch,
      nll_marginal_value_grad_batch, ()),
@@ -492,19 +497,81 @@ def test_baseline_grads_match_finite_differences(value_fn, grad_fn, extra):
         assert np.allclose(got, want, rtol=1e-5, atol=1e-9)
 
 
+# value function -> a value-only body of its own: the oracle's, or the
+# library's for bayes_ce
+_VALUE_BODY = {
+    nll_marginal_loss_batch: reference_nll_marginal_loss,
+    bayes_ce_loss_batch: bayes_ce_loss_batch,
+    edl_mse_loss_batch: reference_edl_mse_loss,
+    rkl_prior_loss_batch: reference_rkl_prior_loss,
+}
+
+
 @pytest.mark.parametrize("value_fn,grad_fn,value_grad,extra", _BASELINES)
 @pytest.mark.parametrize("n,k", [(1, 2), (32, 3), (256, 10)])
 def test_baseline_kernel_equals_value_function_and_grad_view_bit_for_bit(
         value_fn, grad_fn, value_grad, extra, n, k):
-    # the training step takes its loss from the kernel, the validation pass
-    # from the value function
+    # the kernel's value equals a separate value-only body, not only the view
     rng = np.random.default_rng(17)
     alpha = 1.0 + rng.exponential(3.0, size=(n, k))
     c = rng.integers(k, size=n)
     vals, grads = value_grad(alpha, c, *extra)
     assert vals.shape == (n,) and grads.shape == (n, k)
     assert np.array_equal(vals, value_fn(alpha, c, *extra))
+    assert np.array_equal(vals, _VALUE_BODY[value_fn](alpha, c, *extra))
     assert np.array_equal(grads, grad_fn(alpha, c, *extra))
+
+
+# value view -> (its kernel, its value-only body in the oracle, extra arguments)
+_VIEWS = {
+    "iad_loss_batch": ("iad_value_grad_batch", reference_iad_loss, (4.0,)),
+    "info_regularizer_batch": ("info_value_grad_batch", reference_info_regularizer, ()),
+    "nll_marginal_loss_batch": ("nll_marginal_value_grad_batch",
+                                reference_nll_marginal_loss, ()),
+    "edl_mse_loss_batch": ("edl_mse_value_grad_batch", reference_edl_mse_loss, ()),
+    "rkl_prior_loss_batch": ("rkl_prior_value_grad_batch", reference_rkl_prior_loss, (10.0,)),
+}
+
+
+def _view_inputs(n, k, above):
+    """alpha (N, K) >= 1 and classes c; with above, every entry lies above
+    the special functions' recurrence-shift cutoff 10, else every third row
+    does."""
+    rng = np.random.default_rng(100 * n + k)
+    alpha = 1.0 + rng.exponential(3.0, size=(n, k))
+    alpha[::1 if above else 3] += 10.0
+    return alpha, rng.integers(k, size=n)
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["mixed", "above_cutoff"])
+@pytest.mark.parametrize("n,k", [(1, 2), (32, 3), (256, 10)])
+@pytest.mark.parametrize("view", _VIEWS)
+def test_value_view_equals_its_oracle_body_bit_for_bit(view, n, k, above):
+    alpha, c = _view_inputs(n, k, above)
+    _, body, extra = _VIEWS[view]
+    got = getattr(losses, view)(alpha, c, *extra)
+    assert got.shape == (n,)
+    assert np.array_equal(got, body(alpha, c, *extra))
+    if view == "info_regularizer_batch":
+        assert np.array_equal(info_regularizer_batch(alpha), reference_info_regularizer(alpha))
+
+
+@pytest.mark.parametrize("view", _VIEWS)
+def test_value_view_calls_only_its_own_kernel_once(view, monkeypatch):
+    # the view as the module defines it, called with every losses.*_batch
+    # name it could look up replaced by a spy
+    kernel, _, extra = _VIEWS[view]
+    fn = getattr(losses, view)
+    calls = []
+    for name in losses.__all__:
+        if name.endswith("_batch"):
+            def spy(*args, name=name, real=getattr(losses, name)):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(losses, name, spy)
+    alpha, c = _view_inputs(32, 3, False)
+    fn(alpha, c, *extra)
+    assert calls == [kernel]
 
 
 def test_bayes_ce_kernel_gradient_equals_trigamma_form_bit_for_bit():

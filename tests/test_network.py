@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from iad import evaluation, losses, network
 from iad.losses import LossConfig
 from iad.network import (NetworkParams, backward, forward, init,
-                         input_gradient, load_checkpoint, save_checkpoint,
-                         softplus)
+                         input_gradient, load_checkpoint, save_checkpoint)
 from oracles import sigmoid_masked
 
 
@@ -42,10 +41,13 @@ def batch_loss_grads(net, x, c, p_norm, lam=0.0):
 # ------------------------------------------------------------------ softplus
 
 def test_softplus_stable_at_extremes():
-    assert softplus(np.array([0.0]))[0] == pytest.approx(math.log(2.0))
-    assert softplus(np.array([-745.0]))[0] < 1e-300
-    assert softplus(np.array([50.0]))[0] == pytest.approx(50.0, abs=1e-20)
-    assert softplus(np.array([1000.0]))[0] == 1000.0
+    def softplus(z):
+        return network._softplus_e(np.array([z]))[0][0]
+
+    assert softplus(0.0) == pytest.approx(math.log(2.0))
+    assert softplus(-745.0) < 1e-300
+    assert softplus(50.0) == pytest.approx(50.0, abs=1e-20)
+    assert softplus(1000.0) == 1000.0
 
 
 def test_sigmoid_equals_masked_form_bit_for_bit():
@@ -53,8 +55,7 @@ def test_sigmoid_equals_masked_form_bit_for_bit():
     equals the two-branch masked sigmoid bit for bit."""
     edges = np.array([0.0, 1e-300, 30.0, 709.0, 746.0])
     z = np.concatenate([edges, -edges, np.random.default_rng(3).normal(0.0, 20.0, 3000)])
-    sp, e = network._softplus_e(z.reshape(-1, 2))
-    assert np.array_equal(sp.ravel(), softplus(z), equal_nan=False)
+    _, e = network._softplus_e(z.reshape(-1, 2))
     got = network._sigmoid(z.reshape(-1, 2), e)
     assert got.shape == (z.size // 2, 2)
     assert np.array_equal(got.ravel(), sigmoid_masked(z))
