@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import asdict, astuple
@@ -132,12 +133,18 @@ def build_datasets(cfg: ExperimentConfig, raw: dict[str, bytes],
             raw["data.idx_images"], raw["data.idx_labels"], keep)
         return train_ds, test_ds
     if kind == "blobs":
-        centers = data.triangle_centers(cfg["data.side"])
-        k = cfg["data.classes"]
-        if k != 3:
-            # equally spaced directions on the unit circle, scaled to the side
+        k, side = cfg["data.classes"], cfg["data.side"]
+        if k == 3:
+            centers = data.triangle_centers(side)
+        else:
+            # equally spaced directions on the circle on which neighbouring
+            # centres lie side apart
+            with np.errstate(over="ignore"):
+                r = side / (2.0 * np.sin(np.pi / k))
+            if not math.isfinite(r):
+                raise ConfigError(f"data.side: {side!r} puts the {k} blob centres on a "
+                                  "circle whose radius overflows float64")
             ang = 2.0 * np.pi * np.arange(k) / k
-            r = cfg["data.side"] / (2.0 * np.sin(np.pi / k))
             centers = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1)
         ds = data.make_blobs(k, cfg["data.per_class"], centers,
                              cfg["data.spread"], rngs["blobs"])
@@ -229,10 +236,7 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, datasets, net) -> int:
     verdicts = verify.run_all(seed=cfg["seed"], trials=cfg["verify.trials"],
                               n_triples=cfg["verify.n_triples"])
     _write_json(out / "verify_evidence.json", {v.name: asdict(v) for v in verdicts})
-    rng = np.random.default_rng(cfg["seed"])
-    alpha = rng.uniform(5.0, 50.0, size=10)
-    alpha[0] = 1.5  # correct class kept small, as in the dip illustration
-    sweep = verify.theorem2_figure_sweep(alpha, 0, 2.0, verify.default_grid())
+    sweep = verify.theorem2_figure_sweep(cfg["seed"])
     _write_csv(out / "theorem2_figure.csv", "alpha_j,loss_exact,loss_approx", "{!r},{!r},{!r}",
                zip(sweep["grid"], sweep["exact"], sweep["approx"]))
     _write_json(out / "theorem2_figure.json", sweep)
@@ -304,9 +308,10 @@ def main(argv=None) -> int:
     through SystemExit, as argparse's own do; a bad config, or an input file
     that is missing, unreadable or malformed, returns 2. So does a dataset
     too small to fill every part of a split, even a part the command does
-    not read, and generated data that overflows float64: the train/test
-    split and the blobs are made before the run directory is written,
-    training's validation split and the OOD ring after."""
+    not read, generated data or a support radius that overflows float64, and
+    network concentrations that do: the train/test split and the blobs are
+    made before the run directory is written, training's validation split
+    and support radius, the OOD ring and every evaluation after."""
     _setup_logging()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv).parse_args(argv)
@@ -337,9 +342,11 @@ def main(argv=None) -> int:
     _write_run_metadata(out, cfg, resolved, inputs_sha256)
     try:
         return body(cfg, out, datasets, net)
-    except (data.EmptySplitError, data.FeatureRangeError) as exc:
-        # training's validation split, made by train and compare before the
-        # first epoch, and the ring that ood generates before it evaluates
+    except (data.EmptySplitError, data.FeatureRangeError,
+            evaluation.ConcentrationOverflowError) as exc:
+        # training's validation split and support radius, found by train and
+        # compare before the first epoch, the ring that ood generates before
+        # it evaluates, and concentrations that overflow in an evaluation
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -47,8 +47,8 @@ class CsvFormatError(ValueError):
 
 class FeatureRangeError(ValueError):
     """Raised when a feature column's max - min overflows float64, so that
-    min-max scaling cannot map it to [0, 1], or when a generated feature
-    overflows float64."""
+    min-max scaling cannot map it to [0, 1], when the support radius does, or
+    when a generated feature overflows float64."""
 
 
 class EmptySplitError(ValueError):
@@ -201,9 +201,16 @@ def _row_norms(x: np.ndarray, center=0.0) -> np.ndarray:
 
 
 def support_extent(dataset: Dataset) -> tuple[np.ndarray, float]:
-    """The global feature mean and the largest distance of any row from it."""
-    mean = dataset.features.mean(axis=0)
-    return mean, float(np.max(_row_norms(dataset.features, mean)))
+    """The global feature mean and the largest distance of any row from it.
+    A distance that overflows float64, as the squares of features beyond
+    ~1.3e154 do, raises FeatureRangeError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = dataset.features.mean(axis=0)
+        rmax = float(np.max(_row_norms(dataset.features, mean)))
+    if not math.isfinite(rmax):
+        raise FeatureRangeError(f"{dataset.provenance}: the support radius, the largest "
+                                "distance of a row from the feature mean, overflows float64")
+    return mean, rmax
 
 
 def make_ood_ring(dataset: Dataset, radius_factor: float, n: int,

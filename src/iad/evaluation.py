@@ -14,6 +14,7 @@ from .dirichlet import mutual_information, predictive_entropy
 from .losses import LossConfig
 
 __all__ = [
+    "ConcentrationOverflowError",
     "UncertaintyReports",
     "DistributionSummary",
     "SweepRow",
@@ -23,6 +24,11 @@ __all__ = [
     "attack_reports",
     "sweep_row",
 ]
+
+
+class ConcentrationOverflowError(ValueError):
+    """Raised when the network's concentrations overflow float64 on an input
+    row, where no Dirichlet metric is defined."""
 
 
 @dataclass(frozen=True)
@@ -62,6 +68,19 @@ class SweepRow:
     mean_mutual_info: float
 
 
+def _forward(net: network.NetworkParams, x: np.ndarray, inputs: str) -> network.ForwardTrace:
+    """network.forward(net, x), its alpha checked finite once, here, before
+    any Dirichlet metric reads it; inputs names x in the error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = network.forward(net, x)
+    finite = np.isfinite(trace.alpha).all(axis=1)
+    if not finite.all():
+        raise ConcentrationOverflowError(
+            f"{inputs}: the network's concentrations overflow float64 on "
+            f"{finite.size - np.count_nonzero(finite)} of {finite.size} rows")
+    return trace
+
+
 def _reports(alpha: np.ndarray, label_idx: np.ndarray | None) -> UncertaintyReports:
     alpha0 = alpha.sum(axis=1)
     mean = alpha / alpha0[:, None]
@@ -77,8 +96,9 @@ def _reports(alpha: np.ndarray, label_idx: np.ndarray | None) -> UncertaintyRepo
 
 
 def evaluate(net: network.NetworkParams, data: Dataset) -> UncertaintyReports:
-    """One report row per example; prediction is the argmax of the predictive mean."""
-    trace = network.forward(net, data.features)
+    """One report row per example; prediction is the argmax of the predictive
+    mean. Concentrations that overflow float64 raise ConcentrationOverflowError."""
+    trace = _forward(net, data.features, data.provenance)
     labels = None if data.labels is None else data.label_indices
     return _reports(trace.alpha, labels)
 
@@ -141,7 +161,8 @@ def attack_reports(net: network.NetworkParams, data: Dataset, epsilons,
     """(epsilon, reports on the FGSM inputs) per noise level, clipped to
     data.feature_range; eps=0 evaluates the clean inputs. One clean forward
     serves the eps=0 reports and the one FGSM direction of the sweep; each
-    eps > 0 then costs one perturbation and one forward.
+    eps > 0 then costs one perturbation and one forward. Concentrations that
+    overflow float64 raise ConcentrationOverflowError naming the epsilon.
     `sweep_row` reduces an entry to its row of the sweep table."""
     epsilons = [float(e) for e in epsilons]
     for eps in epsilons:
@@ -151,7 +172,7 @@ def attack_reports(net: network.NetworkParams, data: Dataset, epsilons,
     if data.labels is None:
         raise ValueError("attack sweep needs labeled data")
     labels = data.label_indices
-    trace = network.forward(net, data.features)
+    trace = _forward(net, data.features, f"{data.provenance} at epsilon 0.0")
     direction = None
     if any(eps > 0.0 for eps in epsilons):
         direction = np.sign(network._trace_input_gradient(net, trace, labels, cfg))
@@ -164,7 +185,7 @@ def attack_reports(net: network.NetworkParams, data: Dataset, epsilons,
         else:
             adv = fgsm_attack(net, data.features, labels, eps, cfg,
                               data.feature_range, direction)
-            alpha = network.forward(net, adv).alpha
+            alpha = _forward(net, adv, f"{data.provenance} at epsilon {eps!r}").alpha
         out.append((eps, _reports(alpha, labels)))
     return out
 

@@ -185,7 +185,9 @@ def _trigamma_at(inv, u, series):
 def _log_gamma_digamma(flat):
     y, low, inv, _, series = _shift(flat, _LOG_GAMMA_PSI)
     ln_y = np.log(y)
-    lg = (y - 0.5) * ln_y - y + _HALF_LOG_2PI + y * series[0]
+    # ln Gamma overflows to +inf quietly above ~2.5e305, as scipy's gammaln
+    with np.errstate(over="ignore"):
+        lg = (y - 0.5) * ln_y - y + _HALF_LOG_2PI + y * series[0]
     dg = _digamma_at(ln_y, inv, series[1])
     if low.size:
         pts = flat[low] + _STEPS

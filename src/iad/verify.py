@@ -19,7 +19,6 @@ __all__ = [
     "verify_theorem3",
     "theorem2_figure_sweep",
     "run_all",
-    "default_grid",
 ]
 
 # Differences must beat this in the predicted direction to count as strict.
@@ -32,9 +31,16 @@ STRICT_TOL = 1e-12
 # system and faulted in again.
 _TRIPLES_PER_BLOCK = BLOCK // 4
 
+# The protocol: every sweep runs over GRID, 50 points evenly spaced in log
+# from 1.01 to 1e3; theorems 1 and 2 take F at THEOREM_P_NORM, the figure at
+# FIGURE_P_NORM.
+GRID = np.logspace(np.log10(1.01), np.log10(1e3), 50)
+THEOREM_P_NORM = 4.0
+FIGURE_P_NORM = 2.0
+
 # A theorem evaluates its random bases in loss calls of up to this many: 1,250
-# rows on the default grid, whose ~15k stacked special-function arguments fit
-# in one specfun.BLOCK. The default 100 trials make four calls.
+# rows on GRID, whose ~15k stacked special-function arguments fit in one
+# specfun.BLOCK. The default 100 trials make four calls.
 _BASES_PER_CALL = 25
 
 
@@ -45,18 +51,6 @@ class Verdict:
     seed: int
     checks: int
     detail: dict = field(default_factory=dict)
-
-
-def default_grid(lo: float = 1.01, hi: float = 1e3, n: int = 50) -> np.ndarray:
-    return np.logspace(np.log10(lo), np.log10(hi), n)
-
-
-def _check_grid(grid) -> np.ndarray:
-    g = np.asarray(grid, dtype=np.float64)
-    if (g.ndim != 1 or g.size < 3 or not np.all(np.isfinite(g))
-            or np.any(np.diff(g) <= 0.0) or g[0] <= 1.0):
-        raise ValueError("grid must be finite and strictly increasing with values > 1")
-    return g
 
 
 def _triple_blocks(n_triples: int, seed: int):
@@ -107,18 +101,13 @@ def verify_lemma2(n_triples: int = 1000, seed: int = 0) -> Verdict:
     return _lemma_sweep(n_triples, seed)[1]
 
 
-def _divided_second_diffs(grid: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Second divided differences along the last axis; positive everywhere
-    iff strictly convex on the (unevenly spaced) grid."""
-    d1 = np.diff(vals) / np.diff(grid)
-    return np.diff(d1) / (grid[2:] - grid[:-2])
-
-
-def _decreasing_convex(grid: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Per row of vals (sweeps, grid points): strictly decreasing and
-    strictly convex."""
-    bad = (np.any(np.diff(vals) >= -STRICT_TOL, axis=1)
-           | np.any(_divided_second_diffs(grid, vals) <= STRICT_TOL, axis=1))
+def _decreasing_convex(vals: np.ndarray) -> np.ndarray:
+    """Per row of vals (sweeps, GRID points): strictly decreasing and
+    strictly convex, every second divided difference on the unevenly spaced
+    grid positive."""
+    diffs = np.diff(vals)
+    second = np.diff(diffs / np.diff(GRID)) / (GRID[2:] - GRID[:-2])
+    bad = np.any(diffs >= -STRICT_TOL, axis=1) | np.any(second <= STRICT_TOL, axis=1)
     return ~bad
 
 
@@ -148,81 +137,76 @@ def _random_bases(rng: np.random.Generator, trials: int, k: int = 10):
         yield alpha, c, j + (j >= c)
 
 
-def _base_sweeps(trials: int, grid, seed: int, loss_fn,
-                 vary_correct: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(grid, vals): vals[t] is loss_fn(alpha, c) for random base t along the
-    grid, in the correct-class concentration parameter or in a random
-    off-class one. One loss_fn call covers up to _BASES_PER_CALL bases."""
+def _base_sweeps(trials: int, seed: int, loss_fn, vary_correct: bool) -> np.ndarray:
+    """vals[t] is loss_fn(alpha, c) for random base t along GRID, in the
+    correct-class concentration parameter or in a random off-class one. One
+    loss_fn call covers up to _BASES_PER_CALL bases."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    grid = _check_grid(default_grid() if grid is None else grid)
     rng = np.random.default_rng(seed)
     alphas, cs, js = (np.array(v) for v in zip(*_random_bases(rng, trials)))
     col = cs if vary_correct else js
-    vals = np.empty((trials, grid.size))
+    vals = np.empty((trials, GRID.size))
     for lo in range(0, trials, _BASES_PER_CALL):
         part = slice(lo, lo + _BASES_PER_CALL)
-        a = np.repeat(alphas[part, None, :], grid.size, axis=1)
-        a[np.arange(a.shape[0])[:, None], np.arange(grid.size), col[part, None]] = grid
+        a = np.repeat(alphas[part, None, :], GRID.size, axis=1)
+        a[np.arange(a.shape[0])[:, None], np.arange(GRID.size), col[part, None]] = GRID
         vals[part] = loss_fn(a.reshape(-1, alphas.shape[1]),
-                             np.repeat(cs[part], grid.size)).reshape(-1, grid.size)
-    return grid, vals
+                             np.repeat(cs[part], GRID.size)).reshape(-1, GRID.size)
+    return vals
 
 
-def verify_theorem1(trials: int = 100, grid=None, seed: int = 0,
-                    p_norm: float = 4.0) -> Verdict:
+def verify_theorem1(trials: int = 100, seed: int = 0) -> Verdict:
     """F is strictly convex and strictly decreasing in the correct-class
     concentration parameter."""
-    grid, vals = _base_sweeps(trials, grid, seed,
-                              lambda a, c: iad_loss_batch(a, c, p_norm), True)
-    bad = np.flatnonzero(~_decreasing_convex(grid, vals)).tolist()
-    return Verdict("theorem1", not bad, seed, trials, {"p_norm": p_norm, "failures": bad})
+    vals = _base_sweeps(trials, seed, lambda a, c: iad_loss_batch(a, c, THEOREM_P_NORM),
+                        True)
+    bad = np.flatnonzero(~_decreasing_convex(vals)).tolist()
+    return Verdict("theorem1", not bad, seed, trials,
+                   {"p_norm": THEOREM_P_NORM, "failures": bad})
 
 
-def verify_theorem2(trials: int = 100, grid=None, seed: int = 0,
-                    p_norm: float = 4.0) -> Verdict:
+def verify_theorem2(trials: int = 100, seed: int = 0) -> Verdict:
     """F is eventually strictly increasing in an off-class concentration
     parameter, with the final value above the initial one."""
-    _, vals = _base_sweeps(trials, grid, seed,
-                           lambda a, c: iad_loss_batch(a, c, p_norm), False)
+    vals = _base_sweeps(trials, seed, lambda a, c: iad_loss_batch(a, c, THEOREM_P_NORM),
+                        False)
     passed, knees = _eventually_increasing(vals)
     bad = np.flatnonzero(~passed).tolist()
     return Verdict("theorem2", not bad, seed, trials,
-                   {"p_norm": p_norm, "knees": knees, "failures": bad})
+                   {"p_norm": THEOREM_P_NORM, "knees": knees, "failures": bad})
 
 
-def verify_theorem3(trials: int = 100, grid=None, seed: int = 0) -> Verdict:
+def verify_theorem3(trials: int = 100, seed: int = 0) -> Verdict:
     """The information regularizer is strictly increasing in every off-class
     concentration parameter over the whole grid."""
-    _, vals = _base_sweeps(trials, grid, seed, info_regularizer_batch, False)
+    vals = _base_sweeps(trials, seed, info_regularizer_batch, False)
     bad = np.flatnonzero(~_increasing(vals)).tolist()
     return Verdict("theorem3", not bad, seed, trials, {"failures": bad})
 
 
-def theorem2_figure_sweep(alpha: np.ndarray, c: int, p_norm: float, grid) -> dict:
-    """Dip-then-rise illustration: exact loss along an off-class sweep next to
-    the large-argument approximation mu(a) ~ a^p."""
-    grid = _check_grid(grid)
-    alpha = np.asarray(alpha, dtype=np.float64)
-    k = alpha.size
-    if k < 2:
-        raise ValueError("alpha must have at least 2 classes")
-    j = next(i for i in range(k) if i != c)
-    a = np.tile(alpha, (grid.size, 1))
-    a[:, j] = grid
-    exact = iad_loss_batch(a, np.full(grid.size, c), p_norm)
+def theorem2_figure_sweep(seed: int) -> dict:
+    """Dip-then-rise illustration: the exact loss at FIGURE_P_NORM along the
+    sweep of alpha_1 over GRID, next to the large-argument approximation
+    mu(a) ~ a^p. The K = 10 base draws each alpha_j uniform in [5, 50) from
+    default_rng(seed), then keeps the correct class 0 small at 1.5."""
+    alpha = np.random.default_rng(seed).uniform(5.0, 50.0, size=10)
+    alpha[0] = 1.5
+    c, j, p = 0, 1, FIGURE_P_NORM
+    a = np.tile(alpha, (GRID.size, 1))
+    a[:, j] = GRID
+    exact = iad_loss_batch(a, np.full(GRID.size, c), p)
 
     a0 = a.sum(axis=1)
     s = a0 - a[:, c]
-    mask = np.ones(k, dtype=bool)
-    mask[c] = False
-    approx = ((s ** p_norm + np.sum(a[:, mask] ** p_norm, axis=1)) / a0 ** p_norm) ** (1.0 / p_norm)
+    off = np.arange(alpha.size) != c
+    approx = ((s ** p + np.sum(a[:, off] ** p, axis=1)) / a0 ** p) ** (1.0 / p)
 
     return {
-        "grid": grid.tolist(),
+        "grid": GRID.tolist(),
         "swept_index": j,
         "correct_class": c,
-        "p_norm": p_norm,
+        "p_norm": p,
         "exact": exact.tolist(),
         "approx": approx.tolist(),
         "knee_index": _eventually_increasing(exact[None, :])[1][0],

@@ -3,6 +3,7 @@
 import base64
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -702,6 +703,44 @@ def test_cli_ood_ring_that_overflows_exits_2(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: radius_factor 1e+308 "), err
     assert "overflow float64" in err[0]
     assert sorted(p.name for p in out.iterdir()) == ["config_resolved.txt", "run_meta.json"]
+
+
+# probe: (command, its --set items, exit status, what the error line names;
+# None for a run that succeeds)
+_OVERFLOW_PROBES = {
+    "blob_circle": ("train", ["data.side=1.7e308", "data.classes=10"], 2,
+                    "error: data.side: 1.7e+308 "),
+    "ood_support_radius": ("ood", ["data.scale_unit=false", "data.side=1e200"], 2,
+                           "support radius"),
+    "train_support_radius": ("train", ["data.scale_unit=false", "data.side=1e200",
+                                       "train.ood_weight=1", "train.t0=0",
+                                       "train.max_epochs=1"], 2, "support radius"),
+    "eval_alpha": ("eval", ["data.scale_unit=false", "data.side=1.5e308"], 2,
+                   "concentrations overflow float64"),
+    "attack_alpha": ("attack", ["data.scale_unit=false", "attack.epsilons=[0.0,1e308]"], 2,
+                     "at epsilon 1e+308: the network's concentrations overflow"),
+    "log_gamma": ("ood", ["ood.radius_factor=1e306"], 0, None),
+}
+
+
+@pytest.mark.parametrize("probe", list(_OVERFLOW_PROBES))
+def test_cli_float64_overflow_exits_without_warning_or_traceback(tmp_path, capsys, probe):
+    command, items, status, names = _OVERFLOW_PROBES[probe]
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([command, "--out", str(out)] + tiny(*items)
+                   + _checkpoint_args(tmp_path, command)) == status
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    if names is None:
+        assert errors == []
+    else:
+        assert len(errors) == 1 and names in errors[0], err
+    # the blob circle is refused before the run directory exists
+    assert out.exists() == (probe != "blob_circle")
 
 
 # ---------------------------------------- unlabeled and non-UTF-8 input files

@@ -4,6 +4,7 @@ round-trips."""
 import math
 import re
 import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -127,6 +128,18 @@ def test_ood_ring_names_the_radius_factor_that_overflows():
     with pytest.raises(FeatureRangeError,
                        match=r"radius_factor 1e\+308 times the support radius .*: generated"):
         make_ood_ring(blobs(), 1e308, 10, np.random.default_rng(0))
+
+
+def test_support_radius_that_overflows_is_refused_without_warning():
+    # each feature is finite, but the square of 1e200 is not
+    wide = Dataset(np.array([[1e200, 0.0], [-1e200, 0.0]]), provenance="wide")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FeatureRangeError, match="^wide: the support radius, .* overflows"):
+            support_extent(wide)
+        with pytest.raises(FeatureRangeError, match="^wide: the support radius"):
+            make_ood_ring(wide, 1.5, 10, np.random.default_rng(0))
+    assert support_extent(Dataset(wide.features / 1e50))[1] == 1e150
 
 
 # ------------------------------------------------------------------ load_idx

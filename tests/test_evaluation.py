@@ -3,13 +3,15 @@ evaluation, including the run-time checks on a trained desk-scale model."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from iad import cli, data, network
 from iad.config import DEFAULTS, ExperimentConfig
-from iad.evaluation import attack_reports, evaluate, fgsm_attack, summarize, sweep_row
+from iad.evaluation import (ConcentrationOverflowError, attack_reports, evaluate, fgsm_attack,
+                            summarize, sweep_row)
 from iad.losses import LossConfig
 from oracles import attack_reports_per_epsilon
 
@@ -332,6 +334,23 @@ def test_attack_reports_refuses_bad_epsilons_before_any_forward(eps, message, de
     monkeypatch.setattr(network, "forward", no_forward)
     with pytest.raises(ValueError, match=message):
         attack_reports(net, test_ds, eps, LossConfig())
+
+
+def test_concentrations_that_overflow_are_refused_naming_the_inputs():
+    ds = data.Dataset(np.ones((4, 2)), np.eye(3)[[0, 1, 2, 0]], provenance="ones")
+    net = network.init([2, 8, 3], np.random.default_rng(0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # unclipped FGSM steps of 1e308 overflow the head's pre-activations
+        with pytest.raises(ConcentrationOverflowError,
+                           match=r"^ones at epsilon 1e\+308: the network's concentrations "
+                                 r"overflow float64 on \d of 4 rows$"):
+            attack_reports(net, ds, [0.0, 1e308], LossConfig())
+        net.flat *= 1e300
+        with pytest.raises(ConcentrationOverflowError, match=r"^ones: "):
+            evaluate(net, ds)
+        with pytest.raises(ConcentrationOverflowError, match=r"^ones at epsilon 0\.0: "):
+            attack_reports(net, ds, [0.1], LossConfig())
 
 
 # --------------------------------------------------------------- serializers

@@ -2,6 +2,7 @@
 cross-checks (scipy and mpmath are test-only dependencies)."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -403,3 +404,15 @@ def test_digamma_is_derivative_of_log_gamma(x, h_scale):
     h = max(1e-6 * x, 1e-9)
     fd = (log_gamma(x + h) - log_gamma(x - h)) / (2.0 * h)
     assert digamma(x) == pytest.approx(fd, rel=1e-5, abs=1e-6)
+
+
+def test_log_gamma_overflows_to_inf_quietly():
+    # ln Gamma passes float64's largest value above ~2.5e305, as scipy's
+    # gammaln does; psi, the other output of the same kernel, stays finite
+    x = np.array([1e306, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lg, dg = log_gamma_digamma(x)
+        assert np.array_equal(digamma(x), dg)
+    assert np.array_equal(lg, scipy.special.gammaln(x))
+    assert np.allclose(dg, np.log(x), rtol=1e-15, atol=0.0)

@@ -285,6 +285,14 @@ def test_train_off_support_acts_only_with_regularizer_on():
                 params("iad", lambda_max=0.0))
 
 
+def test_train_refuses_a_support_radius_that_overflows_before_the_first_epoch(monkeypatch):
+    ds = two_class_blobs(n=100)
+    wide = data.Dataset(ds.features * 1e200, ds.labels, provenance="wide")
+    monkeypatch.setattr(network, "forward", lambda *a: pytest.fail("an epoch ran"))
+    with pytest.raises(data.FeatureRangeError, match="^wide: the support radius"):
+        train(wide, [8], TrainConfig(seed=3, max_epochs=1, t0=0, ood_weight=1.0))
+
+
 def test_train_off_support_lowers_far_concentration():
     ds = two_class_blobs()
     center, rmax = data.support_extent(ds)

@@ -12,9 +12,9 @@ from iad import cli, verify
 from iad.config import ExperimentConfig
 from iad.losses import iad_loss_batch, info_regularizer_batch
 from iad.specfun import digamma, trigamma
-from iad.verify import (STRICT_TOL, Verdict, default_grid, run_all,
-                        theorem2_figure_sweep, verify_lemma1, verify_lemma2,
-                        verify_theorem1, verify_theorem2, verify_theorem3)
+from iad.verify import (GRID, STRICT_TOL, Verdict, run_all, theorem2_figure_sweep,
+                        verify_lemma1, verify_lemma2, verify_theorem1, verify_theorem2,
+                        verify_theorem3)
 
 
 def test_lemma1_passes_over_random_triples():
@@ -65,40 +65,27 @@ def test_run_all_passes():
 
 
 def test_default_grid_shape():
-    g = default_grid()
-    assert g.size == 50
-    assert g[0] == pytest.approx(1.01)
-    assert g[-1] == pytest.approx(1e3)
-    assert np.all(np.diff(g) > 0.0)
+    assert GRID.size == 50
+    assert GRID[0] == pytest.approx(1.01)
+    assert GRID[-1] == pytest.approx(1e3)
+    assert np.all(np.diff(GRID) > 0.0)
 
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        verify_theorem1(trials=1, grid=[0.5, 1.0, 2.0])
-    with pytest.raises(ValueError):
-        verify_theorem1(trials=1, grid=[2.0, 1.5, 3.0])
-    with pytest.raises(ValueError):
         verify_theorem1(trials=0)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("where", [0, 1, 2])
-@pytest.mark.parametrize("check", [verify_theorem1, verify_theorem2])
-def test_grid_refuses_non_finite_points(check, where, bad):
-    # NaN passes every "<=" test, and +inf at the end keeps the grid
-    # increasing; both are refused before any loss is evaluated
-    grid = [1.5, 2.0, 3.0]
-    grid[where] = bad
-    with pytest.raises(ValueError, match="grid must be finite"):
-        check(trials=1, grid=grid)
 
 
 def test_figure_sweep_dip_then_rise():
     # stated illustration configuration: p=2, K=10, small correct-class alpha
+    sweep = theorem2_figure_sweep(0)
     rng = np.random.default_rng(0)
     alpha = rng.uniform(5.0, 50.0, size=10)
     alpha[0] = 1.5
-    sweep = theorem2_figure_sweep(alpha, 0, 2.0, default_grid())
+    a = np.tile(alpha, (GRID.size, 1))
+    a[:, 1] = GRID
+    assert sweep["exact"] == iad_loss_batch(a, np.zeros(GRID.size, dtype=int), 2.0).tolist()
+    assert (sweep["swept_index"], sweep["correct_class"], sweep["p_norm"]) == (1, 0, 2.0)
     assert sweep["has_dip"]
     assert sweep["rises"]
     assert sweep["knee_index"] is not None
@@ -108,15 +95,8 @@ def test_figure_sweep_dip_then_rise():
     assert exact[-1] > exact[0]
 
 
-def test_figure_sweep_rejects_one_class_alpha():
-    with pytest.raises(ValueError, match="at least 2 classes"):
-        theorem2_figure_sweep(np.array([1.5]), 0, 2.0, default_grid())
-
-
 def test_figure_sweep_approximation_tracks_exact_at_large_alpha():
-    alpha = np.full(10, 20.0)
-    alpha[0] = 1.5
-    sweep = theorem2_figure_sweep(alpha, 0, 2.0, default_grid())
+    sweep = theorem2_figure_sweep(0)
     exact, approx = np.array(sweep["exact"]), np.array(sweep["approx"])
     # mu(a) ~ a^p is a large-argument approximation: agreement tightens
     # toward the top of the grid
@@ -143,7 +123,7 @@ def test_emission_roundtrip(tmp_path):
 def reference_sweeps(trials, seed, loss_fn, vary_correct, check):
     """(failures, knees) by the per-trial algorithm: one loss call over the
     grid and one check per random base."""
-    grid = default_grid()
+    grid = GRID
     rng = np.random.default_rng(seed)
     failures, knees = [], []
     for t in range(trials):
@@ -207,7 +187,7 @@ def test_sweep_checks_report_failures_and_missing_knees():
         return np.select([c % 3 == 0, c % 3 == 1], [s + 3.0 * np.sin(s), -s], 1.0 / s)
 
     trials, seed = 40, 3
-    grid, vals = verify._base_sweeps(trials, None, seed, synthetic, False)
+    vals = verify._base_sweeps(trials, seed, synthetic, False)
     passed, knees = verify._eventually_increasing(vals)
     want_bad, want_knees = reference_sweeps(trials, seed, synthetic, False,
                                             "eventually_increasing")
@@ -216,7 +196,7 @@ def test_sweep_checks_report_failures_and_missing_knees():
     assert 0 < len(want_bad) < trials
     assert None in knees and any(k is not None for k in knees)
     for check, got in (("increasing", verify._increasing(vals)),
-                       ("decreasing_convex", verify._decreasing_convex(grid, vals))):
+                       ("decreasing_convex", verify._decreasing_convex(vals))):
         want_bad, _ = reference_sweeps(trials, seed, synthetic, False, check)
         assert np.flatnonzero(~got).tolist() == want_bad
     assert 0 < len(want_bad) < trials
