@@ -120,9 +120,7 @@ def build_datasets(cfg: ExperimentConfig, raw: dict[str, bytes],
     """Deterministic (train, test) pair from the config, the root seed and
     the data files' bytes (from _read_inputs). Only the parts in keep (0 the
     training part, 1 the test part) are built, the other is None; the split
-    is drawn and checked whole, so a part is the same whichever are kept.
-    Every command that reads data needs labels, so a CSV without a label
-    column is refused."""
+    is drawn and checked whole, so a part is the same whichever are kept."""
     kind = cfg["data.kind"]
     rngs = _rng_streams(cfg)
     frac = cfg["data.test_fraction"]
@@ -150,9 +148,6 @@ def build_datasets(cfg: ExperimentConfig, raw: dict[str, bytes],
                              cfg["data.spread"], rngs["blobs"])
     else:
         ds = data.load_csv(cfg["data.csv"], raw["data.csv"])
-        if ds.labels is None:
-            raise data.CsvFormatError(f"{cfg['data.csv']}:1: the header has no 'label' "
-                                      "column; training and evaluation need labels")
     split = data.split_scaled if scale else data.split
     train_ds, test_ds = split(ds, fractions, rngs["split"], keep)
     return train_ds, test_ds
@@ -302,16 +297,19 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     return parser
 
 
+# every refusal of bad input but a usage error and an OSError: one
+# ``error:`` line, exit status 2
+_REFUSED = (ConfigError, network.CheckpointFormatError, data.CsvFormatError,
+            data.IdxFormatError, data.FeatureRangeError, data.EmptySplitError,
+            evaluation.ConcentrationOverflowError, training.TrainingDiverged)
+
+
 def main(argv=None) -> int:
-    """Run one command. Bad input, caught before the run directory is
-    written, prints one ``error:`` line: a usage error exits with status 2
-    through SystemExit, as argparse's own do; a bad config, or an input file
-    that is missing, unreadable or malformed, returns 2. So does a dataset
-    too small to fill every part of a split, even a part the command does
-    not read, generated data or a support radius that overflows float64, and
-    network concentrations that do: the train/test split and the blobs are
-    made before the run directory is written, training's validation split
-    and support radius, the OOD ring and every evaluation after."""
+    """Run one command. Bad input prints one ``error:`` line and exits with
+    status 2 (a usage error through SystemExit, as argparse's own do), before
+    the run directory exists when set-up finds it, after the run metadata is
+    written when the command does; the README's error contract lists the
+    cases."""
     _setup_logging()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv).parse_args(argv)
@@ -327,27 +325,18 @@ def main(argv=None) -> int:
         if net is not None:
             _check_net_fits(net, datasets[parts[0]], args.checkpoint)
         out = _prepare_out_dir(args)
+        _write_run_metadata(out, cfg, resolved, inputs_sha256)
+        return body(cfg, out, datasets, net)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
-    except (ConfigError, network.CheckpointFormatError, data.CsvFormatError,
-            data.IdxFormatError, data.FeatureRangeError, data.EmptySplitError) as exc:
+    except _REFUSED as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        # a missing or unreadable --config or data file, or an --out that
-        # cannot be created
+        # a missing or unreadable --config or data file, or an --out or an
+        # artifact that cannot be written
         print(f"error: {exc.strerror}: {exc.filename!r}", file=sys.stderr)
-        return 2
-    _write_run_metadata(out, cfg, resolved, inputs_sha256)
-    try:
-        return body(cfg, out, datasets, net)
-    except (data.EmptySplitError, data.FeatureRangeError,
-            evaluation.ConcentrationOverflowError) as exc:
-        # training's validation split and support radius, found by train and
-        # compare before the first epoch, the ring that ood generates before
-        # it evaluates, and concentrations that overflow in an evaluation
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -400,10 +400,10 @@ def load_idx_split(images_path, labels_path, fractions, rng: np.random.Generator
 
 
 def load_csv(path, raw: bytes | None = None) -> Dataset:
-    """Load the native container, a header row (f0..fD-1[,label]) and then one
-    row per example; one-hot width is the largest label plus one, which must
-    be at least two. raw is the file's bytes when the caller has read them
-    already."""
+    """Load the native container, a header row (f0..fD-1,label) and then one
+    row per example; a header that does not end in ``label`` is refused. The
+    one-hot width is the largest label plus one, which must be at least two.
+    raw is the file's bytes when the caller has read them already."""
     raw = _contents(path, raw)
     try:
         text = raw.decode("utf-8")
@@ -416,8 +416,10 @@ def load_csv(path, raw: bytes | None = None) -> Dataset:
         header = next(reader, None)
         if not header:
             raise CsvFormatError(f"{path}:1: missing header row")
-        has_label = header[-1] == "label"
-        d = len(header) - (1 if has_label else 0)
+        if header[-1] != "label":
+            raise CsvFormatError(f"{path}:1: the header ends in {header[-1]!r}, not a 'label' "
+                                 "column; every command that reads data needs labels")
+        d = len(header) - 1
         feats, idx = [], []
         for row in reader:
             where = f"{path}:{reader.line_num}"
@@ -426,25 +428,21 @@ def load_csv(path, raw: bytes | None = None) -> Dataset:
                     f"{where}: {len(row)} fields, the header has {len(header)}")
             try:
                 values = [float(v) for v in row[:d]]
-                if has_label:
-                    idx.append(int(row[d]))
+                idx.append(int(row[d]))
             except ValueError as exc:
                 raise CsvFormatError(f"{where}: {exc}") from None
             if not all(map(math.isfinite, values)):
                 cell = next(v for v, x in zip(row, values) if not math.isfinite(x))
                 raise CsvFormatError(f"{where}: feature {cell!r} is not finite")
-            if has_label and idx[-1] < 0:
+            if idx[-1] < 0:
                 raise CsvFormatError(f"{where}: negative label {idx[-1]}")
             feats.append(values)
         if not feats:
             raise CsvFormatError(f"{path}:{reader.line_num + 1}: no data rows")
         if d == 0:
             raise CsvFormatError(f"{path}:1: the header names no feature column")
-        if has_label and max(idx) < 1:
+        if max(idx) < 1:
             raise CsvFormatError(f"{path}:1: every label is 0, so the labels name one "
                                  "class; a classifier needs two or more")
     features = np.array(feats, dtype=np.float64).reshape(len(feats), d)
-    labels = None
-    if has_label:
-        labels = _one_hot(np.array(idx), max(idx) + 1)
-    return _derived(features, labels, f"csv({path})")
+    return _derived(features, _one_hot(np.array(idx), max(idx) + 1), f"csv({path})")

@@ -12,6 +12,7 @@ from . import network
 from .data import Dataset, _check_range
 from .dirichlet import mutual_information, predictive_entropy
 from .losses import LossConfig
+from .specfun import DomainError
 
 __all__ = [
     "ConcentrationOverflowError",
@@ -28,7 +29,7 @@ __all__ = [
 
 class ConcentrationOverflowError(ValueError):
     """Raised when the network's concentrations overflow float64 on an input
-    row, where no Dirichlet metric is defined."""
+    row, where no Dirichlet metric is defined, or F's gradient cannot take them."""
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,8 @@ def attack_reports(net: network.NetworkParams, data: Dataset, epsilons,
     data.feature_range; eps=0 evaluates the clean inputs. One clean forward
     serves the eps=0 reports and the one FGSM direction of the sweep; each
     eps > 0 then costs one perturbation and one forward. Concentrations that
-    overflow float64 raise ConcentrationOverflowError naming the epsilon.
+    overflow float64, or that F's gradient cannot take, raise
+    ConcentrationOverflowError naming the epsilon.
     `sweep_row` reduces an entry to its row of the sweep table."""
     epsilons = [float(e) for e in epsilons]
     for eps in epsilons:
@@ -172,10 +174,15 @@ def attack_reports(net: network.NetworkParams, data: Dataset, epsilons,
     if data.labels is None:
         raise ValueError("attack sweep needs labeled data")
     labels = data.label_indices
-    trace = _forward(net, data.features, f"{data.provenance} at epsilon 0.0")
+    clean = f"{data.provenance} at epsilon 0.0"
+    trace = _forward(net, data.features, clean)
     direction = None
     if any(eps > 0.0 for eps in epsilons):
-        direction = np.sign(network._trace_input_gradient(net, trace, labels, cfg))
+        try:
+            direction = np.sign(network._trace_input_gradient(net, trace, labels, cfg))
+        except DomainError:  # alpha_0 - alpha_c rounds to 0 where one alpha_c dominates
+            raise ConcentrationOverflowError(f"{clean}: the network's concentrations are "
+                                             "too large for F's input gradient") from None
     clean_alpha = trace.alpha
     del trace  # the sweep keeps only the clean alpha and the direction
     out = []

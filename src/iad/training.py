@@ -196,6 +196,8 @@ def _objective(alpha, c, cfg: TrainConfig, lam: float, loss: str):
 
 def _evaluate_split(net, ds: Dataset, cfg: TrainConfig, lam: float, loss: str):
     trace = network.forward(net, ds.features)
+    if not np.isfinite(trace.alpha).all():
+        return math.nan, math.nan  # train refuses it as a non-finite loss
     c = ds.label_indices
     vals, _ = _objective(trace.alpha, c, cfg, lam, loss)
     acc = float(np.mean(np.argmax(trace.alpha, axis=1) == c))
@@ -249,47 +251,51 @@ def train(dataset: Dataset, arch: list[int], cfg: TrainConfig, loss: str = "iad"
         center, rmax = support_extent(train_ds)
         box = (center - _OOD_BOX_FACTOR * rmax, center + _OOD_BOX_FACTOR * rmax)
 
-    for epoch in range(1, cfg.max_epochs + 1):
-        t_start = time.perf_counter()
-        lam = anneal_lambda(cfg, epoch) if regularized else 0.0
-        order = rng_shuffle.permutation(train_ds.n)
-        # the features are gathered per step: a whole-epoch gather allocates
-        # a fresh copy of the training matrix every epoch
-        epoch_labels = labels[order]
-        epoch_loss = 0.0
-        for start in range(0, train_ds.n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            xb, cb = feats[idx], epoch_labels[start:start + cfg.batch_size]
-            if off_support and lam > 0.0:
-                xb = np.concatenate(
-                    [xb, rng_noise.uniform(*box, size=(idx.size, train_ds.d))])
-            trace = network.forward(net, xb)
-            if np.count_nonzero(np.add.reduce(trace.alpha, axis=1) > _ALPHA0_CAP):
-                raise TrainingDiverged(f"alpha_0 exceeded {_ALPHA0_CAP:g} at epoch {epoch}")
-            vals, dalpha = _objective(trace.alpha, cb, cfg, lam, loss)
-            # the noise rows are as many as the labeled ones, so dividing the
-            # sum by idx.size sums the two row means
-            batch_loss = float(np.add.reduce(vals)) / idx.size
-            if not math.isfinite(batch_loss):
-                raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
-            dalpha /= idx.size
-            grads = network.backward(net, trace, dalpha, out=grads)
-            adam_step([net.flat], [grads.flat], state, cfg)
-            epoch_loss += batch_loss * idx.size
-        epoch_loss /= train_ds.n
+    # an overflow or NaN is refused by the guards below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.max_epochs + 1):
+            t_start = time.perf_counter()
+            lam = anneal_lambda(cfg, epoch) if regularized else 0.0
+            order = rng_shuffle.permutation(train_ds.n)
+            # the features are gathered per step: a whole-epoch gather allocates
+            # a fresh copy of the training matrix every epoch
+            epoch_labels = labels[order]
+            epoch_loss = 0.0
+            for start in range(0, train_ds.n, cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                xb, cb = feats[idx], epoch_labels[start:start + cfg.batch_size]
+                if off_support and lam > 0.0:
+                    xb = np.concatenate(
+                        [xb, rng_noise.uniform(*box, size=(idx.size, train_ds.d))])
+                trace = network.forward(net, xb)
+                a0 = np.add.reduce(trace.alpha, axis=1)
+                if np.count_nonzero(a0 <= _ALPHA0_CAP) != a0.size:
+                    raise TrainingDiverged(
+                        f"alpha_0 is not finite or exceeds {_ALPHA0_CAP:g} at epoch {epoch}")
+                vals, dalpha = _objective(trace.alpha, cb, cfg, lam, loss)
+                # the noise rows are as many as the labeled ones, so dividing the
+                # sum by idx.size sums the two row means
+                batch_loss = float(np.add.reduce(vals)) / idx.size
+                if not math.isfinite(batch_loss):
+                    raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
+                dalpha /= idx.size
+                grads = network.backward(net, trace, dalpha, out=grads)
+                adam_step([net.flat], [grads.flat], state, cfg)
+                epoch_loss += batch_loss * idx.size
+            epoch_loss /= train_ds.n
 
-        val_loss, val_acc = _evaluate_split(net, val_ds, cfg, monitor_lam, loss)
-        if not math.isfinite(val_loss):
-            raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")
-        record.rows.append(EpochRow(epoch, epoch_loss, val_loss, val_acc, lam,
-                                    time.perf_counter() - t_start))
-        if val_loss < best_val:
-            best_val = val_loss
-            np.copyto(best_params.flat, net.flat)
-            best_epoch = epoch
-        if epoch - best_epoch >= cfg.patience:
-            log.info("early stop at epoch %d (best %d)", epoch, best_epoch)
-            break
+            val_loss, val_acc = _evaluate_split(net, val_ds, cfg, monitor_lam, loss)
+            if not math.isfinite(val_loss):
+                raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")
+            record.rows.append(EpochRow(epoch, epoch_loss, val_loss, val_acc, lam,
+                                        time.perf_counter() - t_start))
+            if val_loss < best_val:
+                best_val = val_loss
+                np.copyto(best_params.flat, net.flat)
+                best_epoch = epoch
+            if epoch - best_epoch >= cfg.patience:
+                log.info("early stop at epoch %d (best %d)", epoch, best_epoch)
+                break
 
     record.best_epoch = best_epoch
     return best_params, record

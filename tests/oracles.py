@@ -173,7 +173,8 @@ def json_dump_file(path, doc) -> None:
 def save_csv(dataset, path) -> None:
     """A dataset as the native CSV container: one header row
     (f0..fD-1[,label]), then repr-formatted floats, so that load_csv reads
-    back the same values bit for bit."""
+    back the same values bit for bit; it refuses the file of an unlabeled
+    dataset, which has no label column."""
     header = [f"f{i}" for i in range(dataset.d)]
     rows = [[repr(float(v)) for v in row] for row in dataset.features]
     if dataset.labels is not None:

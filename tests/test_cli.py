@@ -1,6 +1,7 @@
 """Config parsing and CLI command plumbing on tiny runs."""
 
 import base64
+import errno
 import hashlib
 import json
 import warnings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from oracles import csv_writer_file, json_dump_file, reference_scale_unit, save_csv
 from test_data import assert_identical, reference_split, write_idx
 
-from iad import data, evaluation, network
+from iad import cli, data, evaluation, network
 from iad.cli import (_load_config, _read_inputs, _rng_streams, _write_csv, _write_json,
                      build_datasets, build_parser, main)
 from iad.config import DEFAULTS, ConfigError, ExperimentConfig
@@ -720,6 +721,25 @@ _OVERFLOW_PROBES = {
     "attack_alpha": ("attack", ["data.scale_unit=false", "attack.epsilons=[0.0,1e308]"], 2,
                      "at epsilon 1e+308: the network's concentrations overflow"),
     "log_gamma": ("ood", ["ood.radius_factor=1e306"], 0, None),
+    # features of ~1e200 drive alpha_0 past the cap in the first step
+    "train_alpha0_cap": ("train", ["data.scale_unit=false", "data.side=1e200",
+                                   "train.max_epochs=1"], 2,
+                         "alpha_0 is not finite or exceeds 1e+09 at epoch 1"),
+    # alpha_0 - alpha_c rounds to 0 where one alpha_c ~ 3e305 dominates a row
+    "attack_f_gradient": ("attack", ["data.scale_unit=false", "data.side=1e305"], 2,
+                          "at epsilon 0.0: the network's concentrations are too large"),
+    # a first step of ~1e308 per weight makes the next forward's alpha NaN
+    "train_nan_alpha_iad": ("train", ["data.per_class=30", "train.max_epochs=2", "train.t0=0",
+                                      "train.learning_rate=1e308"], 2,
+                            "alpha_0 is not finite or exceeds"),
+    "train_nan_alpha_bayes_ce": ("train", ["data.per_class=30", "train.max_epochs=2",
+                                           "train.t0=0", "loss=bayes_ce",
+                                           "train.learning_rate=1e300"], 2,
+                                 "alpha_0 is not finite or exceeds"),
+    # one step per epoch: the validation pass is the first to see the NaN
+    "train_nan_alpha_validation": ("train", ["data.per_class=10", "train.max_epochs=2",
+                                             "train.t0=0", "train.learning_rate=1e308"], 2,
+                                   "non-finite validation loss at epoch 1"),
 }
 
 
@@ -732,15 +752,39 @@ def test_cli_float64_overflow_exits_without_warning_or_traceback(tmp_path, capsy
         assert run([command, "--out", str(out)] + tiny(*items)
                    + _checkpoint_args(tmp_path, command)) == status
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    err = capsys.readouterr().err.splitlines()
     if names is None:
-        assert errors == []
+        assert err == []
     else:
-        assert len(errors) == 1 and names in errors[0], err
+        assert len(err) == 1 and err[0].startswith("error: ") and names in err[0], err
     # the blob circle is refused before the run directory exists
     assert out.exists() == (probe != "blob_circle")
+
+
+# --------------------------------------------------- one refusal path in main
+
+def _raiser(cls):
+    def raise_it(*args):
+        if cls is OSError:
+            raise OSError(errno.EACCES, "Permission denied", "some/file")
+        raise cls("refused for the test")
+    return raise_it
+
+
+@pytest.mark.parametrize("where", ["setup", "body"])
+@pytest.mark.parametrize("cls", list(cli._REFUSED) + [OSError], ids=lambda c: c.__name__)
+def test_cli_maps_each_refusal_class_to_exit_2(tmp_path, capsys, monkeypatch, cls, where):
+    # set-up raises before the run directory exists, the body after it is written
+    if where == "setup":
+        monkeypatch.setattr(cli, "_load_config", _raiser(cls))
+    else:
+        monkeypatch.setitem(cli._COMMANDS, "verify", (_raiser(cls), (), False))
+    out = tmp_path / "run"
+    assert run(["verify", "--out", str(out)]) == 2
+    message = ("Permission denied: 'some/file'" if cls is OSError
+               else "refused for the test")
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert out.exists() == (where == "body")
 
 
 # ---------------------------------------- unlabeled and non-UTF-8 input files

@@ -310,32 +310,34 @@ def test_csv_roundtrip_labeled(tmp_path):
     assert path.read_bytes().count(b"\r") == 0
 
 
-def test_csv_roundtrip_unlabeled(tmp_path):
+def test_csv_without_label_column_refused_at_line_1(tmp_path):
+    # every command that reads data needs labels, so the container has them
     ring = make_ood_ring(blobs(), 2.0, 50, np.random.default_rng(9))
     path = tmp_path / "ring.csv"
     save_csv(ring, path)
-    back = load_csv(path)
-    assert back.labels is None
-    assert np.array_equal(back.features, ring.features)
+    with pytest.raises(CsvFormatError) as exc:
+        load_csv(path)
+    assert str(exc.value).startswith(f"{path}:1: ")
+    assert "'label'" in str(exc.value)
 
 
 @pytest.mark.parametrize("body, line, what", [
     ("f0,f1,label\n0.5,0.25,1\n0.1,0.2,-1\n", 3, "negative label -1"),
     ("f0,f1,label\n0.5,0.25\n", 2, "2 fields, the header has 3"),
     ("f0,f1,label\n0.5,0.25,1\n0.5,0.25,1,7\n", 3, "4 fields, the header has 3"),
-    ("f0,f1\n0.5\n", 2, "1 fields, the header has 2"),
+    ("f0,label\n0.5\n", 2, "1 fields, the header has 2"),
     ("f0,f1,label\n0.5,abc,1\n", 2, "abc"),
     ("f0,f1,label\n0.5,0.25,one\n", 2, "one"),
     ("", 1, "missing header"),
     ("f0,f1,label\n", 2, "no data rows"),
     ("f0,f1,label\n0.5,0.25,1\n0.5,nan,0\n", 3, "'nan' is not finite"),
-    ("f0,f1\n-inf,0.25\n", 2, "'-inf' is not finite"),
+    ("f0,f1,label\n-inf,0.25,1\n", 2, "'-inf' is not finite"),
     ("f0,f1,label\n0.5,1e999,1\n", 2, "'1e999' is not finite"),
     ("f0,f1,label\n0.5,0.25,1\n0.5,\xff,0\n", 3, "byte 0xff is not UTF-8"),
     ("f0,f\xe9\n0.5,0.25\n", 1, "byte 0xe9 is not UTF-8"),
     ("label\n0\n1\n", 1, "the header names no feature column"),
     ("f0,f1,label\n0.5,0.25,0\n0.1,0.2,0\n", 1, "every label is 0"),
-], ids=["negative-label", "short-row", "long-row", "unlabeled-short-row",
+], ids=["negative-label", "short-row", "long-row", "one-feature-short-row",
         "bad-feature", "bad-label", "empty-file", "header-only", "nan-feature", "inf-feature",
         "overflowing-feature", "invalid-utf8-byte", "latin1-header", "label-only",
         "one-class"])

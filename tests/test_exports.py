@@ -1,6 +1,7 @@
 """The public API: each module's __all__ names exactly its public functions
 and classes, the library modules leave the run directory's file formats to
-the CLI, every `iad.` name in the README exists, and the README's Quick
+the CLI, every exception class is one that the CLI maps to exit 2 or an
+internal one, every `iad.` name in the README exists, and the README's Quick
 start runs as written."""
 
 import ast
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import iad
+from iad import cli, losses, specfun, training
 
 MODULES = [importlib.import_module(f"iad.{m.name}")
            for m in pkgutil.iter_modules(iad.__path__)]
@@ -63,3 +65,24 @@ def test_readme_quick_start_runs(capsys):
     exec(compile(block, "README.md", "exec"), scope)
     accuracy = float(capsys.readouterr().out.splitlines()[0])
     assert accuracy == scope["reports"].correct.mean() > 0.9
+
+
+# exceptions that bad input cannot raise out of the library, so the CLI maps
+# none of them. DomainError is a special function's argument check: callers
+# check their own inputs first, and evaluation turns F's DomainError on a
+# finite alpha it cannot take into ConcentrationOverflowError.
+# LossOverflowError bounds log F, which stays within ~37 of 0 for finite
+# concentrations (alpha_0 - alpha_c is 0 or at least ~2e-16 alpha_0).
+_INTERNAL_ERRORS = {specfun.DomainError, losses.LossOverflowError}
+
+
+def test_every_exception_class_is_refused_or_internal():
+    """A refusal class the package defines reaches cli.main's one handler,
+    so a new one cannot end in a traceback."""
+    defined = {obj for mod in MODULES for obj in vars(mod).values()
+               if inspect.isclass(obj) and issubclass(obj, BaseException)
+               and obj.__module__ == mod.__name__}
+    assert len(set(cli._REFUSED)) == len(cli._REFUSED)
+    assert training.TrainingDiverged in cli._REFUSED
+    unmapped = defined - set(cli._REFUSED) - {cli.UsageError} - _INTERNAL_ERRORS
+    assert unmapped == set(), f"exception classes cli.main does not map: {unmapped}"
