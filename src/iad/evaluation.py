@@ -106,24 +106,34 @@ def evaluate(net: network.NetworkParams, data: Dataset) -> UncertaintyReports:
 
 def summarize(values, threshold: float) -> DistributionSummary:
     """Quartiles by linear interpolation; whiskers are the extreme data points
-    within 1.5*IQR of the quartile box."""
+    within 1.5*IQR of the quartile box. One sort serves the quartiles, by
+    numpy's 'linear' percentile rule, the whiskers and the minimum; the mean
+    and the threshold count read the values in their given order."""
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise ValueError("cannot summarize an empty list")
     if not np.isfinite(v).all():
         raise ValueError("values must be finite")
-    q1, med, q3 = np.percentile(v, [25.0, 50.0, 75.0])
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold!r}")
+    s = np.sort(v, axis=None)
+    # virtual index (n - 1) * q between s[lo] and s[lo + 1], interpolated as
+    # numpy's _lerp does; at n = 1 numpy takes lo = -1 and g = 1, as here
+    pos = (s.size - 1) * np.array([0.25, 0.5, 0.75])
+    lo = np.minimum(pos.astype(np.intp), s.size - 2)
+    g = pos - lo
+    a, b = s[lo], s[lo + 1]
+    d = b - a
+    q1, med, q3 = np.where(g >= 0.5, b - d * (1.0 - g), a + d * g)
     iqr = q3 - q1
-    in_lo = v[v >= q1 - 1.5 * iqr]
-    in_hi = v[v <= q3 + 1.5 * iqr]
     return DistributionSummary(
         count=int(v.size),
-        min=float(v.min()),
+        min=float(s[0]),
         q1=float(q1),
         median=float(med),
         q3=float(q3),
-        whisker_lo=float(in_lo.min()),
-        whisker_hi=float(in_hi.max()),
+        whisker_lo=float(s[np.searchsorted(s, q1 - 1.5 * iqr, side="left")]),
+        whisker_hi=float(s[np.searchsorted(s, q3 + 1.5 * iqr, side="right") - 1]),
         mean=float(v.mean()),
         threshold=float(threshold),
         fraction_above_threshold=float(np.count_nonzero(v >= threshold) / v.size),
@@ -143,13 +153,16 @@ def fgsm_attack(net: network.NetworkParams, x: np.ndarray, correct_class,
     indices, clipped componentwise to bounds. sgn(0) = 0, so zero-gradient
     components stay put. epsilon must be finite and >= 0, and bounds a pair
     of finite floats with lo <= hi. ``direction`` is sgn(grad_x F) at x if
-    the caller already has it; else it is computed."""
+    the caller already has it, of x's shape; else it is computed."""
     _check_epsilon(epsilon)
     if bounds is not None:
         _check_range(bounds, "bounds")
     x = np.asarray(x, dtype=np.float64)
     if direction is None:
         direction = np.sign(network.input_gradient(net, x, correct_class, cfg))
+    elif np.shape(direction) != x.shape:
+        raise ValueError(f"direction has shape {np.shape(direction)}, "
+                         f"but x has shape {x.shape}")
     adv = epsilon * direction
     adv += x
     if bounds is not None:

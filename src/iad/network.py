@@ -102,11 +102,13 @@ class NetworkParams:
 
 @dataclass
 class ForwardTrace:
-    """Backprop bookkeeping: per-layer inputs and pre-activations, and the
-    head's e^-|z_last|, which softplus and its derivative share."""
+    """Backprop bookkeeping: the input of each layer, the head's
+    pre-activation z_last, and its e^-|z_last|, which softplus and its
+    derivative share. A hidden layer's ReLU mask is read off the next
+    layer's input: relu(z) > 0 exactly where z > 0."""
 
     inputs: list[np.ndarray]    # input to each layer, inputs[0] is x
-    preacts: list[np.ndarray]   # z of each layer
+    head_z: np.ndarray          # z_last
     alpha: np.ndarray           # softplus(z_last) + 1
     head_e: np.ndarray          # e^-|z_last|
 
@@ -148,18 +150,16 @@ def forward(net: NetworkParams, x: np.ndarray) -> ForwardTrace:
         raise ValueError(f"input must have shape (N, {d}), got {a.shape}")
     if np.count_nonzero(np.isfinite(a)) != a.size:
         raise ValueError("non-finite input")
-    inputs, preacts = [], []
-    last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        inputs.append(a)
-        z = a @ w
-        z += b
-        preacts.append(z)
-        if i < last:
-            a = np.maximum(z, 0.0)
+    inputs = [a]
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        a = a @ w
+        a += b
+        inputs.append(np.maximum(a, 0.0, out=a))  # the ReLU in place
+    z = a @ net.weights[-1]
+    z += net.biases[-1]
     alpha, e = _softplus_e(z)
     alpha += 1.0
-    return ForwardTrace(inputs, preacts, alpha, e)
+    return ForwardTrace(inputs, z, alpha, e)
 
 
 def _backprop(net: NetworkParams, trace: ForwardTrace, dloss_dalpha: np.ndarray,
@@ -174,7 +174,7 @@ def _backprop(net: NetworkParams, trace: ForwardTrace, dloss_dalpha: np.ndarray,
         log.warning("clipping dloss/dalpha components beyond %g", _GRAD_ALPHA_CLIP)
         d = np.clip(d, -_GRAD_ALPHA_CLIP, _GRAD_ALPHA_CLIP)
     # d alpha / d z = sigmoid(z) for the softplus head
-    delta = _sigmoid(trace.preacts[-1], trace.head_e)
+    delta = _sigmoid(trace.head_z, trace.head_e)
     delta *= d
     for i in range(len(net.weights) - 1, -1, -1):
         if grads is not None:
@@ -184,7 +184,7 @@ def _backprop(net: NetworkParams, trace: ForwardTrace, dloss_dalpha: np.ndarray,
             return None
         delta = delta @ net.weights[i].T
         if i > 0:
-            delta *= trace.preacts[i - 1] > 0.0
+            delta *= trace.inputs[i] > 0.0
     return delta
 
 

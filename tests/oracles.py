@@ -9,9 +9,15 @@ equal; `save_csv`, the writer of the CSV container that `iad.data.load_csv`
 reads; min-max scaling of a whole dataset, which `iad.data.split_scaled`
 must equal bit for bit; the value-only bodies of F, R and the nll, edl and
 rkl baselines, which the `[0]` views of the library's value+grad kernels
-must equal bit for bit; and the training objective as two R calls, one per
+must equal bit for bit; the training objective as two R calls, one per
 kind of row, with the validation values from those value-only bodies,
-which `iad.training`'s one R call must equal bit for bit.
+which `iad.training`'s one R call must equal bit for bit; the summary from
+`np.percentile` and two masked copies of the values, which the one-sort
+`evaluation.summarize` must equal field for field, bit for bit; and the
+forward pass that keeps every layer's pre-activation, with the backprop that
+reads each hidden ReLU mask from them, which the library's forward and
+backprop, whose trace keeps only the layer inputs and the head's
+pre-activation, must equal bit for bit.
 
 Criterion 2's Monte Carlo draws from `sample`, and the reverse-KL loss is
 checked against `kl_divergence`.
@@ -21,13 +27,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from iad import losses, network
 from iad.dirichlet import DirichletParams
-from iad.evaluation import _reports
+from iad.evaluation import DistributionSummary, _reports
 from iad.specfun import (DomainError, _as_positive_array, digamma, log_gamma,
                          log_gamma_digamma, log_rising, trigamma)
 
@@ -295,3 +301,86 @@ def reference_validation_values(alpha, c, cfg, lam: float, loss: str) -> np.ndar
     if lam > 0.0:
         vals = vals + lam * reference_info_regularizer(alpha, c)
     return vals
+
+
+def reference_summarize(values, threshold: float) -> DistributionSummary:
+    """Quartiles from np.percentile's linear interpolation; each whisker the
+    extreme of the values inside its 1.5*IQR fence, from a masked copy."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.size == 0:
+        raise ValueError("cannot summarize an empty list")
+    if not np.isfinite(v).all():
+        raise ValueError("values must be finite")
+    q1, med, q3 = np.percentile(v, [25.0, 50.0, 75.0])
+    iqr = q3 - q1
+    in_lo = v[v >= q1 - 1.5 * iqr]
+    in_hi = v[v <= q3 + 1.5 * iqr]
+    return DistributionSummary(
+        count=int(v.size),
+        min=float(v.min()),
+        q1=float(q1),
+        median=float(med),
+        q3=float(q3),
+        whisker_lo=float(in_lo.min()),
+        whisker_hi=float(in_hi.max()),
+        mean=float(v.mean()),
+        threshold=float(threshold),
+        fraction_above_threshold=float(np.count_nonzero(v >= threshold) / v.size),
+    )
+
+
+@dataclass
+class PreactTrace:
+    """A forward trace that keeps every layer's pre-activation."""
+
+    inputs: list[np.ndarray]    # input to each layer, inputs[0] is x
+    preacts: list[np.ndarray]   # z of each layer
+    alpha: np.ndarray           # softplus(z_last) + 1
+    head_e: np.ndarray          # e^-|z_last|
+
+
+def reference_forward(net, x) -> PreactTrace:
+    """network.forward with a fresh ReLU output per hidden layer, each
+    layer's z kept beside it."""
+    a = np.asarray(x, dtype=np.float64)
+    d = net.weights[0].shape[0]
+    if a.ndim != 2 or a.shape[1] != d:
+        raise ValueError(f"input must have shape (N, {d}), got {a.shape}")
+    if np.count_nonzero(np.isfinite(a)) != a.size:
+        raise ValueError("non-finite input")
+    inputs, preacts = [], []
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        inputs.append(a)
+        z = a @ w
+        z += b
+        preacts.append(z)
+        if i < last:
+            a = np.maximum(z, 0.0)
+    alpha, e = network._softplus_e(z)
+    alpha += 1.0
+    return PreactTrace(inputs, preacts, alpha, e)
+
+
+def reference_backprop(net, trace: PreactTrace, dloss_dalpha, grads, input_delta: bool):
+    """network._backprop over a PreactTrace: each hidden ReLU mask from the
+    kept pre-activation, z > 0."""
+    d = np.asarray(dloss_dalpha, dtype=np.float64)
+    if d.shape != trace.alpha.shape:
+        raise ValueError("dloss_dalpha shape does not match the trace output")
+    clip = network._GRAD_ALPHA_CLIP
+    if np.count_nonzero(np.abs(d) > clip):
+        network.log.warning("clipping dloss/dalpha components beyond %g", clip)
+        d = np.clip(d, -clip, clip)
+    delta = network._sigmoid(trace.preacts[-1], trace.head_e)
+    delta *= d
+    for i in range(len(net.weights) - 1, -1, -1):
+        if grads is not None:
+            np.matmul(trace.inputs[i].T, delta, out=grads.weights[i])
+            np.add.reduce(delta, axis=0, out=grads.biases[i])
+        if i == 0 and not input_delta:
+            return None
+        delta = delta @ net.weights[i].T
+        if i > 0:
+            delta *= trace.preacts[i - 1] > 0.0
+    return delta

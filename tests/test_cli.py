@@ -291,6 +291,44 @@ def test_cli_attack_runs_one_fgsm_pass_per_nonzero_epsilon(tmp_path, monkeypatch
     assert sorted(summaries) == ["0.0", "0.2", "0.3"]
 
 
+def _report_pipeline(root: Path) -> dict[str, bytes]:
+    """`iad train`, then `eval`, `ood` and `attack` (the default six epsilons)
+    on its checkpoint, at a small desk config: every artifact's bytes, keyed
+    by its path under root."""
+    sets = tiny("arch=[32,32]", "ood.n=200")
+    assert run(["train", "--out", str(root / "train"), "--seed", "3"] + sets) == 0
+    ckpt = str(root / "train" / "checkpoint.json")
+    for command in ("eval", "ood", "attack"):
+        assert run([command, "--out", str(root / command), "--seed", "3",
+                    "--checkpoint", ckpt] + sets) == 0
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_cli_reports_equal_the_oracle_pipeline_byte_for_byte(tmp_path, monkeypatch):
+    """The one-sort summaries and the lean forward trace write the bytes that
+    np.percentile's summaries and the trace of every pre-activation write,
+    through training, evaluation, the OOD ring and the attack sweep."""
+    from types import SimpleNamespace
+
+    from oracles import reference_backprop, reference_forward, reference_summarize
+
+    from iad import training
+
+    # a fixed clock, so train_record.csv's seconds column is the same bytes too
+    monkeypatch.setattr(training, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    library = _report_pipeline(tmp_path / "library")
+    monkeypatch.setattr(network, "forward", reference_forward)
+    monkeypatch.setattr(network, "_backprop", reference_backprop)
+    monkeypatch.setattr(evaluation, "summarize", reference_summarize)
+    oracle = _report_pipeline(tmp_path / "oracle")
+    assert {"train/checkpoint.f64", "eval/summary_errors.json", "ood/ood_entropy.json",
+            "attack/attack_summaries.json"} <= set(library)
+    assert sorted(library) == sorted(oracle)
+    for name, blob in library.items():
+        assert blob == oracle[name], name
+
+
 def test_cli_checkpoint_dataset_mismatch(tmp_path):
     train_out = tmp_path / "t"
     assert run(["train", "--out", str(train_out), "--seed", "3"] + TINY) == 0

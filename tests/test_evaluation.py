@@ -4,16 +4,19 @@ evaluation, including the run-time checks on a trained desk-scale model."""
 import json
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iad import cli, data, network
 from iad.config import DEFAULTS, ExperimentConfig
 from iad.evaluation import (ConcentrationOverflowError, attack_reports, evaluate, fgsm_attack,
                             summarize, sweep_row)
 from iad.losses import LossConfig
-from oracles import attack_reports_per_epsilon
+from oracles import attack_reports_per_epsilon, reference_summarize
 
 
 def constant_alpha_net(alpha, d=2):
@@ -120,11 +123,50 @@ def test_summarize_empty_rejected():
         summarize([], 0.0)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_summarize_non_finite_value_rejected(bad):
+@pytest.mark.parametrize("values, threshold, what", [
+    *(pytest.param([1.0, bad, 3.0], 0.0, "values", id=repr(bad))
+      for bad in (math.nan, math.inf, -math.inf)),
+    # a NaN threshold would reach the summary JSON as a bare NaN
+    *(pytest.param([1.0, 2.0, 3.0], bad, "threshold", id=f"threshold-{bad!r}")
+      for bad in (math.nan, math.inf, -math.inf)),
+])
+def test_summarize_non_finite_value_rejected(values, threshold, what):
     # a NaN would otherwise empty both whisker sets and fail inside numpy
-    with pytest.raises(ValueError, match="values must be finite"):
-        summarize([1.0, bad, 3.0], 0.0)
+    with pytest.raises(ValueError, match=f"{what} must be finite"):
+        summarize(values, threshold)
+
+
+def _summary_bits(s):
+    return [np.float64(getattr(s, f.name)).tobytes() for f in fields(s)]
+
+
+# -0.0 is left out: it ties +0.0 in a sort and in np.partition alike, and
+# which of the two each puts first is not defined
+_SUMMARY_FLOATS = st.floats(-1e150, 1e150).map(lambda f: f + 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_summarize_equals_percentile_reference_bit_for_bit(data):
+    n = data.draw(st.integers(1, 1200), label="n")
+    kind = data.draw(st.sampled_from(["spread", "ties", "constant"]), label="kind")
+    pool = np.array(data.draw(st.lists(_SUMMARY_FLOATS, min_size=1, max_size={
+        "spread": 16, "ties": 4, "constant": 1}[kind]), label="pool"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if kind == "spread":  # drawn values first, then normals at one scale
+        scale = 10.0 ** data.draw(st.integers(-300, 149), label="exponent")
+        v = rng.standard_normal(n) * scale + 0.0
+        v[:pool.size] = pool[:n]
+    else:
+        v = pool[rng.integers(pool.size, size=n)]
+    shape = data.draw(st.sampled_from(["1-D", "0-D", "2-D"]), label="shape")
+    if shape == "0-D":
+        v = v[0].reshape(())
+    elif shape == "2-D" and n % 2 == 0:
+        v = v.reshape(2, n // 2)
+    threshold = data.draw(_SUMMARY_FLOATS, label="threshold")
+    assert _summary_bits(summarize(v, threshold)) == _summary_bits(
+        reference_summarize(v, threshold))
 
 
 def test_summarize_ordering_invariant():
@@ -178,6 +220,16 @@ def test_fgsm_refuses_bad_bounds(bounds):
     with pytest.raises(ValueError, match="bounds must be a pair"):
         fgsm_attack(net, x, c, 0.1, LossConfig(), bounds)
     assert fgsm_attack(net, x, c, 0.1, LossConfig(), [0.25, 0.75]).max() <= 0.75
+
+
+@pytest.mark.parametrize("n, shape", [(3, (2,)), (1, (5, 2)), (3, (3, 3))])
+def test_fgsm_refuses_direction_of_another_shape(n, shape):
+    # a (5, 2) direction on one row of x would broadcast to five adversarial rows
+    net = network.init([2, 4, 3], np.random.default_rng(0))
+    x, c = np.full((n, 2), 0.5), np.arange(n) % 3
+    with pytest.raises(ValueError, match=rf"direction has shape \({shape[0]},.*"
+                                         rf"x has shape \({n}, 2\)"):
+        fgsm_attack(net, x, c, 0.1, LossConfig(), None, np.ones(shape))
 
 
 @pytest.mark.parametrize("eps", [math.nan, math.inf])

@@ -15,7 +15,7 @@ from iad import evaluation, losses, network
 from iad.losses import LossConfig
 from iad.network import (NetworkParams, backward, forward, init,
                          input_gradient, load_checkpoint, save_checkpoint)
-from oracles import sigmoid_masked
+from oracles import reference_backprop, reference_forward, sigmoid_masked
 
 
 def tiny_net(sizes, seed=0):
@@ -306,6 +306,75 @@ def test_backward_into_out_equals_fresh_backward():
                 np.empty(net.flat.size)):
         with pytest.raises(ValueError, match="Gradients of an earlier backward call"):
             backward(net, trace, d, out=bad)
+
+
+def _signed_zero_net():
+    """A desk net whose unit 0 of each hidden layer has a pre-activation of
+    exact -0.0 (every product underflows to -0.0, plus a -0.0 bias) on the
+    rows whose inputs are all below 1/2, and whose unit 1 has a zero weight
+    column and bias, so exact +0.0 on every row; the small first layer keeps
+    every hidden activation below 1/2."""
+    net = tiny_net([2, 32, 32, 3], seed=21)
+    net.weights[0][...] *= 0.1
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        w[:, 0], b[0] = -5e-324, -0.0
+        w[:, 1], b[1] = 0.0, 0.0
+    return net
+
+
+def _dead_unit_net():
+    """A desk net with one unit in each hidden layer dead on every row."""
+    net = tiny_net([2, 32, 32, 3], seed=22)
+    net.biases[0][3] = net.biases[1][5] = -1e3
+    return net
+
+
+# name: (net, rows); the inputs are uniform on [0, 1)
+_ORACLE_NETS = {
+    "desk": (lambda: tiny_net([2, 32, 32, 3], seed=23), 600),
+    "wide": (lambda: tiny_net([784, 100, 100, 10], seed=24), 64),
+    "signed_zeros": (_signed_zero_net, 600),
+    "dead_unit": (_dead_unit_net, 600),
+}
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_NETS))
+def test_forward_and_backprop_equal_preactivation_oracle_bit_for_bit(name):
+    """The trace that keeps only the layer inputs and the head's z, with each
+    hidden mask read off the next layer's input, gives the bits of the trace
+    that keeps every pre-activation and masks with z > 0."""
+    make, n = _ORACLE_NETS[name]
+    net = make()
+    rng = np.random.default_rng(25)
+    x = rng.uniform(size=(n, net.layer_sizes[0]))
+    c = rng.integers(net.output_dim, size=n)
+    ref = reference_forward(net, x)
+    hidden = ref.preacts[:-1]
+    if name == "signed_zeros":
+        for z in hidden:
+            assert np.any((z == 0.0) & np.signbit(z)) and np.all(z[:, 1] == 0.0)
+            assert not np.any(np.signbit(z[:, 1]))
+    if name == "dead_unit":
+        assert np.all(hidden[0][:, 3] < 0.0) and np.all(hidden[1][:, 5] < 0.0)
+    trace = forward(net, x)
+    assert len(trace.inputs) == len(ref.inputs)
+    for got, want in zip(trace.inputs + [trace.head_z, trace.alpha, trace.head_e],
+                         ref.inputs + [ref.preacts[-1], ref.alpha, ref.head_e]):
+        assert _bits(got) == _bits(want)
+    d = rng.normal(size=ref.alpha.shape)
+    want = backward(net, trace, d)  # a Gradients to write the oracle's bits into
+    got = backward(net, trace, d).flat.copy()
+    want.flat[:] = np.nan
+    reference_backprop(net, ref, d, want, input_delta=False)
+    assert _bits(got) == _bits(want.flat)
+    cfg = LossConfig(p_norm=4.0)
+    dF = losses.iad_loss_grad_alpha_batch(ref.alpha, c, cfg.p_norm)
+    assert _bits(input_gradient(net, x, c, cfg)) == _bits(
+        reference_backprop(net, ref, dF, None, input_delta=True))
 
 
 # ------------------------------------------------------------ input gradient
