@@ -6,15 +6,17 @@ import hashlib
 import json
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles import csv_writer_file, json_dump_file, reference_scale_unit, save_csv
+from oracles import (csv_writer_file, json_dump_file, reference_backprop, reference_forward,
+                     reference_scale_unit, reference_summarize, save_csv)
 from test_data import assert_identical, reference_split, write_idx
 
-from iad import cli, data, evaluation, network
+from iad import cli, data, evaluation, network, training
 from iad.cli import (_load_config, _read_inputs, _rng_streams, _write_csv, _write_json,
                      build_datasets, build_parser, main)
 from iad.config import DEFAULTS, ConfigError, ExperimentConfig
@@ -309,12 +311,6 @@ def test_cli_reports_equal_the_oracle_pipeline_byte_for_byte(tmp_path, monkeypat
     """The one-sort summaries and the lean forward trace write the bytes that
     np.percentile's summaries and the trace of every pre-activation write,
     through training, evaluation, the OOD ring and the attack sweep."""
-    from types import SimpleNamespace
-
-    from oracles import reference_backprop, reference_forward, reference_summarize
-
-    from iad import training
-
     # a fixed clock, so train_record.csv's seconds column is the same bytes too
     monkeypatch.setattr(training, "time", SimpleNamespace(perf_counter=lambda: 0.0))
     library = _report_pipeline(tmp_path / "library")
