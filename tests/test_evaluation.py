@@ -126,12 +126,12 @@ def test_summarize_empty_rejected():
 @pytest.mark.parametrize("values, threshold, what", [
     *(pytest.param([1.0, bad, 3.0], 0.0, "values", id=repr(bad))
       for bad in (math.nan, math.inf, -math.inf)),
-    # a NaN threshold would reach the summary JSON as a bare NaN
     *(pytest.param([1.0, 2.0, 3.0], bad, "threshold", id=f"threshold-{bad!r}")
       for bad in (math.nan, math.inf, -math.inf)),
 ])
 def test_summarize_non_finite_value_rejected(values, threshold, what):
-    # a NaN would otherwise empty both whisker sets and fail inside numpy
+    # a summary is written as JSON, which has no NaN or infinity: every
+    # field, the threshold included, must be finite
     with pytest.raises(ValueError, match=f"{what} must be finite"):
         summarize(values, threshold)
 
