@@ -28,6 +28,8 @@ from .losses import LossConfig
 
 log = logging.getLogger("iad.cli")
 
+_THRESHOLD_FRACTION = 0.95  # a summary's threshold is this times ln K, the top entropy
+
 
 class UsageError(Exception):
     """A command line that cannot run: a missing, unreadable or mismatched
@@ -169,9 +171,9 @@ def _check_net_fits(net: network.NetworkParams, ds: data.Dataset, path) -> None:
                          f"dataset has {ds.d} features and {ds.k} classes")
 
 
-def _summary(cfg: ExperimentConfig, k: int, values) -> dict:
-    """The summary of values against the threshold eval.threshold_fraction * ln k."""
-    return asdict(evaluation.summarize(values, cfg["eval.threshold_fraction"] * np.log(k)))
+def _summary(k: int, values) -> dict:
+    """The summary of values against the threshold _THRESHOLD_FRACTION * ln k."""
+    return asdict(evaluation.summarize(values, _THRESHOLD_FRACTION * np.log(k)))
 
 
 def cmd_train(cfg: ExperimentConfig, out: Path, datasets, net) -> int:
@@ -196,8 +198,7 @@ def cmd_eval(cfg: ExperimentConfig, out: Path, datasets, net) -> int:
                    reports.mutual_info, reports.max_prob, reports.alpha0))))
     for name, keep in (("successes", reports.correct), ("errors", ~reports.correct)):
         if keep.any():
-            _write_json(out / f"summary_{name}.json",
-                        _summary(cfg, test_ds.k, reports.entropy[keep]))
+            _write_json(out / f"summary_{name}.json", _summary(test_ds.k, reports.entropy[keep]))
     return 0
 
 
@@ -207,8 +208,8 @@ def cmd_ood(cfg: ExperimentConfig, out: Path, datasets, net) -> int:
     ood_ds = data.make_ood_ring(train_ds, cfg["ood.radius_factor"], cfg["ood.n"],
                                 rngs["ood"])
     reports = evaluation.evaluate(net, ood_ds)
-    _write_json(out / "ood_entropy.json", _summary(cfg, train_ds.k, reports.entropy))
-    _write_json(out / "ood_mutual_info.json", _summary(cfg, train_ds.k, reports.mutual_info))
+    _write_json(out / "ood_entropy.json", _summary(train_ds.k, reports.entropy))
+    _write_json(out / "ood_mutual_info.json", _summary(train_ds.k, reports.mutual_info))
     return 0
 
 
@@ -219,8 +220,8 @@ def cmd_attack(cfg: ExperimentConfig, out: Path, datasets, net) -> int:
     _write_csv(out / "attack_sweep.csv", "epsilon,accuracy,mean_entropy,mean_mutual_info",
                "{!r},{!r},{!r},{!r}", (astuple(evaluation.sweep_row(eps, r)) for eps, r in swept))
     summaries = {
-        repr(eps): {"entropy": _summary(cfg, test_ds.k, r.entropy),
-                    "mutual_info": _summary(cfg, test_ds.k, r.mutual_info)}
+        repr(eps): {"entropy": _summary(test_ds.k, r.entropy),
+                    "mutual_info": _summary(test_ds.k, r.mutual_info)}
         for eps, r in swept
     }
     _write_json(out / "attack_summaries.json", summaries)

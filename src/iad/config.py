@@ -35,7 +35,6 @@ DEFAULTS: dict = {
     "ood.radius_factor": 1.5,
     "ood.n": 1000,
     "attack.epsilons": [0.0, 0.1, 0.2, 0.3, 0.4, 0.5],
-    "eval.threshold_fraction": 0.95,
     "compare.losses": ["iad", "edl"],
     "verify.trials": 100,
     "verify.n_triples": 1000,
@@ -109,9 +108,6 @@ class ExperimentConfig:
                 or not all(0.0 <= e < math.inf for e in eps)):
             raise ConfigError("attack.epsilons: must be non-empty, strictly ascending, "
                               f"finite and >= 0, got {eps!r}")
-        frac = self.values["eval.threshold_fraction"]
-        if not 0.0 < frac <= 1.0:
-            raise ConfigError(f"eval.threshold_fraction: must be in (0, 1], got {frac!r}")
         for key, low, high, what in (
                 ("data.test_fraction", 0.0, 1.0, "in (0, 1)"),
                 ("data.spread", 0.0, math.inf, "finite and > 0"),

@@ -108,7 +108,8 @@ def summarize(values, threshold: float) -> DistributionSummary:
     """Quartiles by linear interpolation; whiskers are the extreme data points
     within 1.5*IQR of the quartile box. One sort serves the quartiles, by
     numpy's 'linear' percentile rule, the whiskers and the minimum; the mean
-    and the threshold count read the values in their given order."""
+    and the threshold count read the values in their given order. Every
+    field spells a zero as 0.0, whichever order -0.0 and 0.0 come in."""
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise ValueError("cannot summarize an empty list")
@@ -117,6 +118,7 @@ def summarize(values, threshold: float) -> DistributionSummary:
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold!r}")
     s = np.sort(v, axis=None)
+    s += 0.0  # -0.0 ties 0.0 in a sort: which one comes first is not defined
     # virtual index (n - 1) * q between s[lo] and s[lo + 1], interpolated as
     # numpy's _lerp does; at n = 1 numpy takes lo = -1 and g = 1, as here
     pos = (s.size - 1) * np.array([0.25, 0.5, 0.75])
@@ -134,8 +136,8 @@ def summarize(values, threshold: float) -> DistributionSummary:
         q3=float(q3),
         whisker_lo=float(s[np.searchsorted(s, q1 - 1.5 * iqr, side="left")]),
         whisker_hi=float(s[np.searchsorted(s, q3 + 1.5 * iqr, side="right") - 1]),
-        mean=float(v.mean()),
-        threshold=float(threshold),
+        mean=float(v.mean()) + 0.0,
+        threshold=float(threshold) + 0.0,
         fraction_above_threshold=float(np.count_nonzero(v >= threshold) / v.size),
     )
 

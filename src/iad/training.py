@@ -32,6 +32,10 @@ _ALPHA0_CAP = 1e9
 # Half-width of the off-support noise box, in units of the largest distance
 # of a training row from the training-feature mean.
 _OOD_BOX_FACTOR = 3.0
+# Adam's decay rates and denominator offset, Kingma & Ba's defaults
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+# the reverse-KL loss's prior target: beta + 1 at the label, 1 elsewhere
+_RKL_BETA = 10.0
 
 
 class TrainingDiverged(RuntimeError):
@@ -45,15 +49,11 @@ class TrainConfig:
     t0: int = 10            # epochs before the regularizer ramp starts
     t_rate: int = 60        # ramp length in epochs
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 32
     max_epochs: int = 200
     patience: int = 20
     seed: int = 0
     val_fraction: float = 0.1
-    kl_beta: float = 10.0
     # gamma: weight of the information penalty on off-support noise inputs
     # (beyond the source paper; 0 trains the paper's objective unchanged)
     ood_weight: float = 0.0
@@ -73,19 +73,12 @@ class TrainConfig:
             raise ValueError("val_fraction must be in (0, 1)")
         if not 0.0 <= self.ood_weight < math.inf:
             raise ValueError("ood_weight must be finite and >= 0")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1)")
-        if not 0.0 < self.adam_eps < math.inf:
-            raise ValueError("adam_eps must be finite and > 0")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
         if not 1.0 <= self.p_norm < math.inf:
             raise ValueError("p_norm must be finite and >= 1")
         if not 0.0 <= self.lambda_max < math.inf:
             raise ValueError("lambda_max must be finite and >= 0")
-        if not 0.0 < self.kl_beta < math.inf:
-            raise ValueError("kl_beta must be finite and > 0")
 
 
 @dataclass
@@ -131,7 +124,8 @@ class AdamState:
 
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState,
               cfg: TrainConfig) -> None:
-    """Standard Adam update with bias correction, in place. Each array takes
+    """Standard Adam update with bias correction, in place, at cfg's
+    learning rate and the module's beta1, beta2 and eps. Each array takes
     14 ufunc calls into the state's work arrays; per element they do the
     operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
     p -= lr (m / c1) / (sqrt(v / c2) + eps) in that order, so passing one
@@ -139,7 +133,7 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("parameter/gradient/state shape mismatch")
     state.t += 1
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = _ADAM_BETA1, _ADAM_BETA2
     c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
     for p, g, m, v, (s, r) in zip(params, grads, state.m, state.v, state.scratch):
         if p.shape != g.shape or p.shape != m.shape:
@@ -155,7 +149,7 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
         s *= cfg.learning_rate
         np.divide(v, c2, out=r)
         np.sqrt(r, out=r)
-        r += cfg.adam_eps
+        r += _ADAM_EPS
         s /= r
         p -= s
 
@@ -167,7 +161,7 @@ LOSSES = {
     "edl": (lambda a, c, cfg: losses.edl_mse_value_grad_batch(a, c), False),
     "nll": (lambda a, c, cfg: losses.nll_marginal_value_grad_batch(a, c), False),
     "bayes_ce": (lambda a, c, cfg: losses.bayes_ce_value_grad_batch(a, c), False),
-    "rkl": (lambda a, c, cfg: losses.rkl_prior_value_grad_batch(a, c, cfg.kl_beta), False),
+    "rkl": (lambda a, c, cfg: losses.rkl_prior_value_grad_batch(a, c, _RKL_BETA), False),
 }
 
 

@@ -260,7 +260,8 @@ def reference_rkl_prior_loss(alpha, c, beta) -> np.ndarray:
 
 
 # loss selector -> (value(alpha, c, cfg), value_grad(alpha, c, cfg)); each
-# value is a body of its own, bayes_ce's the library's value-only function
+# value is a body of its own, bayes_ce's the library's value-only function;
+# rkl takes training's prior target, beta = 10
 REFERENCE_LOSSES = {
     "iad": (lambda a, c, cfg: reference_iad_loss(a, c, cfg.p_norm),
             lambda a, c, cfg: losses.iad_value_grad_batch(a, c, cfg.p_norm)),
@@ -270,8 +271,8 @@ REFERENCE_LOSSES = {
             lambda a, c, cfg: losses.nll_marginal_value_grad_batch(a, c)),
     "bayes_ce": (lambda a, c, cfg: losses.bayes_ce_loss_batch(a, c),
                  lambda a, c, cfg: losses.bayes_ce_value_grad_batch(a, c)),
-    "rkl": (lambda a, c, cfg: reference_rkl_prior_loss(a, c, cfg.kl_beta),
-            lambda a, c, cfg: losses.rkl_prior_value_grad_batch(a, c, cfg.kl_beta)),
+    "rkl": (lambda a, c, cfg: reference_rkl_prior_loss(a, c, 10.0),
+            lambda a, c, cfg: losses.rkl_prior_value_grad_batch(a, c, 10.0)),
 }
 
 

@@ -235,6 +235,27 @@ def test_cli_bad_config_key_exits_with_error(tmp_path, capsys):
     assert "bogus.key" in capsys.readouterr().err
 
 
+# settings that became constants, at their last defaults: Adam's beta1, beta2
+# and eps, the reverse-KL target beta and the summary threshold fraction
+_REMOVED_KEYS = {"train.adam_beta1": 0.9, "train.adam_beta2": 0.999, "train.adam_eps": 1e-8,
+                 "train.kl_beta": 10.0, "eval.threshold_fraction": 0.95}
+
+
+@pytest.mark.parametrize("where", ["set", "config"])
+@pytest.mark.parametrize("key", sorted(_REMOVED_KEYS))
+def test_cli_removed_key_at_its_old_default_exits_2(tmp_path, capsys, key, where):
+    item = f"{key} = {_REMOVED_KEYS[key]!r}"
+    argv = ["--set", item.replace(" ", "")]
+    if where == "config":
+        path = tmp_path / "exp.cfg"
+        path.write_text(item + "\n")
+        argv = ["--config", str(path)]
+    out = tmp_path / "run"
+    assert run(["train", "--out", str(out)] + argv + TINY) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: unknown config key {key!r}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("override", [
     'train.learning_rate="fast"', "train.batch_size=3.5", 'seed="abc"',
     'data.per_class="x"', "train.patience=2.5", "train.max_epochs=true"])

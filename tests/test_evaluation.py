@@ -1,10 +1,11 @@
 """Uncertainty reports, distribution summaries, FGSM attacks and OOD
 evaluation, including the run-time checks on a trained desk-scale model."""
 
+import itertools
 import json
 import math
 import warnings
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -118,6 +119,17 @@ def test_summarize_permutation_invariant():
     assert a.mean == pytest.approx(b.mean, rel=1e-12)
 
 
+@pytest.mark.parametrize("values", [[-0.0, 0.0, 0.0, 1.0], [-0.0, -0.0, 0.0],
+                                    [-1.0, -0.0, 0.0, 0.0, 2.0], [-0.0], [-0.0, -0.0]])
+def test_summarize_bytes_do_not_depend_on_the_order_of_signed_zeros(values):
+    # -0.0 ties 0.0 in a sort, so which one a field reports must not matter
+    want = json.dumps(asdict(summarize(values, 0.0)), sort_keys=True)
+    assert "-0.0" not in want
+    for perm in itertools.permutations(values):
+        assert json.dumps(asdict(summarize(list(perm), 0.0)), sort_keys=True) == want
+    assert json.dumps(asdict(summarize(values, -0.0)), sort_keys=True) == want
+
+
 def test_summarize_empty_rejected():
     with pytest.raises(ValueError):
         summarize([], 0.0)
@@ -140,8 +152,8 @@ def _summary_bits(s):
     return [np.float64(getattr(s, f.name)).tobytes() for f in fields(s)]
 
 
-# -0.0 is left out: it ties +0.0 in a sort and in np.partition alike, and
-# which of the two each puts first is not defined
+# -0.0 is left out: it ties +0.0 in np.partition, which does not define
+# which of the two the reference reports, while summarize spells both 0.0
 _SUMMARY_FLOATS = st.floats(-1e150, 1e150).map(lambda f: f + 0.0)
 
 
@@ -254,12 +266,12 @@ def test_fgsm_raises_mean_entropy_on_trained_model(desk_model):
 
 # ------------------------------------------------------------------ iad ood
 
-def _run_ood(tmp_path, net, fraction, n, seed):
-    """`iad ood` with the desk model at eval.threshold_fraction = fraction on
-    the desk blobs: the entropy and MI summaries it writes, and its ring."""
+def _run_ood(tmp_path, net, n, seed):
+    """`iad ood` with the desk model on the desk blobs: the entropy and MI
+    summaries it writes, and its ring."""
     ckpt = tmp_path / "desk.json"
     network.save_checkpoint(net, ckpt)
-    sets = {"seed": seed, "data.spread": 0.9, "ood.n": n, "eval.threshold_fraction": fraction}
+    sets = {"seed": seed, "data.spread": 0.9, "ood.n": n}
     out = tmp_path / "ood"
     argv = ["ood", "--out", str(out), "--checkpoint", str(ckpt)]
     for key, val in sets.items():
@@ -274,18 +286,21 @@ def _run_ood(tmp_path, net, fraction, n, seed):
 
 
 def test_ood_entropy_median_dominates_mi(tmp_path, desk_model):
-    ent, mi, _ = _run_ood(tmp_path, desk_model[0], 0.95, 300, 4)
+    ent, mi, _ = _run_ood(tmp_path, desk_model[0], 300, 4)
     assert ent["median"] >= mi["median"]
     assert ent["threshold"] == pytest.approx(0.95 * math.log(3.0))
 
 
 def test_ood_threshold_fraction_one(tmp_path, desk_model):
+    # the CLI's threshold is fixed at 0.95 ln K; ln K itself goes through
+    # summarize on the same ring
     net = desk_model[0]
-    ent, _, ring = _run_ood(tmp_path, net, 1.0, 100, 5)
+    ent, _, ring = _run_ood(tmp_path, net, 100, 5)
     reports = evaluate(net, ring)
     assert (ent["count"], ent["mean"]) == (100, float(np.mean(reports.entropy)))
+    at_max = summarize(reports.entropy, math.log(3.0))
     exact_max = int(np.count_nonzero(reports.entropy >= math.log(3.0)))
-    assert ent["fraction_above_threshold"] == pytest.approx(exact_max / 100.0)
+    assert at_max.fraction_above_threshold == pytest.approx(exact_max / 100.0)
 
 
 # ------------------------------------------------------------ attack_reports

@@ -1,20 +1,22 @@
 """The public API: each module's __all__ names exactly its public functions
 and classes, the library modules leave the run directory's file formats to
 the CLI, every exception class is one that the CLI maps to exit 2 or an
-internal one, every `iad.` name in the README exists, and the README's Quick
-start runs as written."""
+internal one, every `iad.` name in the README exists, the README's Quick
+start runs as written, and every setting is read by the code."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import iad
 from iad import cli, losses, specfun, training
+from iad.config import DEFAULTS
 
 MODULES = [importlib.import_module(f"iad.{m.name}")
            for m in pkgutil.iter_modules(iad.__path__)]
@@ -71,8 +73,11 @@ def test_readme_quick_start_runs(capsys):
 # none of them. DomainError is a special function's argument check: callers
 # check their own inputs first, and evaluation turns F's DomainError on a
 # finite alpha it cannot take into ConcentrationOverflowError.
-# LossOverflowError bounds log F, which stays within ~37 of 0 for finite
-# concentrations (alpha_0 - alpha_c is 0 or at least ~2e-16 alpha_0).
+# LossOverflowError bounds log F. At an integer p <= 8, log F stays within
+# ~37 of 0 for finite concentrations (alpha_0 - alpha_c is 0 or at least
+# ~2e-16 alpha_0); at any other p, specfun.log_rising takes ln Gamma
+# differences that cancel at large x, so this bound is not shown there, and
+# whether CLI input can raise LossOverflowError is not verified.
 _INTERNAL_ERRORS = {specfun.DomainError, losses.LossOverflowError}
 
 
@@ -86,3 +91,21 @@ def test_every_exception_class_is_refused_or_internal():
     assert training.TrainingDiverged in cli._REFUSED
     unmapped = defined - set(cli._REFUSED) - {cli.UsageError} - _INTERNAL_ERRORS
     assert unmapped == set(), f"exception classes cli.main does not map: {unmapped}"
+
+
+# every module's source, TrainConfig's own definition cut out of training's
+_SOURCE = "\n".join(inspect.getsource(m) for m in MODULES).replace(
+    inspect.getsource(training.TrainConfig), "")
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(training.TrainConfig)])
+def test_every_train_config_field_is_read(name):
+    """A TrainConfig field that no code reads as cfg.<field> does nothing."""
+    assert re.search(rf"\bcfg\.{name}\b", _SOURCE), f"no code reads TrainConfig.{name}"
+
+
+@pytest.mark.parametrize("key", [k for k in DEFAULTS if not k.startswith("train.")])
+def test_every_config_key_outside_train_is_read_by_the_cli(key):
+    """Every key but the train.* ones, which are TrainConfig's fields, is
+    read by name in cli.py; a key that no code reads does nothing."""
+    assert f'"{key}"' in inspect.getsource(cli), f"cli.py does not read {key}"
