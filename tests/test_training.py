@@ -1,12 +1,17 @@
 """Annealing schedule, Adam recurrence, early stopping, determinism and
 divergence handling."""
 
+import dataclasses
+import os
+import sys
+import threading
 from collections import Counter
+from concurrent import futures
 
 import numpy as np
 import pytest
 
-from iad import cli, data, losses, network
+from iad import cli, data, losses, network, training
 from iad.config import ConfigError, ExperimentConfig
 from iad.training import (LOSSES, AdamState, TrainConfig, TrainingDiverged,
                           _evaluate_split, _objective, adam_step, anneal_lambda, train)
@@ -100,6 +105,119 @@ def test_adam_shape_mismatch():
     state = AdamState.zeros_like(p)
     with pytest.raises(ValueError):
         adam_step(p, [np.zeros(3)], state, TrainConfig())
+
+
+def _adam_snapshot(params, state):
+    return ([p.tobytes() for p in params], state.t,
+            [m.tobytes() for m in state.m], [v.tobytes() for v in state.v])
+
+
+@pytest.mark.parametrize("bad", ["grad", "m", "v", "count"])
+def test_adam_refuses_a_mismatch_before_writing_anything(bad):
+    # the mismatch sits in the second array, so the first one would already
+    # have been written by a check inside the update loop
+    p = [np.zeros(2), np.zeros(2)]
+    grads = [np.ones(2), np.ones(2)]
+    state = AdamState.zeros_like(p)
+    adam_step(p, grads, state, TrainConfig())
+    if bad == "grad":
+        grads[1] = np.zeros(3)
+    elif bad == "count":
+        grads.append(np.zeros(2))
+    else:
+        getattr(state, bad)[1] = np.zeros(3)
+    before = _adam_snapshot(p, state)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        adam_step(p, grads, state, TrainConfig())
+    assert _adam_snapshot(p, state) == before
+
+
+def test_adam_pieces_on_a_pool_give_the_one_vector_bits():
+    net = network.init([784, 100, 100, 10], np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    cfg = TrainConfig(learning_rate=3e-3)
+    one, split = net.flat.copy(), net.flat.copy()
+    pieces = [split[:30_000], split[30_000:60_000], split[60_000:]]
+    s_one, s_split = AdamState.zeros_like([one]), AdamState.zeros_like(pieces)
+    with futures.ThreadPoolExecutor(2) as pool:
+        for _ in range(20):
+            g = rng.standard_normal(one.size) * rng.uniform(1e-4, 10.0)
+            adam_step([one], [g], s_one, cfg)
+            adam_step(pieces, [g[:30_000], g[30_000:60_000], g[60_000:]], s_split,
+                      cfg, pool)
+    assert one.tobytes() == split.tobytes()
+    assert s_one.m[0].tobytes() == np.concatenate(s_split.m).tobytes()
+    assert s_one.v[0].tobytes() == np.concatenate(s_split.v).tobytes()
+
+
+def test_adam_many_pieces_on_more_workers_than_cores_lose_no_update():
+    # sixteen pieces on five workers with a short switch interval: a piece
+    # skipped, run twice or run after the call returned changes the bits
+    rng = np.random.default_rng(4)
+    one, split = np.zeros(16_000), np.zeros(16_000)
+    pieces = np.split(split, 16)
+    s_one, s_split = AdamState.zeros_like([one]), AdamState.zeros_like(pieces)
+    cfg = TrainConfig()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with futures.ThreadPoolExecutor(5) as pool:
+            for _ in range(30):
+                g = rng.standard_normal(one.size)
+                adam_step([one], [g], s_one, cfg)
+                adam_step(pieces, np.split(g, 16), s_split, cfg, pool)
+                assert one.tobytes() == split.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert s_one.t == s_split.t == 30
+
+
+def test_adam_pieces_on_a_pool_run_in_the_callers_error_state():
+    # g * g overflows in both pieces. numpy's error state is a context
+    # variable, which a pool thread does not inherit; pyproject.toml makes a
+    # RuntimeWarning an error, so a piece run outside the caller's
+    # np.errstate would fail the step
+    g = np.full(8, 1e200)
+    g[::2] = -3e200
+    one, split = np.zeros(8), np.zeros(8)
+    pieces = [split[:4], split[4:]]
+    s_one, s_split = AdamState.zeros_like([one]), AdamState.zeros_like(pieces)
+    cfg = TrainConfig()
+    with futures.ThreadPoolExecutor(1) as pool:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(3):
+                adam_step([one], [g], s_one, cfg)
+                adam_step(pieces, [g[:4], g[4:]], s_split, cfg, pool)
+        assert np.isinf(s_one.v[0]).all()
+        assert one.tobytes() == split.tobytes()
+        assert s_one.v[0].tobytes() == np.concatenate(s_split.v).tobytes()
+        # only the worker's piece overflows: a caller's "raise" reaches it too,
+        # and the step raises only once that piece has finished
+        g[:4] = 1.0
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            adam_step(pieces, [g[:4], g[4:]], s_split, cfg, pool)
+
+
+def test_cpu_count_is_what_the_process_may_use(monkeypatch):
+    monkeypatch.setattr(os, "process_cpu_count", lambda: 3, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert training._cpu_count() == 3
+    monkeypatch.delattr(os, "process_cpu_count")
+    assert training._cpu_count() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert training._cpu_count() == 8
+
+
+def test_adam_pieces_are_contiguous_large_and_at_most_one_per_cpu(monkeypatch):
+    monkeypatch.setattr(training, "_cpu_count", lambda: 4)
+    for n, count in [(1_251, 1), (32_767, 1), (65_536, 2), (89_610, 2),
+                     (10 ** 6, 4)]:
+        pieces = training._adam_pieces(n)
+        assert len(pieces) == count
+        assert pieces[0].start == 0 and pieces[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(pieces, pieces[1:]))
+        assert min(p.stop - p.start for p in pieces) >= min(n, training._ADAM_PIECE)
 
 
 def _adam_step_per_array_reference(params, grads, state, cfg):
@@ -374,6 +492,84 @@ def test_train_builds_gradient_views_once_per_call_not_per_step(monkeypatch,
         counts[batch_size] = len(calls)
     # init, the best-epoch snapshot and the first backward call
     assert counts[32] == counts[256] == 3
+
+
+@pytest.fixture(scope="module")
+def wide_data():
+    """MNIST-shaped rows for the 784-100-100-10 net, whose 89,610 parameters
+    make two Adam pieces on two CPUs."""
+    rng = np.random.default_rng(11)
+    return data.Dataset(rng.uniform(0.0, 1.0, size=(320, 784)),
+                        np.eye(10)[rng.integers(10, size=320)])
+
+
+def _without_seconds(record):
+    return record.best_epoch, [dataclasses.replace(r, seconds=0.0) for r in record.rows]
+
+
+def _refuse_a_pool(*args, **kwargs):
+    raise AssertionError("train built a thread pool")
+
+
+def test_train_in_pieces_gives_the_one_piece_bits(monkeypatch, wide_data):
+    pools = []
+
+    class CountingPool(futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", CountingPool)
+    cfg = TrainConfig(seed=3, max_epochs=3, batch_size=64, learning_rate=3e-3)
+    monkeypatch.setattr(training, "_cpu_count", lambda: 2)
+    net, record = train(wide_data, [100, 100], cfg)
+    assert len(pools) == 1
+    monkeypatch.setattr(training, "_cpu_count", lambda: 1)
+    one, one_record = train(wide_data, [100, 100], cfg)
+    assert len(pools) == 1
+    assert net.flat.tobytes() == one.flat.tobytes()
+    assert _without_seconds(record) == _without_seconds(one_record)
+
+
+@pytest.mark.parametrize("diverge", [False, True])
+def test_train_leaves_no_thread_running(monkeypatch, wide_data, diverge):
+    monkeypatch.setattr(training, "_cpu_count", lambda: 2)
+    before = set(threading.enumerate())
+    seen = []
+
+    def objective(*args, real=training._objective):
+        seen.append([t.name for t in threading.enumerate()])
+        vals, grads = real(*args)
+        if diverge and len(seen) == 4:
+            vals = vals * np.nan
+        return vals, grads
+
+    monkeypatch.setattr(training, "_objective", objective)
+    cfg = TrainConfig(seed=3, max_epochs=2, batch_size=64)
+    if diverge:
+        with pytest.raises(TrainingDiverged, match="non-finite loss"):
+            train(wide_data, [100, 100], cfg)
+    else:
+        train(wide_data, [100, 100], cfg)
+    # a worker updated a piece in the steps before the last objective call
+    assert any(name.startswith("iad-adam") for name in seen[-1])
+    assert set(threading.enumerate()) == before
+
+
+def test_train_a_desk_net_builds_no_pool(monkeypatch, separated_blobs):
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", _refuse_a_pool)
+    train_ds, _ = separated_blobs
+    _, record = train(train_ds, [32, 32], TrainConfig(seed=7, max_epochs=2))
+    assert len(record.rows) == 2
+
+
+def test_train_on_one_cpu_takes_one_piece_and_builds_no_pool(monkeypatch, wide_data):
+    monkeypatch.setattr(os, "process_cpu_count", lambda: 1, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert training._adam_pieces(89_610) == [slice(0, 89_610)]
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", _refuse_a_pool)
+    _, record = train(wide_data, [100, 100], TrainConfig(max_epochs=1, batch_size=64))
+    assert len(record.rows) == 1
 
 
 def test_train_record_lambda_matches_schedule():
