@@ -149,6 +149,20 @@ def _one_hot(classes: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _class_count(classes: np.ndarray, where: str, error: type[ValueError]) -> int:
+    """K, the largest of the labels (all >= 0) plus one, once each class
+    0..K-1 has a row and K >= 2; otherwise raises error, naming where."""
+    present = np.unique(classes)
+    missing = np.flatnonzero(present != np.arange(present.size))
+    if missing.size:
+        raise error(f"{where}: no row has label {missing[0]}, but the largest label is "
+                    f"{present[-1]}; every class from 0 to the largest needs a row")
+    if present.size < 2:
+        raise error(f"{where}: every label is 0, so the labels name one class; a "
+                    "classifier needs two or more")
+    return present.size
+
+
 def triangle_centers(side: float = 4.0) -> np.ndarray:
     """Vertices of an equilateral triangle of the given side, centered at 0."""
     r = side / np.sqrt(3.0)
@@ -252,9 +266,10 @@ def _idx_header(raw: bytes, path, magic, n_dims) -> tuple[int, ...]:
 
 def _read_idx(images_path, labels_path, images_raw=None,
               labels_raw=None) -> tuple[np.ndarray, np.ndarray]:
-    """The (N, rows * cols) uint8 pixels and (N, K) one-hot labels, K >= 2,
-    of an IDX pair (big-endian, unsigned bytes, each file as long as its
-    header says). images_raw and labels_raw are the files' bytes when already read."""
+    """The (N, rows * cols) uint8 pixels and (N, K) one-hot labels, K as
+    `_class_count` checks it, of an IDX pair (big-endian, unsigned bytes, each
+    file as long as its header says); images_raw and labels_raw are the
+    files' bytes when already read."""
     images = _contents(images_path, images_raw)
     count, rows, cols = _idx_header(images, images_path, _IMAGE_MAGIC, 3)
     if len(images) - 16 != count * rows * cols:
@@ -273,10 +288,7 @@ def _read_idx(images_path, labels_path, images_raw=None,
     if rows * cols == 0:
         raise IdxFormatError(f"{images_path}: its {rows}x{cols} images hold no pixels")
     classes = np.frombuffer(labels, dtype=np.uint8, count=count, offset=8)
-    k = int(classes.max()) + 1
-    if k < 2:
-        raise IdxFormatError(f"{labels_path}: every label is 0, so the labels name one "
-                             "class; a classifier needs two or more")
+    k = _class_count(classes, str(labels_path), IdxFormatError)
     pixels = np.frombuffer(images, dtype=np.uint8, count=count * rows * cols,
                            offset=16).reshape(count, rows * cols)
     return pixels, _one_hot(classes, k)
@@ -402,8 +414,8 @@ def load_idx_split(images_path, labels_path, fractions, rng: np.random.Generator
 def load_csv(path, raw: bytes | None = None) -> Dataset:
     """Load the native container, a header row (f0..fD-1,label) and then one
     row per example; a header that does not end in ``label`` is refused. The
-    one-hot width is the largest label plus one, which must be at least two.
-    raw is the file's bytes when the caller has read them already."""
+    one-hot width K >= 2 is the largest label plus one, and every class 0..K-1
+    needs a row. raw is the file's bytes when the caller has read them already."""
     raw = _contents(path, raw)
     try:
         text = raw.decode("utf-8")
@@ -441,8 +453,7 @@ def load_csv(path, raw: bytes | None = None) -> Dataset:
             raise CsvFormatError(f"{path}:{reader.line_num + 1}: no data rows")
         if d == 0:
             raise CsvFormatError(f"{path}:1: the header names no feature column")
-        if max(idx) < 1:
-            raise CsvFormatError(f"{path}:1: every label is 0, so the labels name one "
-                                 "class; a classifier needs two or more")
+        classes = np.array(idx)
+        k = _class_count(classes, f"{path}:1", CsvFormatError)
     features = np.array(feats, dtype=np.float64).reshape(len(feats), d)
-    return _derived(features, _one_hot(np.array(idx), max(idx) + 1), f"csv({path})")
+    return _derived(features, _one_hot(classes, k), f"csv({path})")

@@ -3,13 +3,9 @@ annealing and early stopping."""
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import logging
 import math
-import os
 import time
-from concurrent import futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,10 +36,6 @@ _OOD_BOX_FACTOR = 3.0
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 # the reverse-KL loss's prior target: beta + 1 at the label, 1 elsewhere
 _RKL_BETA = 10.0
-# Smallest contiguous piece of the flat parameter vector that Adam updates on
-# a thread of its own: its six float64 arrays (p, g, m, v and two work arrays)
-# take ~1.5 MB, which stays in L2
-_ADAM_PIECE = 32_768
 
 
 class TrainingDiverged(RuntimeError):
@@ -130,8 +122,8 @@ class AdamState:
         return cls([np.zeros_like(a) for a in arrays], [np.zeros_like(a) for a in arrays])
 
 
-def _adam_array(p, g, m, v, s, r, lr, c1, c2) -> None:
-    """One array's update: 14 ufunc calls into the work arrays s and r."""
+def _adam_array(p, g, m, v, s, r, step, eps) -> None:
+    """One array's update: 12 ufunc calls into the work arrays s and r."""
     m *= _ADAM_BETA1
     np.multiply(g, 1.0 - _ADAM_BETA1, out=s)
     m += s
@@ -139,69 +131,35 @@ def _adam_array(p, g, m, v, s, r, lr, c1, c2) -> None:
     np.multiply(g, 1.0 - _ADAM_BETA2, out=s)
     s *= g
     v += s
-    np.divide(m, c1, out=s)
-    s *= lr
-    np.divide(v, c2, out=r)
-    np.sqrt(r, out=r)
-    r += _ADAM_EPS
+    np.sqrt(v, out=r)
+    r += eps
+    np.multiply(m, step, out=s)
     s /= r
     p -= s
 
 
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState,
-              cfg: TrainConfig, pool: futures.Executor | None = None) -> None:
-    """Standard Adam update with bias correction, in place, at cfg's
-    learning rate and the module's beta1, beta2 and eps. Each array takes
-    14 ufunc calls into the state's work arrays; per element they do the
-    operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
-    p -= lr (m / c1) / (sqrt(v / c2) + eps) in that order, so passing one
-    flat vector or its pieces gives the same bits.
-
-    Every shape is checked before anything is written. Without `pool` the
-    arrays are updated in turn on the calling thread. With it, the first
-    array is updated on the calling thread and each other one on the pool,
-    in the caller's context, so numpy's error state covers it; the call
-    returns or raises once every array is done."""
+              cfg: TrainConfig) -> None:
+    """Adam with bias correction, in place, at cfg's learning rate and the
+    module's beta1, beta2 and eps, in Kingma & Ba's reordered form (arXiv
+    1412.6980, after Algorithm 1): m = b1 m + (1 - b1) g and
+    v = b2 v + (1 - b2) g g, then p -= a_t m / (sqrt(v) + eps_t) with
+    a_t = lr sqrt(c2) / c1 and eps_t = eps sqrt(c2), where c1 = 1 - b1^t and
+    c2 = 1 - b2^t. Each array takes 12 ufunc calls into the state's work
+    arrays, in the same per-element order, so passing one flat vector or its
+    pieces gives the same bits. Every shape is checked before anything is
+    written."""
     if not len(params) == len(grads) == len(state.m) == len(state.v):
         raise ValueError("parameter/gradient/state shape mismatch")
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if not p.shape == g.shape == m.shape == v.shape:
             raise ValueError("parameter/gradient/state shape mismatch")
     state.t += 1
-    lr = cfg.learning_rate
-    c1, c2 = 1.0 - _ADAM_BETA1 ** state.t, 1.0 - _ADAM_BETA2 ** state.t
-    arrays = zip(params, grads, state.m, state.v, state.scratch)
-    if pool is None or len(params) < 2:
-        for p, g, m, v, (s, r) in arrays:
-            _adam_array(p, g, m, v, s, r, lr, c1, c2)
-        return
-    first, *rest = [(p, g, m, v, s, r, lr, c1, c2) for p, g, m, v, (s, r) in arrays]
-    pending = [pool.submit(contextvars.copy_context().run, _adam_array, *args)
-               for args in rest]
-    try:
-        _adam_array(*first)
-    finally:
-        for done in pending:
-            done.exception()  # waits; futures.wait costs ~40 us more per call
-    for done in pending:
-        done.result()
-
-
-def _cpu_count() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "process_cpu_count"):
-        return os.process_cpu_count() or 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _adam_pieces(n: int) -> list[slice]:
-    """Contiguous pieces of an n-element vector for Adam: each of at least
-    _ADAM_PIECE elements, at most one per CPU, one when n is smaller."""
-    count = max(1, min(_cpu_count(), n // _ADAM_PIECE))
-    bounds = [n * i // count for i in range(count + 1)]
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    root_c2 = math.sqrt(1.0 - _ADAM_BETA2 ** state.t)
+    step = cfg.learning_rate * root_c2 / (1.0 - _ADAM_BETA1 ** state.t)
+    eps = _ADAM_EPS * root_c2
+    for p, g, m, v, (s, r) in zip(params, grads, state.m, state.v, state.scratch):
+        _adam_array(p, g, m, v, s, r, step, eps)
 
 
 # loss selector -> (value_grad(alpha, c, cfg) -> ((N,), (N, K)), regularized:
@@ -254,22 +212,21 @@ def train(dataset: Dataset, arch: list[int], cfg: TrainConfig, loss: str = "iad"
     epoch. `arch` lists hidden layer widths; input/output sizes come from the
     data. Early stopping monitors the labeled validation objective at the
     full regularizer weight so epochs are comparable across the annealing ramp.
+    A given `val` must be labeled, non-empty and of the data's d and K.
 
     With cfg.ood_weight > 0 and a regularized loss, every step with lambda_t >
     0 also draws one noise input per labeled row, uniform in the box of
     half-width 3 r_max around the training-feature mean (r_max: the largest
     distance of a training row from it), and adds lambda_t * ood_weight times
-    the mean of R(alpha, c=None) over those rows to the objective.
-
-    Adam updates the flat parameter vector in contiguous pieces of at least
-    _ADAM_PIECE elements, at most one per CPU the process may use, with the
-    bits of one update over the whole vector. All pieces but the first run on
-    the threads of a pool that this call opens and shuts down, also when it
-    raises; a net too small for two pieces, or one CPU, makes no pool."""
+    the mean of R(alpha, c=None) over those rows to the objective."""
     if loss not in LOSSES:
         raise ValueError(f"unknown loss {loss!r}; pick one of {sorted(LOSSES)}")
     if dataset.n == 0 or dataset.labels is None:
         raise ValueError("training needs a non-empty labeled dataset")
+    if val is not None and (val.n == 0 or val.labels is None
+                            or (val.d, val.k) != (dataset.d, dataset.k)):
+        raise ValueError(f"val must be a non-empty labeled dataset of the training "
+                         f"data's {dataset.d} features and {dataset.k} classes")
     seeds = np.random.SeedSequence(cfg.seed).spawn(4)
     rng_init = np.random.default_rng(seeds[0])
     rng_split = np.random.default_rng(seeds[1])
@@ -283,13 +240,9 @@ def train(dataset: Dataset, arch: list[int], cfg: TrainConfig, loss: str = "iad"
 
     sizes = [dataset.d] + list(arch) + [dataset.k]
     net = network.init(sizes, rng_init)
-    # Adam updates contiguous pieces of the flat vector, all but the first on
-    # the worker threads of the pool opened below
-    pieces = _adam_pieces(net.flat.size)
-    params = [net.flat[piece] for piece in pieces]
-    state = AdamState.zeros_like(params)
-    # the first backward call builds grads and its pieces, later calls write into them
-    grads = grad_pieces = None
+    state = AdamState.zeros_like([net.flat])
+    # the first backward call builds grads, later calls write into it
+    grads = None
 
     # an unregularized loss keeps lam and monitor_lam at 0.0, which leaves out
     # R and the off-support noise rows
@@ -306,11 +259,8 @@ def train(dataset: Dataset, arch: list[int], cfg: TrainConfig, loss: str = "iad"
         center, rmax = support_extent(train_ds)
         box = (center - _OOD_BOX_FACTOR * rmax, center + _OOD_BOX_FACTOR * rmax)
 
-    workers = (futures.ThreadPoolExecutor(len(pieces) - 1, "iad-adam")
-               if len(pieces) > 1 else contextlib.nullcontext())
-    # an overflow or NaN is refused by the guards below, not warned about; the
-    # pool's threads end before train returns or raises
-    with np.errstate(over="ignore", invalid="ignore"), workers as pool:
+    # an overflow or NaN is refused by the guards below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.max_epochs + 1):
             t_start = time.perf_counter()
             lam = anneal_lambda(cfg, epoch) if regularized else 0.0
@@ -338,9 +288,7 @@ def train(dataset: Dataset, arch: list[int], cfg: TrainConfig, loss: str = "iad"
                     raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
                 dalpha /= idx.size
                 grads = network.backward(net, trace, dalpha, out=grads)
-                if grad_pieces is None:
-                    grad_pieces = [grads.flat[piece] for piece in pieces]
-                adam_step(params, grad_pieces, state, cfg, pool)
+                adam_step([net.flat], [grads.flat], state, cfg)
                 epoch_loss += batch_loss * idx.size
             epoch_loss /= train_ds.n
 

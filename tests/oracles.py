@@ -17,7 +17,9 @@ which `iad.training`'s one R call must equal bit for bit; the summary from
 forward pass that keeps every layer's pre-activation, with the backprop that
 reads each hidden ReLU mask from them, which the library's forward and
 backprop, whose trace keeps only the layer inputs and the head's
-pre-activation, must equal bit for bit.
+pre-activation, must equal bit for bit; and Adam in its textbook form over
+each array, with bias-corrected m and v, which `iad.training.adam_step`'s
+reordered update must equal to float64 rounding.
 
 Criterion 2's Monte Carlo draws from `sample`, and the reverse-KL loss is
 checked against `kl_divergence`.
@@ -385,3 +387,19 @@ def reference_backprop(net, trace: PreactTrace, dloss_dalpha, grads, input_delta
         if i > 0:
             delta *= trace.preacts[i - 1] > 0.0
     return delta
+
+
+def reference_adam_step(params, grads, state, cfg) -> None:
+    """Adam as Kingma & Ba's Algorithm 1 writes it, array by array: m and v
+    updated, then p -= lr m_hat / (sqrt(v_hat) + eps) from the bias-corrected
+    m_hat and v_hat, at beta1 = 0.9, beta2 = 0.999 and eps = 1e-8."""
+    state.t += 1
+    b1, b2 = 0.9, 0.999
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1 ** state.t)
+        v_hat = v / (1.0 - b2 ** state.t)
+        p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)

@@ -704,6 +704,22 @@ def test_cli_zero_feature_input_exits_2_before_writing(tmp_path, capsys, make_in
     _assert_one_error_line(capsys, out, where)
 
 
+@pytest.mark.parametrize("kind", ["csv", "idx"])
+def test_cli_labels_that_leave_a_class_without_a_row_exit_2(tmp_path, capsys, kind):
+    # a CSV label of 10**12 used to end in numpy's memory-error traceback
+    if kind == "csv":
+        where = tmp_path / "gap.csv"
+        where.write_text("f0,f1,label\n0.5,0.25,0\n0.5,0.25,1\n0.5,0.25,1000000000000\n")
+        argv = ["--set", "data.kind=csv", "--set", f"data.csv={where}"]
+    else:
+        ip, where = write_idx(tmp_path, np.zeros((60, 2, 2), dtype=np.uint8), [0, 1, 200] * 20)
+        argv = ["--set", "data.kind=idx", "--set", f"data.idx_images={ip}",
+                "--set", f"data.idx_labels={where}"]
+    out = tmp_path / "run"
+    assert run(["train", "--out", str(out)] + TINY + argv) == 2
+    _assert_one_error_line(capsys, out, f"{where}", "no row has label 2")
+
+
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())

@@ -160,7 +160,7 @@ def write_idx(tmp_path, images, labels):
 def test_load_idx_parses_and_scales(tmp_path):
     rng = np.random.default_rng(3)
     images = rng.integers(0, 256, size=(10, 28, 28), dtype=np.uint8)
-    labels = list(rng.integers(0, 10, size=10))
+    labels = list(rng.permutation(10))  # each of the ten classes has a row
     ip, lp = write_idx(tmp_path, images, labels)
     ds = load_idx(ip, lp)
     assert ds.features.shape == (10, 784)
@@ -228,6 +228,15 @@ def test_load_idx_refuses_labels_of_one_class(tmp_path):
     for load in (lambda: load_idx(ip, lp),
                  lambda: load_idx_split(ip, lp, [0.5, 0.5], np.random.default_rng(0), True)):
         with pytest.raises(IdxFormatError, match=f"{lp}: every label is 0"):
+            load()
+
+
+def test_load_idx_refuses_labels_that_leave_a_class_without_a_row(tmp_path):
+    ip, lp = write_idx(tmp_path, np.zeros((6, 2, 2), dtype=np.uint8), [0, 3, 3, 0, 2, 3])
+    for load in (lambda: load_idx(ip, lp),
+                 lambda: load_idx_split(ip, lp, [0.5, 0.5], np.random.default_rng(0), True)):
+        with pytest.raises(IdxFormatError, match=f"^{lp}: no row has label 1, but the "
+                                                 "largest label is 3"):
             load()
 
 
@@ -348,6 +357,19 @@ def test_load_csv_malformed_names_file_and_line(tmp_path, body, line, what):
         load_csv(path)
     assert f"{path}:{line}: " in str(exc.value)
     assert what in str(exc.value)
+
+
+@pytest.mark.parametrize("labels, missing", [
+    ([0, 1, 10 ** 12], 2), ([1, 1, 0, 2, 5], 3), ([2, 2, 1], 0), ([0, 1, 2 ** 70], 2)],
+    ids=["label-1e12", "gap-below-the-largest", "no-label-0", "label-beyond-int64"])
+def test_load_csv_refuses_labels_that_leave_a_class_without_a_row(tmp_path, labels,
+                                                                   missing):
+    # a label of 10**12 used to size a 10**12-column one-hot matrix
+    path = tmp_path / "gap.csv"
+    path.write_text("f0,label\n" + "".join(f"0.5,{c}\n" for c in labels))
+    with pytest.raises(CsvFormatError, match=f"^{path}:1: no row has label {missing}, but "
+                                             f"the largest label is {max(labels)}"):
+        load_csv(path)
 
 
 # ------------------------------------------------ one-pass data path, bit-exact

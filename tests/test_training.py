@@ -1,12 +1,8 @@
 """Annealing schedule, Adam recurrence, early stopping, determinism and
 divergence handling."""
 
-import dataclasses
-import os
-import sys
 import threading
 from collections import Counter
-from concurrent import futures
 
 import numpy as np
 import pytest
@@ -15,7 +11,7 @@ from iad import cli, data, losses, network, training
 from iad.config import ConfigError, ExperimentConfig
 from iad.training import (LOSSES, AdamState, TrainConfig, TrainingDiverged,
                           _evaluate_split, _objective, adam_step, anneal_lambda, train)
-from oracles import reference_objective, reference_validation_values
+from oracles import reference_adam_step, reference_objective, reference_validation_values
 
 
 def two_class_blobs(seed=0, n=400, spread=0.3):
@@ -132,129 +128,52 @@ def test_adam_refuses_a_mismatch_before_writing_anything(bad):
     assert _adam_snapshot(p, state) == before
 
 
-def test_adam_pieces_on_a_pool_give_the_one_vector_bits():
+def _wide_arrays():
+    """The wide benchmark net, 784-100-100-10, as its six parameter arrays."""
     net = network.init([784, 100, 100, 10], np.random.default_rng(0))
+    return [a.copy() for a in net.weights + net.biases]
+
+
+def _random_grads(rng, arrays):
+    return [rng.standard_normal(a.shape) * rng.uniform(1e-4, 10.0) for a in arrays]
+
+
+def test_adam_step_matches_the_textbook_update_to_rounding():
+    # m and v take the same operations in both forms, so they stay bit-equal;
+    # each reordered update differs from the textbook one by a few ulp of the
+    # step (|step| <= lr (1 - b1) / sqrt(1 - b2) < 4 lr), and each subtraction
+    # by an ulp of p, summed over the steps
+    steps, lr, eps = 100, 3e-3, np.finfo(float).eps
+    rng = np.random.default_rng(1)
+    ref, got = _wide_arrays(), _wide_arrays()
+    s_ref, s_got = AdamState.zeros_like(ref), AdamState.zeros_like(got)
+    cfg = TrainConfig(learning_rate=lr)
+    for _ in range(steps):
+        grads = _random_grads(rng, ref)
+        reference_adam_step(ref, grads, s_ref, cfg)
+        adam_step(got, grads, s_got, cfg)
+    assert s_ref.t == s_got.t == steps
+    for a, b, m_a, m_b, v_a, v_b in zip(ref, got, s_ref.m, s_got.m, s_ref.v, s_got.v):
+        assert m_a.tobytes() == m_b.tobytes() and v_a.tobytes() == v_b.tobytes()
+        np.testing.assert_allclose(b, a, rtol=steps * eps, atol=steps * 16 * eps * lr)
+
+
+def test_adam_step_six_arrays_and_one_vector_give_the_same_bits():
     rng = np.random.default_rng(1)
     cfg = TrainConfig(learning_rate=3e-3)
-    one, split = net.flat.copy(), net.flat.copy()
-    pieces = [split[:30_000], split[30_000:60_000], split[60_000:]]
-    s_one, s_split = AdamState.zeros_like([one]), AdamState.zeros_like(pieces)
-    with futures.ThreadPoolExecutor(2) as pool:
-        for _ in range(20):
-            g = rng.standard_normal(one.size) * rng.uniform(1e-4, 10.0)
-            adam_step([one], [g], s_one, cfg)
-            adam_step(pieces, [g[:30_000], g[30_000:60_000], g[60_000:]], s_split,
-                      cfg, pool)
-    assert one.tobytes() == split.tobytes()
-    assert s_one.m[0].tobytes() == np.concatenate(s_split.m).tobytes()
-    assert s_one.v[0].tobytes() == np.concatenate(s_split.v).tobytes()
-
-
-def test_adam_many_pieces_on_more_workers_than_cores_lose_no_update():
-    # sixteen pieces on five workers with a short switch interval: a piece
-    # skipped, run twice or run after the call returned changes the bits
-    rng = np.random.default_rng(4)
-    one, split = np.zeros(16_000), np.zeros(16_000)
-    pieces = np.split(split, 16)
-    s_one, s_split = AdamState.zeros_like([one]), AdamState.zeros_like(pieces)
-    cfg = TrainConfig()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with futures.ThreadPoolExecutor(5) as pool:
-            for _ in range(30):
-                g = rng.standard_normal(one.size)
-                adam_step([one], [g], s_one, cfg)
-                adam_step(pieces, np.split(g, 16), s_split, cfg, pool)
-                assert one.tobytes() == split.tobytes()
-    finally:
-        sys.setswitchinterval(interval)
-    assert s_one.t == s_split.t == 30
-
-
-def test_adam_pieces_on_a_pool_run_in_the_callers_error_state():
-    # g * g overflows in both pieces. numpy's error state is a context
-    # variable, which a pool thread does not inherit; pyproject.toml makes a
-    # RuntimeWarning an error, so a piece run outside the caller's
-    # np.errstate would fail the step
-    g = np.full(8, 1e200)
-    g[::2] = -3e200
-    one, split = np.zeros(8), np.zeros(8)
-    pieces = [split[:4], split[4:]]
-    s_one, s_split = AdamState.zeros_like([one]), AdamState.zeros_like(pieces)
-    cfg = TrainConfig()
-    with futures.ThreadPoolExecutor(1) as pool:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(3):
-                adam_step([one], [g], s_one, cfg)
-                adam_step(pieces, [g[:4], g[4:]], s_split, cfg, pool)
-        assert np.isinf(s_one.v[0]).all()
-        assert one.tobytes() == split.tobytes()
-        assert s_one.v[0].tobytes() == np.concatenate(s_split.v).tobytes()
-        # only the worker's piece overflows: a caller's "raise" reaches it too,
-        # and the step raises only once that piece has finished
-        g[:4] = 1.0
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            adam_step(pieces, [g[:4], g[4:]], s_split, cfg, pool)
-
-
-def test_cpu_count_is_what_the_process_may_use(monkeypatch):
-    monkeypatch.setattr(os, "process_cpu_count", lambda: 3, raising=False)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    assert training._cpu_count() == 3
-    monkeypatch.delattr(os, "process_cpu_count")
-    assert training._cpu_count() == 2
-    monkeypatch.delattr(os, "sched_getaffinity")
-    assert training._cpu_count() == 8
-
-
-def test_adam_pieces_are_contiguous_large_and_at_most_one_per_cpu(monkeypatch):
-    monkeypatch.setattr(training, "_cpu_count", lambda: 4)
-    for n, count in [(1_251, 1), (32_767, 1), (65_536, 2), (89_610, 2),
-                     (10 ** 6, 4)]:
-        pieces = training._adam_pieces(n)
-        assert len(pieces) == count
-        assert pieces[0].start == 0 and pieces[-1].stop == n
-        assert all(a.stop == b.start for a, b in zip(pieces, pieces[1:]))
-        assert min(p.stop - p.start for p in pieces) >= min(n, training._ADAM_PIECE)
-
-
-def _adam_step_per_array_reference(params, grads, state, cfg):
-    """The per-array Adam loop adam_step replaced, kept as the reference for
-    its bits, at beta1 = 0.9, beta2 = 0.999 and eps = 1e-8."""
-    state.t += 1
-    b1, b2 = 0.9, 0.999
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** state.t)
-        v_hat = v / (1.0 - b2 ** state.t)
-        p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
-
-
-def test_adam_step_bit_identical_to_per_array_loop():
-    # the wide benchmark net, 784-100-100-10, as six arrays and as one vector
-    net = network.init([784, 100, 100, 10], np.random.default_rng(0))
-    rng = np.random.default_rng(1)
-    cfg = TrainConfig(learning_rate=3e-3)
-    ref = [a.copy() for a in net.weights + net.biases]
-    six = [a.copy() for a in net.weights + net.biases]
-    flat = net.copy()
-    states = [AdamState.zeros_like(ref), AdamState.zeros_like(six),
-              AdamState.zeros_like([flat.flat])]
+    six = _wide_arrays()
+    flat = network.NetworkParams(six[:3], six[3:])  # a copy in one vector
+    s_six, s_flat = AdamState.zeros_like(six), AdamState.zeros_like([flat.flat])
     for _ in range(20):
-        grads = [rng.standard_normal(a.shape) * rng.uniform(1e-4, 10.0) for a in ref]
-        _adam_step_per_array_reference(ref, grads, states[0], cfg)
-        adam_step(six, grads, states[1], cfg)
+        grads = _random_grads(rng, six)
+        adam_step(six, grads, s_six, cfg)
         g = network.NetworkParams(grads[:3], grads[3:]).flat
-        adam_step([flat.flat], [g], states[2], cfg)
-    for a, b, c in zip(ref, six, flat.weights + flat.biases):
-        assert np.array_equal(a, b) and np.array_equal(a, c)
-    assert np.array_equal(np.concatenate([m.ravel() for m in states[0].m]),
-                          np.concatenate([m.ravel() for m in states[1].m]))
+        adam_step([flat.flat], [g], s_flat, cfg)
+    for a, b in zip(six, flat.weights + flat.biases):
+        assert a.tobytes() == b.tobytes()
+    for six_state, flat_state in ((s_six.m, s_flat.m[0]), (s_six.v, s_flat.v[0])):
+        laid_out = network.NetworkParams(six_state[:3], six_state[3:]).flat
+        assert laid_out.tobytes() == flat_state.tobytes()
 
 
 @pytest.mark.parametrize("field, bad", [
@@ -497,48 +416,21 @@ def test_train_builds_gradient_views_once_per_call_not_per_step(monkeypatch,
 @pytest.fixture(scope="module")
 def wide_data():
     """MNIST-shaped rows for the 784-100-100-10 net, whose 89,610 parameters
-    make two Adam pieces on two CPUs."""
+    Adam updates in one call per step."""
     rng = np.random.default_rng(11)
     return data.Dataset(rng.uniform(0.0, 1.0, size=(320, 784)),
                         np.eye(10)[rng.integers(10, size=320)])
 
 
-def _without_seconds(record):
-    return record.best_epoch, [dataclasses.replace(r, seconds=0.0) for r in record.rows]
-
-
-def _refuse_a_pool(*args, **kwargs):
-    raise AssertionError("train built a thread pool")
-
-
-def test_train_in_pieces_gives_the_one_piece_bits(monkeypatch, wide_data):
-    pools = []
-
-    class CountingPool(futures.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(args)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(futures, "ThreadPoolExecutor", CountingPool)
-    cfg = TrainConfig(seed=3, max_epochs=3, batch_size=64, learning_rate=3e-3)
-    monkeypatch.setattr(training, "_cpu_count", lambda: 2)
-    net, record = train(wide_data, [100, 100], cfg)
-    assert len(pools) == 1
-    monkeypatch.setattr(training, "_cpu_count", lambda: 1)
-    one, one_record = train(wide_data, [100, 100], cfg)
-    assert len(pools) == 1
-    assert net.flat.tobytes() == one.flat.tobytes()
-    assert _without_seconds(record) == _without_seconds(one_record)
-
-
 @pytest.mark.parametrize("diverge", [False, True])
 def test_train_leaves_no_thread_running(monkeypatch, wide_data, diverge):
-    monkeypatch.setattr(training, "_cpu_count", lambda: 2)
+    # train runs on the caller's thread alone: no thread beyond the ones
+    # alive before the call exists at any step, or after it returns or raises
     before = set(threading.enumerate())
     seen = []
 
     def objective(*args, real=training._objective):
-        seen.append([t.name for t in threading.enumerate()])
+        seen.append(set(threading.enumerate()))
         vals, grads = real(*args)
         if diverge and len(seen) == 4:
             vals = vals * np.nan
@@ -551,25 +443,8 @@ def test_train_leaves_no_thread_running(monkeypatch, wide_data, diverge):
             train(wide_data, [100, 100], cfg)
     else:
         train(wide_data, [100, 100], cfg)
-    # a worker updated a piece in the steps before the last objective call
-    assert any(name.startswith("iad-adam") for name in seen[-1])
+    assert len(seen) >= 4 and all(threads == before for threads in seen)
     assert set(threading.enumerate()) == before
-
-
-def test_train_a_desk_net_builds_no_pool(monkeypatch, separated_blobs):
-    monkeypatch.setattr(futures, "ThreadPoolExecutor", _refuse_a_pool)
-    train_ds, _ = separated_blobs
-    _, record = train(train_ds, [32, 32], TrainConfig(seed=7, max_epochs=2))
-    assert len(record.rows) == 2
-
-
-def test_train_on_one_cpu_takes_one_piece_and_builds_no_pool(monkeypatch, wide_data):
-    monkeypatch.setattr(os, "process_cpu_count", lambda: 1, raising=False)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert training._adam_pieces(89_610) == [slice(0, 89_610)]
-    monkeypatch.setattr(futures, "ThreadPoolExecutor", _refuse_a_pool)
-    _, record = train(wide_data, [100, 100], TrainConfig(max_epochs=1, batch_size=64))
-    assert len(record.rows) == 1
 
 
 def test_train_record_lambda_matches_schedule():
@@ -610,6 +485,20 @@ def test_train_rejects_bad_inputs():
     unlabeled = data.Dataset(ds.features, None)
     with pytest.raises(ValueError):
         train(unlabeled, [8], TrainConfig(), loss="iad")
+
+
+@pytest.mark.parametrize("case", ["features", "classes", "empty", "unlabeled"])
+def test_train_checks_val_before_the_first_epoch(monkeypatch, case):
+    # a val of other d failed in forward after an epoch, one of other K with
+    # an IndexError, and an empty one as a non-finite validation loss
+    ds = two_class_blobs(n=60)
+    val = {"features": data.Dataset(np.zeros((4, 3)), np.eye(2)[[0, 1, 0, 1]]),
+           "classes": data.Dataset(np.zeros((4, 2)), np.eye(3)[[0, 1, 2, 1]]),
+           "empty": ds.take(np.arange(0)),
+           "unlabeled": data.Dataset(ds.features[:4], None)}[case]
+    monkeypatch.setattr(network, "forward", lambda *a: pytest.fail("an epoch ran"))
+    with pytest.raises(ValueError, match="^val "):
+        train(ds, [8], TrainConfig(seed=3, max_epochs=1), val=val)
 
 
 def test_train_divergence_guard():
