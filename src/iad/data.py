@@ -47,8 +47,8 @@ class CsvFormatError(ValueError):
 
 class FeatureRangeError(ValueError):
     """Raised when a feature column's max - min overflows float64, so that
-    min-max scaling cannot map it to [0, 1], when the support radius does, or
-    when a generated feature overflows float64."""
+    min-max scaling cannot map it to [0, 1], when the support radius does or
+    is 0, or when a generated feature overflows float64."""
 
 
 class EmptySplitError(ValueError):
@@ -217,13 +217,19 @@ def _row_norms(x: np.ndarray, center=0.0) -> np.ndarray:
 def support_extent(dataset: Dataset) -> tuple[np.ndarray, float]:
     """The global feature mean and the largest distance of any row from it.
     A distance that overflows float64, as the squares of features beyond
-    ~1.3e154 do, raises FeatureRangeError."""
+    ~1.3e154 do, raises FeatureRangeError, and so does a distance of 0: every
+    multiple of it, the OOD ring's radius among them, lies inside the
+    support."""
     with np.errstate(over="ignore", invalid="ignore"):
         mean = dataset.features.mean(axis=0)
         rmax = float(np.max(_row_norms(dataset.features, mean)))
     if not math.isfinite(rmax):
         raise FeatureRangeError(f"{dataset.provenance}: the support radius, the largest "
                                 "distance of a row from the feature mean, overflows float64")
+    if rmax == 0.0:
+        raise FeatureRangeError(f"{dataset.provenance}: the support radius, the largest "
+                                "distance of a row from the feature mean, is 0: every row "
+                                "is the same point, so no point lies outside the support")
     return mean, rmax
 
 

@@ -26,9 +26,8 @@ STRICT_TOL = 1e-12
 
 # The lemma sweep draws and checks its triples in blocks of this many: the
 # one digamma_trigamma call over the stacked (4, b) arguments (x1, x2, x1 + p,
-# x2 + p) is one specfun.BLOCK, so it takes the unsplit path, and the block's
-# draws and temporaries stay in cache rather than being returned to the
-# system and faulted in again.
+# x2 + p) is one specfun.BLOCK, so it takes the unsplit path, and every block
+# is drawn into the same buffer, so no draw or sum is allocated per block.
 _TRIPLES_PER_BLOCK = BLOCK // 4
 
 # The protocol: every sweep runs over GRID, 50 points evenly spaced in log
@@ -53,22 +52,44 @@ class Verdict:
     detail: dict = field(default_factory=dict)
 
 
+def _uniform_into(rng: np.random.Generator, lo: float, hi: float, out: np.ndarray) -> None:
+    """rng.uniform(lo, hi, size=out.size) written into out, bit for bit: numpy
+    forms each value as lo + (hi - lo) * U from one standard uniform double."""
+    rng.random(out=out)
+    out *= hi - lo
+    out += lo
+
+
 def _triple_blocks(n_triples: int, seed: int):
-    """Random (x1, x2, p) with x1 > x2 > 1 and p in (0, 10], in blocks of up
-    to _TRIPLES_PER_BLOCK. They are the numbers of x2 = 1 + u(1e-3, 50),
-    x1 = x2 + u(1e-3, 50) and p = u(1e-6, 10), each drawn n_triples at a time
-    in that order from default_rng(seed): a uniform double takes one 64-bit
-    output, so the x1 and p streams start n_triples and 2 n_triples outputs
-    into the seed's PCG64 stream."""
+    """Random (x1, x2, p) with x1 > x2 > 1 and p in (0, 10], as (4, b) blocks
+    of rows (x1, x2, x1 + p, x2 + p), b up to _TRIPLES_PER_BLOCK. Each block
+    is a view of one buffer that the next block overwrites, so it is valid
+    only until the next one is drawn.
+
+    They are the numbers of x2 = 1 + u(1e-3, 50), x1 = x2 + u(1e-3, 50) and
+    p = u(1e-6, 10), each drawn n_triples at a time in that order from
+    default_rng(seed): a uniform double takes one 64-bit output, so the x1
+    and p streams start n_triples and 2 n_triples outputs into the seed's
+    PCG64 stream."""
     seq = np.random.SeedSequence(seed)
     x2_rng, x1_rng, p_rng = (
         np.random.Generator(np.random.PCG64(seq).advance(skip * n_triples))
         for skip in range(3))
+    buf = np.empty(4 * min(_TRIPLES_PER_BLOCK, n_triples))
     for lo in range(0, n_triples, _TRIPLES_PER_BLOCK):
         b = min(_TRIPLES_PER_BLOCK, n_triples - lo)
-        x2 = 1.0 + x2_rng.uniform(1e-3, 50.0, size=b)
-        x1 = x2 + x1_rng.uniform(1e-3, 50.0, size=b)
-        yield x1, x2, p_rng.uniform(1e-6, 10.0, size=b)
+        # the last, partial block is the buffer's contiguous head
+        block = buf[:4 * b].reshape(4, b)
+        x1, x2, x1p, x2p = block
+        _uniform_into(x2_rng, 1e-3, 50.0, x2)
+        x2 += 1.0
+        _uniform_into(x1_rng, 1e-3, 50.0, x1)
+        x1 += x2
+        # p goes into row 2 and is then shifted by x1 there
+        _uniform_into(p_rng, 1e-6, 10.0, x1p)
+        np.add(x2, x1p, out=x2p)
+        x1p += x1
+        yield block
 
 
 def _lemma_sweep(n_triples: int, seed: int) -> tuple[Verdict, Verdict]:
@@ -77,8 +98,8 @@ def _lemma_sweep(n_triples: int, seed: int) -> tuple[Verdict, Verdict]:
     if n_triples < 1:
         raise ValueError("n_triples must be >= 1")
     ok1 = ok2 = True
-    for x1, x2, p in _triple_blocks(n_triples, seed):
-        psi, psi1 = digamma_trigamma(np.stack([x1, x2, x1 + p, x2 + p]))
+    for block in _triple_blocks(n_triples, seed):
+        psi, psi1 = digamma_trigamma(block)
         shifted, plain = psi[2] - psi[3], psi[0] - psi[1]
         ok1 &= bool(np.all(shifted > 0.0) and np.all(shifted < plain))
         shifted, plain = psi1[2] - psi1[3], psi1[0] - psi1[1]
@@ -137,17 +158,22 @@ def _random_bases(rng: np.random.Generator, trials: int, k: int = 10):
         yield alpha, c, j + (j >= c)
 
 
-def _base_sweeps(trials: int, seed: int, loss_fn, vary_correct: bool) -> np.ndarray:
-    """vals[t] is loss_fn(alpha, c) for random base t along GRID, in the
-    correct-class concentration parameter or in a random off-class one. One
-    loss_fn call covers up to _BASES_PER_CALL bases."""
+def _draw_bases(trials: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(alphas, cs, js): the `trials` random bases of default_rng(seed)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    alphas, cs, js = (np.array(v) for v in zip(*_random_bases(rng, trials)))
+    return tuple(np.array(v) for v in zip(*_random_bases(rng, trials)))
+
+
+def _base_sweeps(bases, loss_fn, vary_correct: bool) -> np.ndarray:
+    """vals[t] is loss_fn(alpha, c) for random base t along GRID, in the
+    correct-class concentration parameter or in a random off-class one. One
+    loss_fn call covers up to _BASES_PER_CALL bases."""
+    alphas, cs, js = bases
     col = cs if vary_correct else js
-    vals = np.empty((trials, GRID.size))
-    for lo in range(0, trials, _BASES_PER_CALL):
+    vals = np.empty((cs.size, GRID.size))
+    for lo in range(0, cs.size, _BASES_PER_CALL):
         part = slice(lo, lo + _BASES_PER_CALL)
         a = np.repeat(alphas[part, None, :], GRID.size, axis=1)
         a[np.arange(a.shape[0])[:, None], np.arange(GRID.size), col[part, None]] = GRID
@@ -156,33 +182,47 @@ def _base_sweeps(trials: int, seed: int, loss_fn, vary_correct: bool) -> np.ndar
     return vals
 
 
+def _theorem_f(alpha, c):
+    return iad_loss_batch(alpha, c, THEOREM_P_NORM)
+
+
+def _theorem1(bases, seed: int) -> Verdict:
+    vals = _base_sweeps(bases, _theorem_f, True)
+    bad = np.flatnonzero(~_decreasing_convex(vals)).tolist()
+    return Verdict("theorem1", not bad, seed, len(vals),
+                   {"p_norm": THEOREM_P_NORM, "failures": bad})
+
+
+def _theorem2(bases, seed: int) -> Verdict:
+    vals = _base_sweeps(bases, _theorem_f, False)
+    passed, knees = _eventually_increasing(vals)
+    bad = np.flatnonzero(~passed).tolist()
+    return Verdict("theorem2", not bad, seed, len(vals),
+                   {"p_norm": THEOREM_P_NORM, "knees": knees, "failures": bad})
+
+
+def _theorem3(bases, seed: int) -> Verdict:
+    vals = _base_sweeps(bases, info_regularizer_batch, False)
+    bad = np.flatnonzero(~_increasing(vals)).tolist()
+    return Verdict("theorem3", not bad, seed, len(vals), {"failures": bad})
+
+
 def verify_theorem1(trials: int = 100, seed: int = 0) -> Verdict:
     """F is strictly convex and strictly decreasing in the correct-class
     concentration parameter."""
-    vals = _base_sweeps(trials, seed, lambda a, c: iad_loss_batch(a, c, THEOREM_P_NORM),
-                        True)
-    bad = np.flatnonzero(~_decreasing_convex(vals)).tolist()
-    return Verdict("theorem1", not bad, seed, trials,
-                   {"p_norm": THEOREM_P_NORM, "failures": bad})
+    return _theorem1(_draw_bases(trials, seed), seed)
 
 
 def verify_theorem2(trials: int = 100, seed: int = 0) -> Verdict:
     """F is eventually strictly increasing in an off-class concentration
     parameter, with the final value above the initial one."""
-    vals = _base_sweeps(trials, seed, lambda a, c: iad_loss_batch(a, c, THEOREM_P_NORM),
-                        False)
-    passed, knees = _eventually_increasing(vals)
-    bad = np.flatnonzero(~passed).tolist()
-    return Verdict("theorem2", not bad, seed, trials,
-                   {"p_norm": THEOREM_P_NORM, "knees": knees, "failures": bad})
+    return _theorem2(_draw_bases(trials, seed), seed)
 
 
 def verify_theorem3(trials: int = 100, seed: int = 0) -> Verdict:
     """The information regularizer is strictly increasing in every off-class
     concentration parameter over the whole grid."""
-    vals = _base_sweeps(trials, seed, info_regularizer_batch, False)
-    bad = np.flatnonzero(~_increasing(vals)).tolist()
-    return Verdict("theorem3", not bad, seed, trials, {"failures": bad})
+    return _theorem3(_draw_bases(trials, seed), seed)
 
 
 def theorem2_figure_sweep(seed: int) -> dict:
@@ -216,9 +256,8 @@ def theorem2_figure_sweep(seed: int) -> dict:
 
 
 def run_all(seed: int = 0, trials: int = 100, n_triples: int = 1000) -> list[Verdict]:
-    return [
-        *_lemma_sweep(n_triples, seed),
-        verify_theorem1(trials, seed=seed),
-        verify_theorem2(trials, seed=seed),
-        verify_theorem3(trials, seed=seed),
-    ]
+    """The two lemmas and the three theorems, which share one draw of the
+    random bases: each verdict equals its standalone verify_* one."""
+    lemmas = _lemma_sweep(n_triples, seed)
+    bases = _draw_bases(trials, seed)
+    return [*lemmas, *(check(bases, seed) for check in (_theorem1, _theorem2, _theorem3))]

@@ -777,6 +777,23 @@ def test_cli_ood_ring_that_overflows_exits_2(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == ["config_resolved.txt", "run_meta.json"]
 
 
+@pytest.mark.parametrize("command, sets", [
+    ("ood", []),
+    ("train", ["train.ood_weight=1", "train.t0=0", "train.max_epochs=1"])])
+def test_cli_data_of_one_point_exits_2(tmp_path, capsys, command, sets):
+    # 200 identical rows scale to one point, whose support radius is 0: a ring
+    # or off-support noise around it would be that point again
+    path = tmp_path / "same.csv"
+    path.write_text("f0,f1,label\n" + "".join(f"0.5,0.25,{i % 3}\n" for i in range(200)))
+    out = tmp_path / "run"
+    assert run([command, "--out", str(out), "--set", "data.kind=csv",
+                "--set", f"data.csv={path}"] + tiny(*sets)
+               + _checkpoint_args(tmp_path, command)) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: csv({path})"), err
+    assert "the support radius" in err[0] and "is 0" in err[0]
+
+
 # probe: (command, its --set items, exit status, what the error line names;
 # None for a run that succeeds)
 _OVERFLOW_PROBES = {

@@ -142,6 +142,18 @@ def test_support_radius_that_overflows_is_refused_without_warning():
     assert support_extent(Dataset(wide.features / 1e50))[1] == 1e150
 
 
+def test_support_radius_of_zero_is_refused():
+    # every row the same point: a ring at any multiple of radius 0 is that point
+    same = Dataset(np.zeros((200, 2)), np.eye(2)[np.arange(200) % 2], provenance="same")
+    with pytest.raises(FeatureRangeError, match="^same: the support radius, .* is 0"):
+        support_extent(same)
+    with pytest.raises(FeatureRangeError, match="^same: the support radius, .* is 0"):
+        make_ood_ring(same, 1.5, 10, np.random.default_rng(0))
+    moved = same.features.copy()
+    moved[0, 1] = 0.25
+    assert support_extent(Dataset(moved))[1] > 0.0
+
+
 # ------------------------------------------------------------------ load_idx
 
 def write_idx(tmp_path, images, labels):

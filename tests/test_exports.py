@@ -73,11 +73,14 @@ def test_readme_quick_start_runs(capsys):
 # none of them. DomainError is a special function's argument check: callers
 # check their own inputs first, and evaluation turns F's DomainError on a
 # finite alpha it cannot take into ConcentrationOverflowError.
-# LossOverflowError bounds log F. At an integer p <= 8, log F stays within
-# ~37 of 0 for finite concentrations (alpha_0 - alpha_c is 0 or at least
-# ~2e-16 alpha_0); at any other p, specfun.log_rising takes ln Gamma
-# differences that cancel at large x, so this bound is not shown there, and
-# whether CLI input can raise LossOverflowError is not verified.
+# LossOverflowError bounds log F. At an integer train.p_norm of 1..8, the
+# default 4 among them, CLI input cannot raise it: the head gives alpha >= 1,
+# and F >= s / alpha_0 >= 2^-53 while s = alpha_0 - alpha_c does not round to
+# 0; where it does, log_rising's DomainError comes first (test_losses.py's
+# test_head_concentrations_never_overflow_log_f_at_integer_p). At any other
+# p, specfun.log_rising takes ln Gamma differences that cancel at large x, so
+# the bound is not shown there, and whether CLI input at such a p can raise
+# LossOverflowError is not verified.
 _INTERNAL_ERRORS = {specfun.DomainError, losses.LossOverflowError}
 
 

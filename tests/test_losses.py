@@ -595,6 +595,37 @@ def test_iad_loss_positive_and_finite(a1, a2, p):
     assert 0.0 < val < math.inf
 
 
+# a head concentration: alpha = 1 + softplus >= 1, at any magnitude up to 1e300
+_HEAD_ALPHA = st.one_of(st.floats(1.0, 1e300),
+                        st.floats(0.0, 300.0).map(lambda e: 10.0 ** e))
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_head_concentrations_never_overflow_log_f_at_integer_p(data):
+    # CLI input reaches F only through the head, so it cannot raise
+    # LossOverflowError at p = 1..8: F >= s / alpha_0 >= 2^-53 while the
+    # off-class sum s = alpha_0 - alpha_c does not round to 0, and where it
+    # does, log_rising's DomainError comes first. No errstate is set here, so
+    # a warning would fail the test too.
+    k = data.draw(st.integers(2, 10), label="k")
+    n = data.draw(st.integers(1, 4), label="n")
+    p = data.draw(st.integers(1, 8), label="p")
+    alpha = np.array(data.draw(st.lists(_HEAD_ALPHA, min_size=n * k, max_size=n * k),
+                               label="alpha")).reshape(n, k)
+    c = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n),
+                           label="c"))
+    s = np.add.reduce(alpha, axis=1) - alpha[np.arange(n), c]
+    try:
+        f, grad = iad_value_grad_batch(alpha, c, float(p))
+    except DomainError:
+        assert np.any(s == 0.0)
+        return
+    assert np.all(s > 0.0)
+    assert np.all(f >= 2.0 ** -53) and np.all(np.isfinite(f))
+    assert np.all(np.isfinite(grad))
+
+
 def test_batch_shape_validation():
     with pytest.raises(ValueError):
         iad_loss_batch(np.ones((3, 2)), np.zeros(4, dtype=int), 2.0)

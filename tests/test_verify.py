@@ -179,6 +179,24 @@ def test_batched_theorems_split_over_calls_equal_per_trial_reference(monkeypatch
         assert asdict(fn(7, seed=2)) == reference_theorem(name, 7, 2)
 
 
+@pytest.mark.parametrize("trials", [1, 7, 100])
+def test_run_all_theorems_equal_standalone_theorems_from_one_draw(monkeypatch, trials):
+    monkeypatch.setattr(verify, "_BASES_PER_CALL", 3)
+    want = [asdict(fn(trials, seed=5))
+            for fn in (verify_theorem1, verify_theorem2, verify_theorem3)]
+    draws = []
+    real = verify._draw_bases
+
+    def spy(*args):
+        draws.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify, "_draw_bases", spy)
+    got = run_all(seed=5, trials=trials, n_triples=10)[2:]
+    assert [asdict(v) for v in got] == want
+    assert draws == [(trials, 5)]
+
+
 def test_sweep_checks_report_failures_and_missing_knees():
     # by c mod 3: a rise with a wiggle that may end falling, a straight
     # (not strictly convex) fall, and a convex fall
@@ -187,7 +205,7 @@ def test_sweep_checks_report_failures_and_missing_knees():
         return np.select([c % 3 == 0, c % 3 == 1], [s + 3.0 * np.sin(s), -s], 1.0 / s)
 
     trials, seed = 40, 3
-    vals = verify._base_sweeps(trials, seed, synthetic, False)
+    vals = verify._base_sweeps(verify._draw_bases(trials, seed), synthetic, False)
     passed, knees = verify._eventually_increasing(vals)
     want_bad, want_knees = reference_sweeps(trials, seed, synthetic, False,
                                             "eventually_increasing")
@@ -215,14 +233,15 @@ def _sample_triples(rng: np.random.Generator, n: int):
 
 @pytest.mark.parametrize("seed", [0, 9])
 def test_streamed_triples_equal_one_whole_draw(seed):
+    # each block is overwritten by the next, so it is copied as it comes
     b = verify._TRIPLES_PER_BLOCK
     for n in (1, b, b + 7, 3 * b + 7):
-        blocks = list(verify._triple_blocks(n, seed))
-        assert [x1.size for x1, _, _ in blocks] == [min(b, n - lo) for lo in range(0, n, b)]
-        got = [np.concatenate(column) for column in zip(*blocks)]
-        want = _sample_triples(np.random.default_rng(seed), n)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+        blocks = [block.copy() for block in verify._triple_blocks(n, seed)]
+        assert [block.shape for block in blocks] == [(4, min(b, n - lo))
+                                                     for lo in range(0, n, b)]
+        x1, x2, p = _sample_triples(np.random.default_rng(seed), n)
+        want = np.stack([x1, x2, x1 + p, x2 + p])
+        assert np.array_equal(np.concatenate(blocks, axis=1), want)
 
 
 def reference_lemmas(n_triples, seed) -> tuple[dict, dict]:
@@ -296,8 +315,8 @@ def test_planted_violation_fails_only_its_lemma(monkeypatch, block, where, broke
 
 def test_run_all_peak_memory_at_benchmark_size():
     # The lemma sweep draws and checks one 8,192-triple block at a time, so
-    # the peak (~3.4 MB) is one block's draws and temporaries; one 300k-triple
-    # array alone would add 2.4 MB.
+    # the peak (~3.2 MB) is one block and its special-function temporaries;
+    # one 300k-triple array alone would add 2.4 MB.
     tracemalloc.start()
     try:
         verdicts = run_all(seed=0, trials=100, n_triples=300_000)
